@@ -70,7 +70,6 @@ from .cascade import (
     default_fock_cutoff,
     fidelity,
     integrate,
-    lindblad_generator,
     reduced_two_qubit_model,
     transferred_target,
 )

@@ -1,9 +1,12 @@
 """Tests for the cascaded master equation and the reduced qubit model."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phononet as pn
 from phononet.cascade import (
@@ -27,6 +30,12 @@ def test_fock_cutoff_rule():
     assert default_fock_cutoff(0.0) == 6
     assert default_fock_cutoff(0.5) == 8
     assert default_fock_cutoff(20.0) == 30  # capped
+
+
+def test_fock_cutoff_cap_warns():
+    with pytest.warns(RuntimeWarning, match=r"capped at 30 for n_th = 20; .* asks for 86"):
+        model = CascadedModel(analytic_schedule(1.0), n_th=20.0, gamma=10.0)
+    assert model.hilbert.fock_cutoff == 30
 
 
 def test_density_matrix_validation():
@@ -72,6 +81,60 @@ def test_generator_is_trace_free():
     for t in (-3.0, 0.0, 2.0):
         drho = model.rhs(t, rho)
         assert abs(np.trace(drho)) < 1e-12
+
+
+def _dense_rhs(model, t, rho):
+    """The cascade generator written out with dense matrices."""
+    ops = [(model.schedule.gamma1(t), model.s1), (model.schedule.gamma2(t), model.s2)]
+    if model.include_cavity:
+        ops.insert(0, (model.gamma, model.b))
+    dim = model.dimension
+    S = np.zeros((dim, dim), dtype=complex)
+    for rate, c in ops:
+        S += math.sqrt(rate) * c
+    H = np.zeros((dim, dim), dtype=complex)
+    for k in range(len(ops)):
+        for l in range(k):
+            (gk, ck), (gl, cl) = ops[k], ops[l]
+            H += (-0.5j * math.sqrt(gk * gl)) * (ck.conj().T @ cl - cl.conj().T @ ck)
+
+    def dissipator(c):
+        cd = c.conj().T
+        return c @ rho @ cd - 0.5 * (cd @ c @ rho + rho @ cd @ c)
+
+    drho = -1j * (H @ rho - rho @ H)
+    drho += (model.n_th + 1) * dissipator(S) + model.n_th * dissipator(S.conj().T)
+    if model.include_cavity:
+        drho += model.gamma_op * dissipator(model.b)
+    return drho
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    fock_cutoff=st.integers(2, 4),
+    n_th=st.floats(0.0, 2.0),
+    gamma=st.floats(0.5, 20.0),
+    gamma_op_rel=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    include_cavity=st.booleans(),
+    # |t| >= 8.6 puts one rate below the 1e-4 floor, where it is clamped to 0
+    t=st.one_of(st.floats(-14.0, 14.0), st.sampled_from([-14.0, -10.0, 10.0, 14.0])),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_generator_matches_dense_lindblad_formula(
+    fock_cutoff, n_th, gamma, gamma_op_rel, include_cavity, t, seed
+):
+    sch = analytic_schedule(1.0, cutoff_floor=1e-4)
+    model = CascadedModel(sch, n_th, gamma=gamma, gamma_op=gamma_op_rel * gamma,
+                          fock_cutoff=fock_cutoff, include_cavity=include_cavity)
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(model.dimension,) * 2) + 1j * rng.normal(size=(model.dimension,) * 2)
+    rho = a @ a.conj().T
+    rho /= np.trace(rho)
+    drho = model.rhs(t, rho)
+    ref = _dense_rhs(model, t, rho)
+    np.testing.assert_allclose(drho, ref, rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(ref))))
+    assert abs(np.trace(drho)) < 1e-12
+    assert np.max(np.abs(drho - drho.conj().T)) < 1e-12
 
 
 def test_hamiltonian_hermitian():
@@ -178,3 +241,33 @@ def test_integrate_rejects_bad_spans_and_dimensions():
     other = CascadedModel(_zero_schedule(), 0.0, gamma=1.0, fock_cutoff=2)
     with pytest.raises(pn.ValidationError, match="dimension"):
         integrate(other, rho0, (-1.0, 1.0))
+
+
+def test_integrate_hits_sample_times_and_keeps_initial_state():
+    sch = analytic_schedule(1.0, cutoff_floor=1e-4)
+    model = CascadedModel(sch, n_th=0.3, include_cavity=False)
+    rho0 = model.initial_state((0.6, 0.8))
+    ts = np.array([-14.0, -1.0 / 3.0, 0.1, 2.0 / 7.0, 14.0])
+    traj = integrate(model, rho0, sch.window, ts)
+    assert [snap.time for snap in traj] == list(ts)
+    assert np.array_equal(traj[0].matrix, rho0.matrix)
+
+
+class _NonFiniteModel(CascadedModel):
+    def rhs(self, t, rho):
+        return np.full_like(rho, np.nan)
+
+
+def test_integrate_reports_non_finite_generator():
+    model = _NonFiniteModel(_zero_schedule(), n_th=0.0, include_cavity=False)
+    with pytest.raises(pn.NumericalError):
+        integrate(model, model.initial_state(), (-1.0, 1.0))
+
+
+def test_integrate_logs_solver_statistics(caplog):
+    model = CascadedModel(_zero_schedule(), n_th=0.0, include_cavity=False)
+    with caplog.at_level(logging.DEBUG, logger="phononet.cascade"):
+        integrate(model, model.initial_state(), (-1.0, 1.0), np.array([0.0, 1.0]))
+    assert "2 samples" in caplog.text
+    for counter in ("RHS calls", "Jacobians", "LU factorisations"):
+        assert counter in caplog.text
