@@ -302,10 +302,10 @@ def integrate(
     ``scipy.integrate.solve_ivp(method="BDF")`` runs on the vectorised
     state with ``model.rhs`` as the right-hand side and the sparse
     generator L(t) as the Jacobian.  Its error test is the RMS over all
-    entries of err / (atol + rtol |rho_ij|), not a maximum norm.  Each
-    interval between consecutive sample times is one solver run, so every
-    requested time is hit exactly; each sample is re-Hermitised and the
-    next run starts from it.  Solver failure raises ``NumericalError``;
+    entries of err / (atol + rtol |rho_ij|), not a maximum norm.  One
+    solver run covers t0 to the last sample time; the samples are read
+    from its dense output at exactly the requested times and each is
+    re-Hermitised.  Solver failure raises ``NumericalError``;
     the solver statistics are logged at DEBUG on ``phononet.cascade``.
     """
     t0, t1 = t_span
@@ -321,30 +321,26 @@ def integrate(
     if np.any(t_eval < t0) or np.any(t_eval > t1) or not np.all(np.diff(t_eval) > 0):
         raise ValidationError("t_eval must be increasing within t_span")
 
-    rho = rho0.matrix.copy()
-    t = t0
-    out: list[DensityMatrix] = []
+    # a sample at t0 is the initial state; the rest come from one solver run
+    out = [DensityMatrix(rho0.matrix.copy(), t) for t in t_eval[t_eval == t0].tolist()]
+    later = t_eval[t_eval > t0]
     nfev = njev = nlu = 0
-    for target in t_eval.tolist():
-        if target > t:
-            failed = f"BDF integration failed between t = {t!r} and {target!r}"
-            try:  # t_eval: keep the sample only, not every step's state
-                sol = solve_ivp(
-                    model.rhs, (t, target), rho.ravel(), method="BDF", t_eval=[target],
-                    rtol=rtol, atol=atol, jac=lambda s, _: model._generator(s),
-                )
-            except RuntimeError as exc:  # singular Newton matrix, from SuperLU
-                raise NumericalError(f"{failed}: {exc}") from exc
-            # the BDF solver is a reference cycle: free it and its SuperLU factors
-            # (~1.2 kB per nonzero) now; a young-generation collection suffices
-            gc.collect(1)
-            nfev, njev, nlu = nfev + sol.nfev, njev + sol.njev, nlu + sol.nlu
-            if sol.status != 0 or not np.all(np.isfinite(sol.y[:, -1])):
-                raise NumericalError(f"{failed}: {sol.message}")
-            rho = sol.y[:, -1].reshape(rho.shape)
-            rho = 0.5 * (rho + rho.conj().T)
-            t = target
-        out.append(DensityMatrix(rho, target))
+    if later.size:
+        failed = f"BDF integration failed between t = {t0!r} and {later[-1]!r}"
+        try:  # t_eval: keep the samples only, not every step's state
+            sol = solve_ivp(
+                model.rhs, (t0, later[-1]), rho0.matrix.flatten(), method="BDF", t_eval=later,
+                rtol=rtol, atol=atol, jac=lambda s, _: model._generator(s),
+            )
+        except RuntimeError as exc:  # singular Newton matrix, from SuperLU
+            raise NumericalError(f"{failed}: {exc}") from exc
+        # BDF is a reference cycle holding SuperLU factors (~1.2 kB per nonzero): free it
+        gc.collect(1)
+        nfev, njev, nlu = sol.nfev, sol.njev, sol.nlu
+        if sol.status != 0 or not np.all(np.isfinite(sol.y)):
+            raise NumericalError(f"{failed}: {sol.message}")
+        rhos = sol.y.T.reshape(-1, *rho0.matrix.shape)
+        out += [DensityMatrix(0.5 * (r + r.conj().T), t) for r, t in zip(rhos, later.tolist())]
     _log.debug("integrate: dim %d, %d samples, %d RHS calls, %d Jacobians, "
                "%d LU factorisations", model.dimension, len(out), nfev, njev, nlu)
     return out

@@ -33,9 +33,8 @@ from .network import (
     ModeKind,
     ModeSpec,
     PortSpec,
+    _response_rows,
     build_drift_matrix,
-    port_block,
-    scattering,
 )
 
 __all__ = [
@@ -125,17 +124,18 @@ def scattering_probabilities(
     S_1j is the (1, j) element of the resonator-port scattering block, the
     weight of input j in the field leaving port 1; at phi = +pi/2 and
     t = gamma/2 the resonant output of port 1 is the port-2 input
-    (P_12 -> 1).  With gamma0 = 0 each row sums to one.
+    (P_12 -> 1).  With gamma0 = 0 each row sums to one.  Raises
+    ValidationError for an empty grid and SingularFrequencyError naming
+    the omega at which the response is singular or ill-conditioned.
     """
-    omega_grid = np.asarray(omega_grid, dtype=float)
     net = circulator_network(spec)
     drift = build_drift_matrix(net)
-    out = np.empty((omega_grid.size, 3))
-    for i, w in enumerate(omega_grid):
-        S, _ = scattering(net, w, drift)
-        blk = port_block(net, S)
-        out[i] = np.abs(blk[0, :]) ** 2
-    return out
+    ports = [2 * net.mode_index(p.mode) for p in net.ports]
+    sR = np.sqrt(drift.input_rates[ports])
+    # row 1 of S = 1 - sqrt(R) X sqrt(R) on the port columns
+    S = -sR[0] * _response_rows(drift, omega_grid, ports[:1])[:, 0, ports] * sR
+    S[:, 0] += 1.0
+    return np.abs(S) ** 2
 
 
 def steady_state_amplitudes(design: OpticalDriveDesign) -> tuple[complex, complex]:

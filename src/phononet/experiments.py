@@ -9,7 +9,9 @@ sweep-type experiments expose their points for the worker pool.
 from __future__ import annotations
 
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -383,17 +385,10 @@ def run_nv(p: dict, pool: ThreadPoolExecutor | None = None):
     # keep the Raman resonances +-omega_m/2 off the grid
     grid = grid[np.abs(np.abs(grid) - omega_m / 2) > 1e-9 * omega_m]
     rows = []
-    import warnings as _warnings
-
     for d in grid:
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore")
-            r = nv.effective_spin_phonon(
-                nv.RamanParams(
-                    params.coupling_lambda, omega_m,
-                    params.omega_rabi0, params.omega_rabi1, d, params.gamma_e,
-                )
-            )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            r = nv.effective_spin_phonon(replace(params, delta=d))
         rows.append(
             (d / omega_m, r.lambda_eff / TWO_PI, r.gamma_eff_0 / TWO_PI,
              r.gamma_eff_1 / TWO_PI, r.figure_of_merit)

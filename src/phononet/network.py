@@ -17,7 +17,10 @@ A_out = A_in + sqrt(R) A then gives the scattering matrices
 where S maps port in-fields to port out-fields and S' routes intrinsic bath
 noise into the ports.  This normalisation makes S unitary for lossless
 excitation-conserving networks and conserves flux row-wise,
-sum_j |S_ij|^2 + sum_j |S'_ij|^2 = 1.
+sum_j |S_ij|^2 + sum_j |S'_ij|^2 = 1 (Gardiner & Collett, PRA 31, 3761
+(1985)).  Every response, from X itself to the spectra and the circulator's
+probabilities, comes from one batched, residual-checked solve for the rows
+of X it needs on the whole frequency grid.
 
 Conventions
 -----------
@@ -262,28 +265,37 @@ def build_drift_matrix(network: LinearNetwork) -> DriftMatrix:
     return DriftMatrix(M, R, G0, tuple(m.label for m in network.modes))
 
 
-def susceptibility(drift: DriftMatrix, omega: float) -> np.ndarray:
-    """X(omega) = [M - i*omega]^-1."""
-    A = drift.matrix - 1j * omega * np.eye(drift.dimension)
+def _response_rows(drift: DriftMatrix, omegas, rows) -> np.ndarray:
+    """Rows ``rows`` of X(w) = [M - i w]^-1, shape (len(omegas), len(rows), dim),
+    from one batched solve of (M - i w)^T y = e_r.  Raises ValidationError
+    for an empty grid, SingularFrequencyError naming the omega where M - i w
+    is singular or max|(M - i w)^T y - e_r| is not finite or exceeds 1e-8.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    if omegas.ndim != 1 or omegas.size == 0:
+        raise ValidationError("frequency grid must be a non-empty 1-D array")
+    n, d = omegas.size, drift.dimension
+    At = np.repeat(drift.matrix.T[None], n, axis=0)  # one buffer: (M - i w)^T for each w
+    At.reshape(n, d * d)[:, :: d + 1] -= 1j * omegas[:, None]
+    E = np.eye(d)[:, list(rows)][None]
     try:
-        X = np.linalg.inv(A)
+        Y = np.linalg.solve(At, E)
     except np.linalg.LinAlgError as exc:
-        raise SingularFrequencyError(f"response singular at omega={omega!r}") from exc
-    if not np.all(np.isfinite(X)):
-        raise SingularFrequencyError(f"response singular at omega={omega!r}")
-    resid = np.max(np.abs(A @ X - np.eye(drift.dimension)))
-    if resid > 1e-8:
+        w = omegas[np.argmin(np.abs(np.linalg.slogdet(At)[0]))]
+        raise SingularFrequencyError(f"response singular at omega={float(w)!r}") from exc
+    resid = np.max(np.abs(At @ Y - E), axis=(1, 2))
+    k = int(np.argmax(resid))  # the first NaN, if any
+    if not resid[k] <= 1e-8:
         raise SingularFrequencyError(
-            f"response ill-conditioned at omega={omega!r} (residual {resid:.2e})"
+            f"response singular or ill-conditioned at omega={float(omegas[k])!r} "
+            f"(residual {resid[k]:.2e})"
         )
-    return X
+    return Y.transpose(0, 2, 1)
 
 
-def _susceptibility_batch(drift: DriftMatrix, omegas: np.ndarray) -> np.ndarray:
-    """Stacked X(omega) for a 1-D frequency grid (no per-point checks)."""
-    eye = np.eye(drift.dimension)
-    A = drift.matrix[None, :, :] - 1j * omegas[:, None, None] * eye[None, :, :]
-    return np.linalg.inv(A)
+def susceptibility(drift: DriftMatrix, omega: float) -> np.ndarray:
+    """X(omega) = [M - i*omega]^-1; raises SingularFrequencyError naming omega."""
+    return _response_rows(drift, [omega], range(drift.dimension))[0]
 
 
 def scattering(
@@ -346,8 +358,8 @@ class NoiseSpectrum:
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        if grid.ndim != 1 or grid.shape != values.shape:
-            raise ValidationError("grid and values must be 1-D arrays of equal length")
+        if grid.ndim != 1 or grid.size == 0 or grid.shape != values.shape:
+            raise ValidationError("grid and values must be non-empty 1-D arrays of equal length")
         if grid.size >= 2 and not np.all(np.diff(grid) > 0):
             raise ValidationError("frequency grid must be strictly increasing")
         if np.min(values) < -1e-12:
@@ -358,22 +370,33 @@ class NoiseSpectrum:
 
 
 def _bath_columns(network: LinearNetwork):
-    """Yield (column, rate, normal_occ, anomalous_occ) for every noise channel.
-
-    The anomalous column of a thermal bath carries occupation N (not N+1):
-    at the large occupations of interest the distinction is negligible and
-    this matches the scattering-matrix spectrum formulas used throughout.
-    Vacuum baths keep the commutator contribution of 1 on the anomalous
-    column.
-    """
+    """Yield (column, rate, occupation, is_port) for every port and intrinsic bath."""
     for p in network.ports:
-        k = network.mode_index(p.mode)
-        n = p.input_occupation
-        yield 2 * k, p.rate, n, (n if n > 0 else 1.0)
+        yield 2 * network.mode_index(p.mode), p.rate, p.input_occupation, True
     for i, m in enumerate(network.modes):
         if m.intrinsic_rate > 0:
-            n = m.bath_occupation
-            yield 2 * i, m.intrinsic_rate, n, (n if n > 0 else 1.0)
+            yield 2 * i, m.intrinsic_rate, m.bath_occupation, False
+
+
+def _channel_sum(network: LinearNetwork, omega_grid, mode: str, output: bool) -> NoiseSpectrum:
+    """Sum occupation * |amplitude|^2 over the bath channels of ``mode``'s row:
+    sqrt(r) X_row,c for a channel of rate r in column c; for the out-field,
+    times sqrt(R_row) and less the direct reflection on the mode's own port.
+    An anomalous column c + 1 carries occupation N, not N+1 (negligible at
+    the occupations of interest); a vacuum bath keeps the commutator's 1 there.
+    """
+    drift = build_drift_matrix(network)
+    r = 2 * network.mode_index(mode)
+    X = _response_rows(drift, omega_grid, [r])[:, 0, :]
+    scale = math.sqrt(drift.input_rates[r]) if output else 1.0
+    vals = np.zeros(len(X))
+    for col, rate, n, is_port in _bath_columns(network):
+        amp = scale * X[:, col : col + 2] * math.sqrt(rate)
+        if output and is_port and col == r:
+            amp[:, 0] -= 1.0
+        vals += n * np.abs(amp[:, 0]) ** 2
+        vals += (n if n > 0 else 1.0) * np.abs(amp[:, 1]) ** 2
+    return NoiseSpectrum(omega_grid, np.maximum(vals, 0.0))
 
 
 def internal_spectrum(
@@ -381,48 +404,26 @@ def internal_spectrum(
 ) -> NoiseSpectrum:
     """Stationary fluctuation spectrum <a^dag(w) a(w')> of an internal mode.
 
-    Sums rate * occupation * |X_row,col|^2 over every bath channel, using
-    the doubled-basis susceptibility row of the requested mode.
+    Sums rate * occupation * |X_row,col|^2 over every bath channel.  Raises
+    ValidationError for an unknown mode or an empty grid, StabilityError for
+    an unstable network, and SingularFrequencyError naming the omega where
+    the response is singular or ill-conditioned.
     """
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    drift = build_drift_matrix(network)
-    X = _susceptibility_batch(drift, omega_grid)
-    r = 2 * network.mode_index(mode)
-    vals = np.zeros_like(omega_grid)
-    for col, rate, n_norm, n_anom in _bath_columns(network):
-        vals += rate * n_norm * np.abs(X[:, r, col]) ** 2
-        vals += rate * n_anom * np.abs(X[:, r, col + 1]) ** 2
-    return NoiseSpectrum(omega_grid, np.maximum(vals, 0.0))
+    return _channel_sum(network, omega_grid, mode, output=False)
 
 
 def output_spectrum(
     network: LinearNetwork, omega_grid: np.ndarray, port_mode: str
 ) -> NoiseSpectrum:
-    """Occupation spectrum of the out-field at the port attached to ``port_mode``."""
+    """Occupation spectrum of the out-field at the port attached to ``port_mode``.
+
+    Sums occupation * |S_row,col|^2 over the ports and |S'_row,col|^2 over
+    the intrinsic baths.  Raises ValidationError when ``port_mode`` has no
+    port, otherwise as ``internal_spectrum``.
+    """
     if network.port_for(port_mode) is None:
         raise ValidationError(f"mode {port_mode!r} has no port")
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    drift = build_drift_matrix(network)
-    X = _susceptibility_batch(drift, omega_grid)
-    r = 2 * network.mode_index(port_mode)
-    sR = np.sqrt(drift.input_rates)
-    sG = np.sqrt(drift.intrinsic_rates)
-    # row r of S and S' on the whole grid
-    S_row = -sR[r] * X[:, r, :] * sR[None, :]
-    S_row[:, r] += 1.0
-    Sp_row = sR[r] * X[:, r, :] * sG[None, :]
-    vals = np.zeros_like(omega_grid)
-    for p in network.ports:
-        k = 2 * network.mode_index(p.mode)
-        n = p.input_occupation
-        vals += n * np.abs(S_row[:, k]) ** 2
-        vals += (n if n > 0 else 1.0) * np.abs(S_row[:, k + 1]) ** 2
-    for i, m in enumerate(network.modes):
-        if m.intrinsic_rate > 0:
-            n = m.bath_occupation
-            vals += n * np.abs(Sp_row[:, 2 * i]) ** 2
-            vals += (n if n > 0 else 1.0) * np.abs(Sp_row[:, 2 * i + 1]) ** 2
-    return NoiseSpectrum(omega_grid, np.maximum(vals, 0.0))
+    return _channel_sum(network, omega_grid, port_mode, output=True)
 
 
 def filtered_noise_spectrum(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -97,10 +97,5 @@ def figure_of_merit_sweep(params: RamanParams, delta_grid: np.ndarray) -> np.nda
     for i, d in enumerate(delta_grid):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            out[i] = effective_spin_phonon(
-                RamanParams(
-                    params.coupling_lambda, params.omega_m,
-                    params.omega_rabi0, params.omega_rabi1, d, params.gamma_e,
-                )
-            ).figure_of_merit
+            out[i] = effective_spin_phonon(replace(params, delta=d)).figure_of_merit
     return out

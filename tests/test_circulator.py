@@ -114,6 +114,12 @@ def test_lossy_degradation_balances_intrinsic_flux():
     assert probs[20, 1] < lossless - 0.05
 
 
+def test_probabilities_name_non_finite_grid_point():
+    # ring modes are always port-damped; a non-finite response is the failure left
+    with pytest.raises(pn.SingularFrequencyError, match="omega=nan"):
+        scattering_probabilities(_spec(), np.array([WM, np.nan]))
+
+
 # ------------------------------------------------------------ drive fields
 
 

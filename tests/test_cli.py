@@ -136,6 +136,34 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert out.endswith("design.csv")
 
 
+def test_cli_singular_grid_point_exits_3(tmp_path, capsys):
+    # undamped chain: the grid's midpoint sits on the collective mode at omega_m
+    cfg = tmp_path / "singular.json"
+    cfg.write_text(json.dumps({
+        "experiment": "multimode",
+        "parameters": {"n_modes": 3, "g_alpha_over_k": 0, "gamma0_over_k": 0},
+    }))
+    assert main(["multimode", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert "SingularFrequencyError: response singular at omega=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "experiment, params",
+    [
+        ("filter", {}),
+        ("multimode", {}),
+        ("circulator", {}),
+        ("waveguide", {"quantity": "rethermalization"}),
+    ],
+)
+def test_cli_empty_grid_exits_3(tmp_path, capsys, experiment, params):
+    cfg = tmp_path / "empty.json"
+    cfg.write_text(json.dumps({"experiment": experiment, "parameters": {**params, "n_points": 0}}))
+    assert main([experiment, "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert "ValidationError" in capsys.readouterr().err
+    assert not (tmp_path / f"{experiment}.csv").exists()
+
+
 def test_cli_design_meets_operating_point(tmp_path):
     assert main(["design", "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "design.csv").read_text().splitlines()

@@ -1,8 +1,11 @@
 """Tests for the doubled-basis network solver and noise spectra."""
 
+import math
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import phononet as pn
@@ -21,6 +24,8 @@ from phononet.network import (
     multimode_cooling_network,
     om_cooling_network,
     om_filter_network,
+    output_spectrum,
+    port_block,
     scattering,
     susceptibility,
 )
@@ -200,6 +205,83 @@ def test_flux_conservation_property(g, kap, gam, g0, w_off):
     np.testing.assert_allclose(total, 1.0, atol=1e-8)
 
 
+@st.composite
+def _random_networks(draw, rwa_only=False):
+    """Networks of 2-4 modes, not always stable: random frequencies, couplings
+    (RWA or full), intrinsic losses (all zero about a third of the time)
+    and at least one port."""
+    n = draw(st.integers(2, 4))
+    lossless = draw(st.integers(0, 2)) == 0
+    loss = st.just(0.0) if lossless else st.floats(0.0, 1.0)
+    occ = st.floats(0.0, 5.0)
+    modes = tuple(
+        ModeSpec(f"m{i}", ModeKind.MECHANICAL, draw(st.floats(-3.0, 3.0)), draw(loss), draw(occ))
+        for i in range(n)
+    )
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    couplings = tuple(
+        CouplingSpec(
+            f"m{i}", f"m{j}", complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))),
+            rotating_wave=rwa_only or draw(st.booleans()),
+        )
+        for i, j in draw(st.lists(st.sampled_from(pairs), unique=True))
+    )
+    ported = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    ports = tuple(PortSpec(f"m{k}", draw(st.floats(0.1, 2.0)), draw(occ)) for k in ported)
+    return LinearNetwork(modes, couplings, ports)
+
+
+def _damped_drift(net):
+    """The drift matrix, skipping unstable or nearly undamped networks."""
+    try:
+        d = build_drift_matrix(net)
+    except pn.StabilityError:
+        assume(False)
+    assume(np.min(np.linalg.eigvals(d.matrix).real) > 1e-2)
+    return d
+
+
+@settings(max_examples=60, deadline=None)
+@given(net=_random_networks(), w=st.floats(-4.0, 4.0))
+def test_spectra_match_inverse_oracle(net, w):
+    d = _damped_drift(net)
+    # oracle: the full inverse, with every channel's contribution written out
+    X = np.linalg.inv(d.matrix - 1j * w * np.eye(d.dimension))
+    sR, sG = np.sqrt(d.input_rates), np.sqrt(d.intrinsic_rates)
+    S = np.eye(d.dimension) - sR[:, None] * X * sR[None, :]
+    Sp = sR[:, None] * X * sG[None, :]
+    ports = [(2 * net.mode_index(p.mode), p.input_occupation) for p in net.ports]
+    baths = [(2 * i, m.bath_occupation) for i, m in enumerate(net.modes) if m.intrinsic_rate > 0]
+
+    def channel_sum(port_amps, bath_amps):
+        return sum(
+            n * abs(amps[c]) ** 2 + (n if n > 0 else 1.0) * abs(amps[c + 1]) ** 2
+            for amps, chans in ((port_amps, ports), (bath_amps, baths))
+            for c, n in chans
+        )
+
+    for m in net.modes:
+        r = 2 * net.mode_index(m.label)
+        got = internal_spectrum(net, [w], m.label).values[0]
+        np.testing.assert_allclose(got, channel_sum(X[r] * sR, X[r] * sG), rtol=1e-9, atol=1e-12)
+    for p in net.ports:
+        r = 2 * net.mode_index(p.mode)
+        got = output_spectrum(net, [w], p.mode).values[0]
+        np.testing.assert_allclose(got, channel_sum(S[r], Sp[r]), rtol=1e-9, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(net=_random_networks(rwa_only=True), w=st.floats(-4.0, 4.0))
+def test_rwa_flux_balance_and_lossless_unitarity(net, w):
+    d = _damped_drift(net)
+    S, Sp = scattering(net, w, d)
+    total = np.sum(np.abs(S) ** 2, axis=1) + np.sum(np.abs(Sp) ** 2, axis=1)
+    np.testing.assert_allclose(total, 1.0, atol=1e-8)
+    if not np.any(d.intrinsic_rates):
+        blk = port_block(net, S)
+        assert np.max(np.abs(blk.conj().T @ blk - np.eye(len(net.ports)))) < 1e-10
+
+
 # ---------------------------------------------------------------- spectra
 
 
@@ -236,6 +318,27 @@ def test_small_chain_spectrum_peaks():
     c2 = (2 / (N + 1)) * np.sin(ns * N * np.pi / (N + 1)) ** 2
     spec = internal_spectrum(net, w_n, f"b{N}")
     np.testing.assert_allclose(spec.values, 4 * n_th / g0 * c2, rtol=0.01)
+
+
+def _undamped_chain():
+    # g_alpha = gamma0 = 0: the collective modes at 100 and 100 +- sqrt(2) are undamped
+    return multimode_cooling_network(
+        n_modes=3, omega_m=100.0, coupling=1.0, kappa=0.5, g_alpha=0.0, gamma0=0.0, n_th=10.0
+    )
+
+
+@pytest.mark.parametrize(
+    "spectrum, mode, omega",
+    [
+        (internal_spectrum, "b3", 100.0),  # M - i w exactly singular
+        (internal_spectrum, "b3", 100.0 + math.sqrt(2)),  # residual above 1e-8
+        (output_spectrum, "a", 100.0),
+    ],
+)
+def test_spectra_name_singular_grid_point(spectrum, mode, omega):
+    grid = np.array([99.0, omega, 102.0])
+    with pytest.raises(pn.SingularFrequencyError, match=re.escape(repr(omega))):
+        spectrum(_undamped_chain(), grid, mode)
 
 
 def test_filter_off_is_flat_thermal():
