@@ -53,8 +53,6 @@ __all__ = [
     "reduced_two_qubit_model",
 ]
 
-_SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # basis (g, e)
-_I2 = np.eye(2, dtype=complex)
 _log = logging.getLogger(__name__)
 
 
@@ -120,11 +118,21 @@ def _kron(*ops: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lowering(dims: tuple[int, ...], i: int) -> np.ndarray:
+    """Lowering operator of factor i of the product space with local dims;
+    a qubit (d = 2, basis g, e) gets sigma-."""
+    local = [np.eye(d, dtype=complex) for d in dims]
+    local[i] = np.diag(np.sqrt(np.arange(1, dims[i])), 1).astype(complex)
+    return _kron(*local)
+
+
 class CascadedModel:
     """Operators and rates of the cascaded chain.
 
     ``include_cavity=False`` gives the two-qubit reduction; then ``n_th``
-    plays the role of the effective channel occupation.
+    plays the role of the effective channel occupation.  Both are built
+    from one list of subsystem dimensions, (fock_cutoff + 1, 2, 2) or
+    (2, 2); each jump operator lowers its own factor.
 
     The generator L(t) = sum_{k>=l} sqrt(Gamma_k(t) Gamma_l(t)) L_kl is built
     once: each L_kl is a constant sparse superoperator on the row-major
@@ -164,22 +172,16 @@ class CascadedModel:
                         stacklevel=2,
                     )
             self.hilbert = HilbertSpec(fock_cutoff)
-            nc = fock_cutoff + 1
-            ic = np.eye(nc, dtype=complex)
-            self.b = _kron(np.diag(np.sqrt(np.arange(1, nc)), 1).astype(complex), _I2, _I2)
-            self.s1 = _kron(ic, _SIGMA_MINUS, _I2)
-            self.s2 = _kron(ic, _I2, _SIGMA_MINUS)
-            self._bdb = self.b.conj().T @ self.b
-            ops = [self.b, self.s1, self.s2]
+            dims = (fock_cutoff + 1, 2, 2)
         else:
             self.gamma = 0.0
             self.gamma_op = 0.0
             self.hilbert = None
-            self.b = None
-            self.s1 = _kron(_SIGMA_MINUS, _I2)
-            self.s2 = _kron(_I2, _SIGMA_MINUS)
-            ops = [self.s1, self.s2]
-        self.dimension = self.s1.shape[0]
+            dims = (2, 2)
+        ops = [_lowering(dims, i) for i in range(len(dims))]
+        self.b = ops[0] if include_cavity else None
+        self.s1, self.s2 = ops[-2:]
+        self.dimension = math.prod(dims)
 
         adj = [op.conj().T for op in ops]
         n = self.n_th
@@ -213,8 +215,7 @@ class CascadedModel:
         state (amplitudes on |g>, |e>), qubit 2 in the ground state."""
         a = np.asarray(qubit1, dtype=complex)
         a = a / np.linalg.norm(a)
-        rho1 = np.outer(a, a.conj())
-        rho2 = np.diag([1.0, 0.0]).astype(complex)
+        states = [np.outer(a, a.conj()), np.diag([1.0, 0.0]).astype(complex)]
         t0 = self.schedule.window[0] if t0 is None else t0
         if self.include_cavity:
             nbar = self.n_th * self.gamma / (self.gamma + self.gamma_op)
@@ -223,11 +224,8 @@ class CascadedModel:
                 p = (nbar / (nbar + 1)) ** np.arange(nc)
             else:
                 p = np.r_[1.0, np.zeros(nc - 1)]
-            p = p / p.sum()
-            rho = _kron(np.diag(p).astype(complex), rho1, rho2)
-        else:
-            rho = _kron(rho1, rho2)
-        return DensityMatrix(rho, t0)
+            states.insert(0, np.diag(p / p.sum()).astype(complex))
+        return DensityMatrix(_kron(*states), t0)
 
     # -- generator ----------------------------------------------------------
 
@@ -264,29 +262,19 @@ class CascadedModel:
     # -- observables ----------------------------------------------------------
 
     def excited_population(self, rho: np.ndarray, which: int) -> float:
-        proj = np.diag([0.0, 1.0]).astype(complex)
-        if self.include_cavity:
-            nc = self.hilbert.fock_cutoff + 1
-            op = (
-                _kron(np.eye(nc), proj, _I2)
-                if which == 1
-                else _kron(np.eye(nc), _I2, proj)
-            )
-        else:
-            op = _kron(proj, _I2) if which == 1 else _kron(_I2, proj)
-        return float(np.real(np.trace(op @ rho)))
+        """Tr(s^dag s rho) for qubit ``which`` (1 or 2)."""
+        s = self.s1 if which == 1 else self.s2
+        return float(np.real(np.trace(s.conj().T @ s @ rho)))
 
     def cavity_occupation(self, rho: np.ndarray) -> float:
         if not self.include_cavity:
             raise ValidationError("model has no cavity")
-        return float(np.real(np.trace(self._bdb @ rho)))
+        return float(np.real(np.trace(self.b.conj().T @ self.b @ rho)))
 
     def reduce_to_qubit2(self, rho: np.ndarray) -> np.ndarray:
-        if self.include_cavity:
-            nc = self.hilbert.fock_cutoff + 1
-            r = rho.reshape(nc, 2, 2, nc, 2, 2)
-            return np.einsum("xiaxib->ab", r)
-        return np.einsum("iaib->ab", rho.reshape(2, 2, 2, 2))
+        """Partial trace onto qubit 2, the last factor."""
+        m = self.dimension // 2
+        return np.einsum("xaxb->ab", rho.reshape(m, 2, m, 2))
 
 
 def integrate(

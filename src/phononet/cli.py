@@ -1,7 +1,6 @@
 """Command line front end: one subcommand per experiment, data files out.
 
     phononet <experiment> --config run.json [--out DIR] [--format csv|json]
-                          [--threads N]
 
 The configuration is a flat JSON object
 
@@ -20,7 +19,6 @@ import argparse
 import datetime
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -159,15 +157,9 @@ def parse_metadata_header(text: str) -> RunConfig:
     raise ConfigError("no configuration header found")
 
 
-def run_experiment(config: RunConfig, out_dir: Path, threads: int = 1) -> Path:
+def run_experiment(config: RunConfig, out_dir: Path) -> Path:
     """Execute a run and write its output file; returns the path."""
-    runner = RUNNERS[config.experiment]
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        columns, rows, extras = runner(config.parameters, pool)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    columns, rows, extras = RUNNERS[config.experiment](config.parameters)
     timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     if config.output_path is not None:
         path = Path(config.output_path)
@@ -196,8 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory (default: current)")
         sp.add_argument("--format", choices=_FORMATS, default=None,
                         help="override the output format")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sweep points")
     return parser
 
 
@@ -217,9 +207,7 @@ def main(argv=None) -> int:
                 config.experiment, config.parameters, config.seed,
                 config.output_path, args.format,
             )
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
-        path = run_experiment(config, args.out, args.threads)
+        path = run_experiment(config, args.out)
     except ConfigError as exc:
         print(f"phononet: configuration error: {exc}", file=sys.stderr)
         return 2

@@ -2,15 +2,13 @@
 
 Each runner takes a resolved parameter dict (frequencies in ordinary Hz,
 converted to angular units here) and returns a table:
-(column names, rows, extra metadata).  Runners are pure and deterministic;
-sweep-type experiments expose their points for the worker pool.
+(column names, rows, extra metadata).  Runners are pure and deterministic.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -131,8 +129,13 @@ def _ang(f_hz: float) -> float:
     return TWO_PI * f_hz
 
 
-def _aslist(x) -> list:
-    return list(x) if isinstance(x, (list, tuple)) else [x]
+def _aslist(p: dict, key: str) -> list:
+    """The value of a sweepable key as a list; a scalar sweeps one point."""
+    x = p[key]
+    values = list(x) if isinstance(x, (list, tuple)) else [x]
+    if not values:
+        raise ConfigError(f"parameters.{key} must not be an empty list")
+    return values
 
 
 # --------------------------------------------------------------------------
@@ -140,7 +143,7 @@ def _aslist(x) -> list:
 # --------------------------------------------------------------------------
 
 
-def run_filter(p: dict, pool: ThreadPoolExecutor | None = None):
+def run_filter(p: dict):
     gamma = _ang(p["gamma_hz"])
     omega_m = _ang(p["omega_m_hz"])
     kappa = _ang(p["kappa_hz"])
@@ -177,7 +180,7 @@ def run_filter(p: dict, pool: ThreadPoolExecutor | None = None):
     return ["omega_over_gamma", "N_F"], rows, extras
 
 
-def run_multimode(p: dict, pool: ThreadPoolExecutor | None = None):
+def run_multimode(p: dict):
     K = _ang(p["coupling_k_hz"])
     omega_m = _ang(p["omega_m_hz"])
     n_modes = int(p["n_modes"])
@@ -195,7 +198,7 @@ def run_multimode(p: dict, pool: ThreadPoolExecutor | None = None):
     return ["omega_minus_omega_m_over_k", "S"], rows, {"site": site}
 
 
-def run_transfer(p: dict, pool: ThreadPoolExecutor | None = None):
+def run_transfer(p: dict):
     gmax = _ang(p["gamma_max_hz"])
     tau = p["tau_p_gamma_max"] / gmax
     sch = transfer.analytic_schedule(gmax, tau, p["cutoff_floor_rel"] * gmax)
@@ -221,45 +224,35 @@ def run_transfer(p: dict, pool: ThreadPoolExecutor | None = None):
     return cols, rows, extras
 
 
-def _fidelity_point(args):
-    gm_rel, n_th, gamma0_rel, filtered, state, floor_rel, rtol = args
+def _fidelity_point(gm_rel: float, n_th: float, filtered: bool, p: dict):
     if filtered:
-        n0 = gamma0_rel * n_th
+        n0 = p["gamma0_over_gamma"] * n_th
         n_eff = transfer.effective_occupation_closed(n_th, n0, 1.0, gm_rel)
     else:
         n_eff = n_th
-    sch = transfer.analytic_schedule(1.0, cutoff_floor=floor_rel)  # units of Gamma_max
-    psi = (1.0, 1.0) if state == "superposition" else (0.0, 1.0)
-    model, traj = cascade.reduced_two_qubit_model(n_eff, sch, psi, rtol=rtol)
+    sch = transfer.analytic_schedule(1.0, cutoff_floor=p["cutoff_floor_rel"])  # units of Gamma_max
+    psi = (1.0, 1.0) if p["state"] == "superposition" else (0.0, 1.0)
+    model, traj = cascade.reduced_two_qubit_model(n_eff, sch, psi, rtol=p["rtol"])
     rho2 = model.reduce_to_qubit2(traj[-1].matrix)
     f = cascade.fidelity(rho2, cascade.transferred_target(psi))
     return gm_rel, n_th, n_eff, f, int(filtered)
 
 
-def run_fidelity(p: dict, pool: ThreadPoolExecutor | None = None):
+def run_fidelity(p: dict):
     if p["state"] not in ("superposition", "excited"):
         raise ConfigError("parameters.state must be superposition|excited")
-    points = []
-    for gm_rel in _aslist(p["gamma_max_over_gamma"]):
-        for n_th in _aslist(p["n_th"]):
-            points.append(
-                (gm_rel, n_th, p["gamma0_over_gamma"], True,
-                 p["state"], p["cutoff_floor_rel"], p["rtol"])
-            )
-    if p["include_no_filter"]:
-        for gm_rel in _aslist(p["gamma_max_over_gamma"]):
-            for n_th in _aslist(p["n_th"]):
-                points.append(
-                    (gm_rel, n_th, p["gamma0_over_gamma"], False,
-                     p["state"], p["cutoff_floor_rel"], p["rtol"])
-                )
-    runner = pool.map if pool is not None else map
-    rows = list(runner(_fidelity_point, points))
+    gm_rels, n_ths = _aslist(p, "gamma_max_over_gamma"), _aslist(p, "n_th")
+    rows = [
+        _fidelity_point(gm_rel, n_th, filtered, p)
+        for filtered in ((True, False) if p["include_no_filter"] else (True,))
+        for gm_rel in gm_rels
+        for n_th in n_ths
+    ]
     cols = ["gamma_max_over_gamma", "n_th", "n_eff", "fidelity", "filtered"]
     return cols, rows, {"sweep_points": len(rows)}
 
 
-def run_circulator(p: dict, pool: ThreadPoolExecutor | None = None):
+def run_circulator(p: dict):
     gamma = _ang(p["gamma_hz"])
     omega_m = _ang(p["omega_m_hz"])
     spec = circulator.CirculatorSpec(
@@ -281,7 +274,7 @@ def run_circulator(p: dict, pool: ThreadPoolExecutor | None = None):
     return ["delta_omega_over_gamma", "P_11", "P_12", "P_13"], rows, {}
 
 
-def run_waveguide(p: dict, pool: ThreadPoolExecutor | None = None):
+def run_waveguide(p: dict):
     chain = waveguide.ChainSpec(
         n_sites=int(p["n_sites"]),
         omega0=_ang(p["omega0_hz"]),
@@ -321,7 +314,7 @@ def run_waveguide(p: dict, pool: ThreadPoolExecutor | None = None):
     drive = network.NoiseSpectrum(grid, dip)
     site = chain.n_sites - 1
     rows = []
-    for z_rel in _aslist(p["z_over_mfp"]):
+    for z_rel in _aslist(p, "z_over_mfp"):
         gamma0 = z_rel * K / site  # site * a / mean_free_path = z_rel
         cz = waveguide.ChainSpec(
             chain.n_sites, chain.omega0, K, chain.lattice_a, gamma0, n_th
@@ -336,7 +329,7 @@ def run_waveguide(p: dict, pool: ThreadPoolExecutor | None = None):
     return cols, rows, extras
 
 
-def run_design(p: dict, pool: ThreadPoolExecutor | None = None):
+def run_design(p: dict):
     gamma = _ang(p["gamma_hz"])
     omega_m = _ang(p["omega_m_hz"])
     delta = -omega_m if p["delta_hz"] is None else _ang(p["delta_hz"])
@@ -370,7 +363,7 @@ def run_design(p: dict, pool: ThreadPoolExecutor | None = None):
     return cols, [row], {}
 
 
-def run_nv(p: dict, pool: ThreadPoolExecutor | None = None):
+def run_nv(p: dict):
     omega_m = _ang(p["omega_m_hz"])
     params = nv.RamanParams(
         coupling_lambda=_ang(p["lambda_hz"]),

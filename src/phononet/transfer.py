@@ -119,23 +119,20 @@ class PulseSchedule:
             g = np.where(g < self.cutoff_floor, 0.0, g)
         return np.maximum(g, 0.0)
 
-    def gamma1(self, t):
+    def _rate(self, t, sign: float, table):
         t = np.asarray(t, dtype=float)
         if self.shape is PulseShape.ANALYTIC:
-            g = pulse_eq_analytic(t, self.gamma_max)
+            g = pulse_eq_analytic(sign * t, self.gamma_max)
         else:
-            g = np.interp(t, self.table_t, self.table_g1, left=0.0, right=0.0)
+            g = np.interp(t, self.table_t, table, left=0.0, right=0.0)
         out = self._clamp(t, g)
         return out if out.ndim else float(out)
 
+    def gamma1(self, t):
+        return self._rate(t, 1.0, self.table_g1)
+
     def gamma2(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.shape is PulseShape.ANALYTIC:
-            g = pulse_eq_analytic(-t, self.gamma_max)
-        else:
-            g = np.interp(t, self.table_t, self.table_g2, left=0.0, right=0.0)
-        out = self._clamp(t, g)
-        return out if out.ndim else float(out)
+        return self._rate(t, -1.0, self.table_g2)
 
 
 def analytic_schedule(

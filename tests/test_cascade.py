@@ -137,6 +137,59 @@ def test_generator_matches_dense_lindblad_formula(
     assert np.max(np.abs(drho - drho.conj().T)) < 1e-12
 
 
+@pytest.mark.parametrize("fock_cutoff", [2, 3, 4, None])
+def test_subsystem_bookkeeping_matches_index_loops(fock_cutoff):
+    # ordering cavity x qubit 1 x qubit 2; the reduced model (None) has no
+    # cavity factor, i.e. a one-level "cavity" in the loops below
+    cavity = fock_cutoff is not None
+    nc = fock_cutoff + 1 if cavity else 1
+    model = CascadedModel(analytic_schedule(1.0), n_th=0.7, gamma=2.0,
+                          fock_cutoff=fock_cutoff, include_cavity=cavity)
+    sm, i2, ic = np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2), np.eye(nc)
+    a = np.diag(np.sqrt(np.arange(1, nc)), 1)
+    np.testing.assert_array_equal(model.s1, np.kron(np.kron(ic, sm), i2))
+    np.testing.assert_array_equal(model.s2, np.kron(np.kron(ic, i2), sm))
+    if cavity:
+        np.testing.assert_array_equal(model.b, np.kron(np.kron(a, i2), i2))
+    else:
+        assert model.b is None
+
+    # initial state: cooled thermal cavity x (0.6, 0.8) x ground
+    nbar = 0.7 * 2.0 / (2.0 + 2.0) if cavity else 0.0
+    p = (nbar / (nbar + 1)) ** np.arange(nc)
+    q1 = np.outer([0.6, 0.8], [0.6, 0.8])
+    expected = np.kron(np.kron(np.diag(p / p.sum()), q1), np.diag([1.0, 0.0]))
+    np.testing.assert_allclose(model.initial_state((0.6, 0.8)).matrix, expected, atol=1e-15)
+
+    rng = np.random.default_rng(nc)
+    x = rng.normal(size=(4 * nc,) * 2) + 1j * rng.normal(size=(4 * nc,) * 2)
+    rho = x @ x.conj().T
+    rho /= np.trace(rho)
+
+    def idx(n, q1, q2):
+        return (n * 2 + q1) * 2 + q2
+
+    red = np.zeros((2, 2), complex)
+    e1 = e2 = occ = 0.0
+    for n in range(nc):
+        for j in range(2):
+            for k in range(2):
+                for kk in range(2):
+                    red[k, kk] += rho[idx(n, j, k), idx(n, j, kk)]
+                diag = rho[idx(n, j, k), idx(n, j, k)].real
+                e1 += diag * j
+                e2 += diag * k
+                occ += diag * n
+    np.testing.assert_allclose(model.reduce_to_qubit2(rho), red, atol=1e-14)
+    assert model.excited_population(rho, 1) == pytest.approx(e1, abs=1e-14)
+    assert model.excited_population(rho, 2) == pytest.approx(e2, abs=1e-14)
+    if cavity:
+        assert model.cavity_occupation(rho) == pytest.approx(occ, abs=1e-14)
+    else:
+        with pytest.raises(pn.ValidationError, match="no cavity"):
+            model.cavity_occupation(rho)
+
+
 def test_hamiltonian_hermitian():
     sch = analytic_schedule(1.0)
     model = CascadedModel(sch, n_th=0.5, gamma=10.0, fock_cutoff=3)

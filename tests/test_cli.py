@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from phononet.cli import (
     run_experiment,
 )
 from phononet.errors import ConfigError
+from phononet.experiments import SCHEMAS
 
 
 def test_minimal_filter_config_gets_figure_defaults():
@@ -69,15 +71,22 @@ def test_runs_are_deterministic_up_to_timestamp(tmp_path):
     assert a.splitlines()[1].startswith("# generated")
 
 
-def test_threads_do_not_change_output(tmp_path):
+def test_fidelity_rows_filtered_block_first_then_gamma_max_major(tmp_path):
+    gms, nths = [0.01, 0.1], [0.5, 5.0]
     cfg = parse_config(
         json.dumps({"experiment": "fidelity",
-                    "parameters": {"n_th": [0.5, 2.0], "gamma_max_over_gamma": [0.1]}})
+                    "parameters": {"gamma_max_over_gamma": gms, "n_th": nths,
+                                   "include_no_filter": True, "rtol": 1e-6}})
     )
-    one = run_experiment(cfg, tmp_path / "one", threads=1).read_text()
-    four = run_experiment(cfg, tmp_path / "four", threads=4).read_text()
+    a = run_experiment(cfg, tmp_path / "a").read_text()
+    b = run_experiment(cfg, tmp_path / "b").read_text()
     strip = lambda s: [l for l in s.splitlines() if not l.startswith("# generated")]
-    assert strip(one) == strip(four)
+    assert strip(a) == strip(b)
+    rows = np.array(_data_rows(tmp_path / "a" / "fidelity.csv"))
+    expected = [(gm, n) for gm in gms for n in nths] * 2
+    assert [tuple(r) for r in rows[:, :2]] == expected
+    assert rows[:, 4].tolist() == [1, 1, 1, 1, 0, 0, 0, 0]
+    assert np.array_equal(rows[4:, 2], rows[4:, 1])  # unfiltered: n_eff == n_th
 
 
 def test_metadata_header_round_trips(tmp_path):
@@ -162,6 +171,30 @@ def test_cli_empty_grid_exits_3(tmp_path, capsys, experiment, params):
     assert main([experiment, "--config", str(cfg), "--out", str(tmp_path)]) == 3
     assert "ValidationError" in capsys.readouterr().err
     assert not (tmp_path / f"{experiment}.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, params, key",
+    [
+        ("fidelity", {"n_th": []}, "n_th"),
+        ("fidelity", {"gamma_max_over_gamma": []}, "gamma_max_over_gamma"),
+        ("waveguide", {"quantity": "rethermalization", "z_over_mfp": []}, "z_over_mfp"),
+    ],
+)
+def test_cli_empty_sweep_list_exits_2(tmp_path, capsys, experiment, params, key):
+    cfg = tmp_path / "empty.json"
+    cfg.write_text(json.dumps({"experiment": experiment, "parameters": params}))
+    assert main([experiment, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert f"parameters.{key} must not be an empty list" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_config_doc_tables_match_schemas():
+    doc = (Path(__file__).parents[1] / "docs" / "CONFIG.md").read_text()
+    sections = dict(re.findall(r"^## (\w+)\n(.*?)(?=^## |\Z)", doc, re.M | re.S))
+    for experiment, schema in SCHEMAS.items():
+        keys = re.findall(r"^\| `(\w+)` \|", sections[experiment], re.M)
+        assert sorted(keys) == sorted(schema), experiment
 
 
 def test_cli_design_meets_operating_point(tmp_path):
