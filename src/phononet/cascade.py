@@ -263,6 +263,8 @@ class CascadedModel:
 
     def excited_population(self, rho: np.ndarray, which: int) -> float:
         """Tr(s^dag s rho) for qubit ``which`` (1 or 2)."""
+        if which not in (1, 2):
+            raise ValidationError(f"which must be 1 or 2, got {which!r}")
         s = self.s1 if which == 1 else self.s2
         return float(np.real(np.trace(s.conj().T @ s @ rho)))
 

@@ -28,7 +28,8 @@ at t = 0.
 Channel noise enters through the spectral overlap of the absorption kernel
 F(w) with the channel occupation N(w); for the inverted-Lorentzian dip this
 reduces to N_eff = (2 g N0 + Gamma_max n_th) / (2 g + Gamma_max) with g the
-dip half-width.
+dip half-width.  The kernel lives on uniform time segments: F(w) is one
+chirp-z transform and the N_eff convolution one IIR filter per segment.
 """
 
 from __future__ import annotations
@@ -180,13 +181,6 @@ class TransferAmplitudes:
         return np.abs(self.g1**2 + self.transfer**2 - 1.0)
 
 
-def _cumulative_simpson0(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(y)
-    out[0] = 0.0
-    out[1:] = cumulative_simpson(y, x=x)
-    return out
-
-
 def evolve_amplitudes(
     schedule: PulseSchedule,
     t_grid: np.ndarray,
@@ -233,12 +227,12 @@ def evolve_amplitudes(
 
     g1v = schedule.gamma1(t_grid)
     g2v = schedule.gamma2(t_grid)
-    a1 = _cumulative_simpson0(g1v / 2, t_grid)
-    a2 = _cumulative_simpson0(g2v / 2, t_grid)
+    a1 = cumulative_simpson(g1v / 2, x=t_grid, initial=0)
+    a2 = cumulative_simpson(g2v / 2, x=t_grid, initial=0)
     env1 = np.exp(-a1)
     env2 = np.exp(-a2)
     integrand = np.exp(a2) * np.sqrt(g1v * g2v) * env1
-    transfer = -env2 * _cumulative_simpson0(integrand, t_grid)
+    transfer = -env2 * cumulative_simpson(integrand, x=t_grid, initial=0)
 
     return TransferAmplitudes(t_grid, v1, v2, env1, env2, transfer)
 
@@ -271,8 +265,8 @@ def design_pulses_iterative(
     leading edge), hence the generous default ceiling of 1e3 x max Gamma1.
     A binding ceiling that prevents the transfer from completing (final
     |T| < 1 - 1e-3) is a design failure, as is an emit pulse whose
-    survival amplitude stays above 1e-3.  The grid is resampled internally
-    to steps of 1e-3 / max(Gamma1).
+    survival amplitude stays above 1e-3.  ``gamma1`` is sampled in one call
+    on an internal grid of steps 1e-3 / max(Gamma1) and their midpoints.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if callable(gamma1):
@@ -292,7 +286,8 @@ def design_pulses_iterative(
     dt = 1e-3 / gmax
     n = int(np.ceil((t_grid[-1] - t_grid[0]) / dt)) + 1
     ts = np.linspace(t_grid[0], t_grid[-1], n)
-    g1s = np.asarray(g1_of(ts), dtype=float)
+    g1_all = np.asarray(g1_of(np.r_[ts, ts[:-1] + 0.5 * np.diff(ts)]), dtype=float)  # RK4 stages
+    g1s = g1_all[:n]
 
     total = simpson(g1s, x=ts)
     if math.exp(-total / 2) >= 1e-3:
@@ -301,43 +296,37 @@ def design_pulses_iterative(
             "pulse too short or too weak for a complete emission"
         )
 
-    g2s = np.zeros_like(g1s)
+    def f(g1t, g2, v):
+        return -0.5 * g1t * v[0], -0.5 * g2 * v[1] - math.sqrt(g1t * g2) * v[0]
+    t_at, g1_at, g1_mid = ts.tolist(), g1s.tolist(), g1_all[n:].tolist()
+    g2s = []
     v1, v2 = 1.0, 0.0
     max_requested = 0.0
     for k in range(n - 1):
-        g1 = g1s[k]
+        g1 = g1_at[k]
         if abs(v2) < v2_eps:
             g2 = gamma_ceiling if g1 > 0 else 0.0
         else:
             g2 = g1 * v1**2 / v2**2
             max_requested = max(max_requested, g2)
             g2 = min(g2, gamma_ceiling)
-        g2s[k] = g2
-        h = ts[k + 1] - ts[k]
-
-        def f(t, v, g2=g2):
-            g1t = float(g1_of(t))
-            return (
-                -0.5 * g1t * v[0],
-                -0.5 * g2 * v[1] - math.sqrt(g1t * g2) * v[0],
-            )
-
+        g2s.append(g2)
+        h = t_at[k + 1] - t_at[k]
         # one classical RK4 step with Gamma2 frozen on the interval
-        t0 = ts[k]
-        k1 = f(t0, (v1, v2))
-        k2 = f(t0 + h / 2, (v1 + h / 2 * k1[0], v2 + h / 2 * k1[1]))
-        k3 = f(t0 + h / 2, (v1 + h / 2 * k2[0], v2 + h / 2 * k2[1]))
-        k4 = f(t0 + h, (v1 + h * k3[0], v2 + h * k3[1]))
+        k1 = f(g1, g2, (v1, v2))
+        k2 = f(g1_mid[k], g2, (v1 + h / 2 * k1[0], v2 + h / 2 * k1[1]))
+        k3 = f(g1_mid[k], g2, (v1 + h / 2 * k2[0], v2 + h / 2 * k2[1]))
+        k4 = f(g1_at[k + 1], g2, (v1 + h * k3[0], v2 + h * k3[1]))
         v1 += h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         v2 += h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    g2s[-1] = g2s[-2]
+    g2s.append(g2s[-1])
 
     if abs(v2) < 1 - 1e-3:
         raise DesignFailureError(
             f"transfer incomplete: |T| = {abs(v2):.6f} < 1 - 1e-3 "
             f"(Gamma2 ceiling {gamma_ceiling:.3g}, max requested {max_requested:.3g})"
         )
-    return tabulated_schedule(ts, g1s, g2s, PulseShape.ITERATIVE_DARKSTATE)
+    return tabulated_schedule(ts, g1s, np.array(g2s), PulseShape.ITERATIVE_DARKSTATE)
 
 
 # --------------------------------------------------------------------------
@@ -364,17 +353,19 @@ class FilteredNoise:
 
 
 def _absorption_kernel(schedule: PulseSchedule, n_steps: int):
-    """f(t) = sqrt(Gamma1) * G1(tf, t) on a window grid split at t = 0."""
+    """f(t) = sqrt(Gamma1) G1(tf, t) as uniform segments (t_start, dt, f) that share t = 0."""
     t0, tf = schedule.window
     if t0 < 0.0 < tf:
-        n_neg = max(int(round(n_steps * (-t0) / (tf - t0))), 2)
+        n_neg = min(max(int(round(n_steps * (-t0) / (tf - t0))), 2), n_steps - 2)
         ts = np.r_[np.linspace(t0, 0.0, n_neg), np.linspace(0.0, tf, n_steps - n_neg)[1:]]
+        ends = [0, n_neg - 1, ts.size - 1]
     else:
         ts = np.linspace(t0, tf, n_steps)
+        ends = [0, ts.size - 1]
     g1 = schedule.gamma1(ts)
-    a1 = _cumulative_simpson0(g1 / 2, ts)
-    env_from_t = np.exp(-(a1[-1] - a1))  # G1(tf, t)
-    return ts, np.sqrt(g1) * env_from_t, math.exp(-a1[-1])
+    a1 = cumulative_simpson(g1 / 2, x=ts, initial=0)
+    f = np.sqrt(g1) * np.exp(-(a1[-1] - a1))  # G1(tf, t)
+    return [(ts[i], (ts[j] - ts[i]) / (j - i), f[i : j + 1]) for i, j in zip(ends, ends[1:])]
 
 
 def effective_occupation_integral(
@@ -387,29 +378,34 @@ def effective_occupation_integral(
     Evaluates the double time integral of the absorption kernel against the
     noise correlation function.  The delta-correlated part integrates out
     exactly; the Lorentzian dip part uses an exponentially weighted running
-    convolution, stable for arbitrarily wide dips.  Valid in the linear
-    regime N(w) << 1.
+    convolution, one IIR filter (``scipy.signal.lfilter``) per uniform kernel
+    segment, stable for arbitrarily wide dips.  Valid in the linear regime N(w) << 1.
     """
-    ts, f, _ = _absorption_kernel(schedule, n_steps)
+    segs = _absorption_kernel(schedule, n_steps)
+    # one grid: a later segment drops its first sample, shared with the one before
+    ts = np.concatenate([t + dt * np.arange(i > 0, g.size) for i, (t, dt, g) in enumerate(segs)])
+    f = np.concatenate([g[i > 0 :] for i, (_, _, g) in enumerate(segs)])
     w_norm = float(simpson(f**2, x=ts))
     if isinstance(noise, WhiteNoise):
         return noise.n_th * w_norm
     if not isinstance(noise, FilteredNoise):
         raise ValidationError(f"unsupported noise model {noise!r}")
+    from scipy.signal import lfilter  # here, as it would double `import phononet`'s time
 
     lam = noise.width - 1j * noise.center_offset  # correlation e^{-lam |tau|}
-    h = np.zeros(ts.size, dtype=complex)  # h(t) = int_t0^t f(s) e^{-lam (t-s)} ds
-    for k in range(ts.size - 1):
-        d = ts[k + 1] - ts[k]
-        z = lam * d
+    hs = [np.zeros(1, dtype=complex)]  # h(t) = int_t0^t f(s) e^{-lam (t-s)} ds
+    for _, dt, fs in segs:
+        z = lam * dt
         if abs(z) > 1e-6:
             i1 = (1.0 - np.exp(-z)) / lam
             i2 = 1.0 / lam - i1 / z
         else:  # series for small exponents
-            i1 = d * (1 - z / 2 + z * z / 6)
-            i2 = d * (0.5 - z / 3 + z * z / 8)
-        h[k + 1] = h[k] * np.exp(-z) + f[k] * (i1 - i2) + f[k + 1] * i2
-    dip_overlap = 2.0 * float(np.real(simpson(f * h, x=ts)))
+            i1 = dt * (1 - z / 2 + z * z / 6)
+            i2 = dt * (0.5 - z / 3 + z * z / 8)
+        # h[k+1] = e^{-z} h[k] + (i1 - i2) f[k] + i2 f[k+1]; zi carries h across segments
+        zi = [np.exp(-z) * hs[-1][-1] + (i1 - i2) * fs[0]]
+        hs.append(lfilter([i2, i1 - i2], [1.0, -np.exp(-z)], fs[1:], zi=zi)[0])
+    dip_overlap = 2.0 * float(np.real(simpson(f * np.concatenate(hs), x=ts)))
     n_eff = noise.n_th * w_norm - (noise.n_th - noise.n_0) * (noise.width / 2) * dip_overlap
     if n_eff < -1e-10:
         raise NumericalError(f"quadrature produced negative N_eff = {n_eff!r}")
@@ -429,20 +425,22 @@ def effective_occupation_closed(
 def pulse_spectrum(
     schedule: PulseSchedule, omega_grid: np.ndarray, n_steps: int = 20001
 ) -> np.ndarray:
-    """Absorption-kernel spectrum F(w) = (2 pi)^{-1/2} int e^{i w t} f(t) dt.
-
-    int |F|^2 dw equals the emitted-excitation norm 1 - G1(tf,t0)^2 (up to
-    the tail mass outside the grid)."""
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    ts, f, _ = _absorption_kernel(schedule, n_steps)
-    weights = np.empty_like(ts)
-    weights[1:-1] = 0.5 * (ts[2:] - ts[:-2])
-    weights[0] = 0.5 * (ts[1] - ts[0])
-    weights[-1] = 0.5 * (ts[-1] - ts[-2])
-    wf = weights * f
-    out = np.empty(omega_grid.size, dtype=complex)
-    chunk = 256
-    for i in range(0, omega_grid.size, chunk):
-        ws = omega_grid[i : i + chunk]
-        out[i : i + chunk] = np.exp(1j * np.outer(ws, ts)) @ wf
+    """Absorption-kernel spectrum F(w) = (2 pi)^{-1/2} int e^{i w t} f(t) dt,
+    one chirp-z transform (``scipy.signal.czt``) per uniform kernel segment;
+    ``omega_grid`` must be uniformly spaced, else ValidationError.  int |F|^2 dw
+    is the emitted norm 1 - G1(tf,t0)^2 up to the tail mass outside the grid."""
+    omega = np.asarray(omega_grid, dtype=float).ravel()
+    if omega.size == 0:
+        return np.zeros(0, dtype=complex)
+    d_omega = (omega[-1] - omega[0]) / max(omega.size - 1, 1)
+    uniform = omega[0] + d_omega * np.arange(omega.size)
+    if not np.max(np.abs(omega - uniform)) <= 1e-10 * np.max(np.abs(omega)):
+        raise ValidationError("pulse_spectrum needs a uniformly spaced omega_grid")
+    from scipy.signal import czt  # here, as it would double `import phononet`'s time
+    out = np.zeros(omega.size, dtype=complex)
+    for t_start, dt, fs in _absorption_kernel(schedule, n_steps):
+        wf = dt * np.r_[fs[0] / 2, fs[1:-1], fs[-1] / 2]  # trapezoid weights
+        # sum_j wf_j e^{i w_m (t_start + j dt)} with w_m = omega[0] + m d_omega
+        a, w = np.exp(-1j * omega[0] * dt), np.exp(1j * d_omega * dt)
+        out += np.exp(1j * omega * t_start) * czt(wf, omega.size, w, a)
     return out / math.sqrt(2 * math.pi)

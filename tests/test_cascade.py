@@ -190,6 +190,16 @@ def test_subsystem_bookkeeping_matches_index_loops(fock_cutoff):
             model.cavity_occupation(rho)
 
 
+def test_excited_population_names_the_qubit():
+    model = CascadedModel(analytic_schedule(1.0), n_th=0.0, include_cavity=False)
+    rho = model.initial_state((0.6, 0.8)).matrix
+    assert model.excited_population(rho, 1) == pytest.approx(0.64, abs=1e-15)
+    assert model.excited_population(rho, 2) == 0.0
+    for which in (0, 3, "1"):
+        with pytest.raises(pn.ValidationError, match="which must be 1 or 2"):
+            model.excited_population(rho, which)
+
+
 def test_hamiltonian_hermitian():
     sch = analytic_schedule(1.0)
     model = CascadedModel(sch, n_th=0.5, gamma=10.0, fock_cutoff=3)
