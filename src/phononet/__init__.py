@@ -66,7 +66,6 @@ from .transfer import (
 from .cascade import (
     CascadedModel,
     DensityMatrix,
-    HilbertSpec,
     default_fock_cutoff,
     fidelity,
     integrate,

@@ -43,7 +43,6 @@ from .errors import NumericalError, ValidationError
 from .transfer import PulseSchedule
 
 __all__ = [
-    "HilbertSpec",
     "CascadedModel",
     "DensityMatrix",
     "default_fock_cutoff",
@@ -69,21 +68,6 @@ def default_fock_cutoff(n_th: float) -> int:
     ``CascadedModel`` warns when the cap binds.
     """
     return min(_uncapped_fock_cutoff(n_th), 30)
-
-
-@dataclass(frozen=True)
-class HilbertSpec:
-    """Truncated product space, ordering cavity x qubit1 x qubit2."""
-
-    fock_cutoff: int
-
-    def __post_init__(self) -> None:
-        if self.fock_cutoff < 2:
-            raise ValidationError("fock_cutoff must be >= 2")
-
-    @property
-    def dimension(self) -> int:
-        return 4 * (self.fock_cutoff + 1)
 
 
 @dataclass(frozen=True)
@@ -130,9 +114,9 @@ class CascadedModel:
     """Operators and rates of the cascaded chain.
 
     ``include_cavity=False`` gives the two-qubit reduction; then ``n_th``
-    plays the role of the effective channel occupation.  Both are built
-    from one list of subsystem dimensions, (fock_cutoff + 1, 2, 2) or
-    (2, 2); each jump operator lowers its own factor.
+    plays the role of the effective channel occupation and ``fock_cutoff``
+    is None.  Both are built from one list of subsystem dimensions,
+    (fock_cutoff + 1, 2, 2) or (2, 2); each jump operator lowers its own factor.
 
     The generator L(t) = sum_{k>=l} sqrt(Gamma_k(t) Gamma_l(t)) L_kl is built
     once: each L_kl is a constant sparse superoperator on the row-major
@@ -171,13 +155,15 @@ class CascadedModel:
                         RuntimeWarning,
                         stacklevel=2,
                     )
-            self.hilbert = HilbertSpec(fock_cutoff)
+            if fock_cutoff < 2:
+                raise ValidationError("fock_cutoff must be >= 2")
             dims = (fock_cutoff + 1, 2, 2)
         else:
             self.gamma = 0.0
             self.gamma_op = 0.0
-            self.hilbert = None
+            fock_cutoff = None
             dims = (2, 2)
+        self.fock_cutoff = fock_cutoff
         ops = [_lowering(dims, i) for i in range(len(dims))]
         self.b = ops[0] if include_cavity else None
         self.s1, self.s2 = ops[-2:]
@@ -187,7 +173,6 @@ class CascadedModel:
         n = self.n_th
         eye = np.eye(self.dimension)
         self._pairs = np.array([(k, l) for k in range(len(ops)) for l in range(k + 1)])
-        self._h_kl = []
         blocks = []
         for k, l in self._pairs:
             # jumps (w, A, B) contribute w (A rho B - {B A, rho}/2)
@@ -198,7 +183,6 @@ class CascadedModel:
                 jumps = [(n + 1, ops[k], adj[l]), (n + 1, ops[l], adj[k]),
                          (n, adj[k], ops[l]), (n, adj[l], ops[k])]
                 h = -0.5j * (adj[k] @ ops[l] - adj[l] @ ops[k])
-                self._h_kl.append(h)
             if k == l == 0 and include_cavity:  # gamma_op D[b]; this block's weight is gamma
                 jumps.append((self.gamma_op / self.gamma, ops[0], adj[0]))
             decay = -0.5 * sum(w * (b @ a) for w, a, b in jumps)
@@ -219,7 +203,7 @@ class CascadedModel:
         t0 = self.schedule.window[0] if t0 is None else t0
         if self.include_cavity:
             nbar = self.n_th * self.gamma / (self.gamma + self.gamma_op)
-            nc = self.hilbert.fock_cutoff + 1
+            nc = self.fock_cutoff + 1
             if nbar > 0:
                 p = (nbar / (nbar + 1)) ** np.arange(nc)
             else:
@@ -249,15 +233,6 @@ class CascadedModel:
         """The sparse superoperator L(t) that ``rhs`` applies."""
         coef = sp.csr_matrix(self._coefficients(t)[None, :])
         return (sp.kron(coef, sp.identity(self.dimension**2), format="csr") @ self._stack).tocsr()
-
-    def hamiltonian(self, t: float) -> np.ndarray:
-        """Cascade Hamiltonian at time t (checked Hermitian)."""
-        coef = self._coefficients(t)[self._pairs[:, 0] != self._pairs[:, 1]]
-        H = sum(g * h for g, h in zip(coef, self._h_kl))
-        defect = np.max(np.abs(H - H.conj().T))
-        if defect > 1e-13 * max(np.max(np.abs(H)), 1.0):
-            raise NumericalError(f"cascade Hamiltonian not Hermitian (defect {defect:.2e})")
-        return H
 
     # -- observables ----------------------------------------------------------
 

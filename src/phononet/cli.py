@@ -83,9 +83,6 @@ def parse_config(text: str, experiment: str | None = None) -> RunConfig:
     params = raw.get("parameters", {})
     if not isinstance(params, dict):
         raise ConfigError("'parameters' must be an object")
-    for key, value in params.items():
-        if isinstance(value, str) and key not in ("model", "quantity", "state", "site"):
-            raise ConfigError(f"non-numeric value for 'parameters.{key}': {value!r}")
     params = resolve_parameters(exp, params)
 
     seed = raw.get("seed", 0)

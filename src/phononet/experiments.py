@@ -7,7 +7,9 @@ converted to angular units here) and returns a table:
 
 from __future__ import annotations
 
+import json
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -19,7 +21,10 @@ from .errors import ConfigError
 TWO_PI = 2 * math.pi
 
 # --------------------------------------------------------------------------
-# parameter schemas: name -> (default, description); None default = required
+# parameter schemas: name -> (default, description).  The default's type is
+# the value rule: float or None -> finite number (None also admits null),
+# int -> integer >= 0, bool -> true/false, list -> number or non-empty list
+# of numbers, tuple of strings -> one of them (the first is the default).
 # --------------------------------------------------------------------------
 
 SCHEMAS: dict[str, dict[str, tuple[object, str]]] = {
@@ -30,7 +35,7 @@ SCHEMAS: dict[str, dict[str, tuple[object, str]]] = {
         "gamma0_hz": (0.0, "intrinsic mechanical damping"),
         "g_alpha_hz": (None, "drive-enhanced coupling; null = impedance matched"),
         "n_th": (40.0, "channel thermal occupation"),
-        "model": ("beam_splitter", "beam_splitter | full"),
+        "model": (("beam_splitter", "full"), "full adds counter-rotating terms"),
         "n_points": (4001, "frequency grid points"),
         "span_gammas": (10.0, "half-span of the grid in units of gamma"),
         "fit_dip": (True, "fit the inverted-Lorentzian dip model"),
@@ -57,7 +62,7 @@ SCHEMAS: dict[str, dict[str, tuple[object, str]]] = {
         "gamma_max_over_gamma": ([0.01, 0.1], "pulse rate(s) / channel rate"),
         "n_th": ([0.5, 5.0, 20.0], "channel occupation(s)"),
         "gamma0_over_gamma": (1.6e-4, "intrinsic loss setting the dip floor"),
-        "state": ("superposition", "superposition | excited"),
+        "state": (("superposition", "excited"), "transferred qubit state"),
         "include_no_filter": (True, "add unfiltered reference rows"),
         "cutoff_floor_rel": (1e-4, "pulse floor clamp (fraction of Gamma_max)"),
         "rtol": (1e-8, "master-equation tolerance"),
@@ -72,7 +77,7 @@ SCHEMAS: dict[str, dict[str, tuple[object, str]]] = {
         "span_gammas": (5.0, "half-span of the grid in units of gamma"),
     },
     "waveguide": {
-        "quantity": ("dispersion", "dispersion | rethermalization"),
+        "quantity": (("dispersion", "rethermalization"), "tabulated quantity"),
         "n_sites": (200, "chain length"),
         "omega0_hz": (4.0e9, "bare resonator frequency"),
         "coupling_k_hz": (5.0e7, "nearest-neighbour coupling K"),
@@ -108,8 +113,37 @@ SCHEMAS: dict[str, dict[str, tuple[object, str]]] = {
 EXPERIMENTS = tuple(SCHEMAS)
 
 
+def _is_number(x) -> bool:
+    """An int or float, not bool, that is finite as a float (NaN fails the comparison)."""
+    number = isinstance(x, (int, float)) and not isinstance(x, bool)
+    return number and abs(x) <= sys.float_info.max
+
+
+def _check_value(key: str, default, value) -> None:
+    """Raise ConfigError unless ``value`` obeys the rule set by ``default``'s type."""
+    if isinstance(default, tuple):
+        ok, rule = value in default, "one of " + ", ".join(default)
+    elif isinstance(default, bool):
+        ok, rule = isinstance(value, bool), "true or false"
+    elif isinstance(default, int):
+        ok, rule = isinstance(value, int) and _is_number(value) and value >= 0, "an integer >= 0"
+    elif isinstance(default, list):
+        if value == []:
+            raise ConfigError(f"parameters.{key} must not be an empty list")
+        ok = all(map(_is_number, value if isinstance(value, list) else [value]))
+        rule = "a finite number or a non-empty list of finite numbers"
+    else:
+        ok = _is_number(value) or (value is None and default is None)
+        rule = "a finite number" + (" or null" if default is None else "")
+    if not ok:
+        got = json.dumps(value, default=repr)  # as written in JSON: true, NaN, Infinity
+        if isinstance(value, str) and not isinstance(default, tuple):
+            got = f"the non-numeric value {got}"
+        raise ConfigError(f"parameters.{key} must be {rule}; got {got}")
+
+
 def resolve_parameters(experiment: str, params: dict) -> dict:
-    """Apply defaults and reject unknown or missing keys."""
+    """Apply defaults and reject unknown keys and values that break their key's rule."""
     if experiment not in SCHEMAS:
         raise ConfigError(
             f"unknown experiment {experiment!r}; expected one of {', '.join(EXPERIMENTS)}"
@@ -119,9 +153,10 @@ def resolve_parameters(experiment: str, params: dict) -> dict:
     for key, value in params.items():
         if key not in schema:
             raise ConfigError(f"unknown key 'parameters.{key}' for experiment {experiment!r}")
+        _check_value(key, schema[key][0], value)
         out[key] = value
     for key, (default, _doc) in schema.items():
-        out.setdefault(key, default)
+        out.setdefault(key, default[0] if isinstance(default, tuple) else default)
     return out
 
 
@@ -132,10 +167,7 @@ def _ang(f_hz: float) -> float:
 def _aslist(p: dict, key: str) -> list:
     """The value of a sweepable key as a list; a scalar sweeps one point."""
     x = p[key]
-    values = list(x) if isinstance(x, (list, tuple)) else [x]
-    if not values:
-        raise ConfigError(f"parameters.{key} must not be an empty list")
-    return values
+    return x if isinstance(x, list) else [x]
 
 
 # --------------------------------------------------------------------------
@@ -149,17 +181,14 @@ def run_filter(p: dict):
     kappa = _ang(p["kappa_hz"])
     gamma0 = _ang(p["gamma0_hz"])
     g_alpha = None if p["g_alpha_hz"] is None else _ang(p["g_alpha_hz"])
-    rwa = {"beam_splitter": True, "full": False}.get(p["model"])
-    if rwa is None:
-        raise ConfigError(f"parameters.model must be beam_splitter|full, got {p['model']!r}")
     net = network.om_filter_network(
         omega_m=omega_m, gamma=gamma, kappa=kappa, g_alpha=g_alpha,
-        gamma0=gamma0, n_th=p["n_th"], rotating_wave=rwa,
+        gamma0=gamma0, n_th=p["n_th"], rotating_wave=p["model"] == "beam_splitter",
     )
     grid = np.linspace(
         omega_m - p["span_gammas"] * gamma,
         omega_m + p["span_gammas"] * gamma,
-        int(p["n_points"]),
+        p["n_points"],
     )
     spec = network.filtered_noise_spectrum(net, grid)
     extras = {
@@ -183,17 +212,17 @@ def run_filter(p: dict):
 def run_multimode(p: dict):
     K = _ang(p["coupling_k_hz"])
     omega_m = _ang(p["omega_m_hz"])
-    n_modes = int(p["n_modes"])
+    n_modes = p["n_modes"]
     net = network.multimode_cooling_network(
         n_modes=n_modes, omega_m=omega_m, coupling=K,
         kappa=p["kappa_over_k"] * K, g_alpha=p["g_alpha_over_k"] * K,
         gamma0=p["gamma0_over_k"] * K, n_th=p["n_th"],
     )
-    site = n_modes if p["site"] is None else int(p["site"])
-    if not 1 <= site <= n_modes:
-        raise ConfigError(f"parameters.site must lie in [1, {n_modes}]")
-    grid = np.linspace(omega_m - p["span_k"] * K, omega_m + p["span_k"] * K, int(p["n_points"]))
-    spec = network.internal_spectrum(net, grid, f"b{site}")
+    site = n_modes if p["site"] is None else p["site"]
+    if site not in range(1, n_modes + 1):
+        raise ConfigError(f"parameters.site must be an integer in [1, {n_modes}]; got {site!r}")
+    grid = np.linspace(omega_m - p["span_k"] * K, omega_m + p["span_k"] * K, p["n_points"])
+    spec = network.internal_spectrum(net, grid, f"b{site:.0f}")  # a site of 3.0 names b3
     rows = [((w - omega_m) / K, v) for w, v in zip(spec.grid, spec.values)]
     return ["omega_minus_omega_m_over_k", "S"], rows, {"site": site}
 
@@ -202,7 +231,7 @@ def run_transfer(p: dict):
     gmax = _ang(p["gamma_max_hz"])
     tau = p["tau_p_gamma_max"] / gmax
     sch = transfer.analytic_schedule(gmax, tau, p["cutoff_floor_rel"] * gmax)
-    ts = np.linspace(-tau / 2, tau / 2, int(p["n_points"]))
+    ts = np.linspace(-tau / 2, tau / 2, p["n_points"])
     amps = transfer.evolve_amplitudes(sch, ts)
     g1 = sch.gamma1(ts)
     g2 = sch.gamma2(ts)
@@ -239,8 +268,6 @@ def _fidelity_point(gm_rel: float, n_th: float, filtered: bool, p: dict):
 
 
 def run_fidelity(p: dict):
-    if p["state"] not in ("superposition", "excited"):
-        raise ConfigError("parameters.state must be superposition|excited")
     gm_rels, n_ths = _aslist(p, "gamma_max_over_gamma"), _aslist(p, "n_th")
     rows = [
         _fidelity_point(gm_rel, n_th, filtered, p)
@@ -265,7 +292,7 @@ def run_circulator(p: dict):
     grid = np.linspace(
         omega_m - p["span_gammas"] * gamma,
         omega_m + p["span_gammas"] * gamma,
-        int(p["n_points"]),
+        p["n_points"],
     )
     probs = circulator.scattering_probabilities(spec, grid)
     rows = [
@@ -276,7 +303,7 @@ def run_circulator(p: dict):
 
 def run_waveguide(p: dict):
     chain = waveguide.ChainSpec(
-        n_sites=int(p["n_sites"]),
+        n_sites=p["n_sites"],
         omega0=_ang(p["omega0_hz"]),
         coupling_K=_ang(p["coupling_k_hz"]),
         lattice_a=p["lattice_a_m"],
@@ -302,14 +329,12 @@ def run_waveguide(p: dict):
             rows.append((n, qa, w_exact / TWO_PI, w_tb / TWO_PI, w_lin / TWO_PI))
         cols = ["mode_index", "qa", "omega_exact_hz", "omega_tight_binding_hz", "omega_linear_hz"]
         return cols, rows, extras
-    if p["quantity"] != "rethermalization":
-        raise ConfigError("parameters.quantity must be dispersion|rethermalization")
 
     K = chain.coupling_K
     n_th = p["n_th"]
     width = p["dip_width_over_k"] * K
     wc = chain.band_center
-    grid = wc + np.linspace(-20 * width, 20 * width, int(p["n_points"]))
+    grid = wc + np.linspace(-20 * width, 20 * width, p["n_points"])
     dip = n_th - (n_th - p["dip_floor_rel"] * n_th) * width**2 / ((grid - wc) ** 2 + width**2)
     drive = network.NoiseSpectrum(grid, dip)
     site = chain.n_sites - 1
@@ -374,7 +399,7 @@ def run_nv(p: dict):
         gamma_e=_ang(p["gamma_e_hz"]),
     )
     span = p["delta_span_omega_m"] * omega_m
-    grid = np.linspace(-span, span, int(p["n_points"]))
+    grid = np.linspace(-span, span, p["n_points"])
     # keep the Raman resonances +-omega_m/2 off the grid
     grid = grid[np.abs(np.abs(grid) - omega_m / 2) > 1e-9 * omega_m]
     rows = []

@@ -177,10 +177,6 @@ class LinearNetwork:
                 return p
         return None
 
-    @property
-    def all_rotating_wave(self) -> bool:
-        return all(c.rotating_wave for c in self.couplings)
-
 
 @dataclass(frozen=True)
 class DriftMatrix:

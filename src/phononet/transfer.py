@@ -354,6 +354,8 @@ class FilteredNoise:
 
 def _absorption_kernel(schedule: PulseSchedule, n_steps: int):
     """f(t) = sqrt(Gamma1) G1(tf, t) as uniform segments (t_start, dt, f) that share t = 0."""
+    if n_steps < 4:  # two segments of at least two samples each
+        raise ValidationError(f"n_steps must be >= 4, got {n_steps!r}")
     t0, tf = schedule.window
     if t0 < 0.0 < tf:
         n_neg = min(max(int(round(n_steps * (-t0) / (tf - t0))), 2), n_steps - 2)
@@ -380,6 +382,7 @@ def effective_occupation_integral(
     exactly; the Lorentzian dip part uses an exponentially weighted running
     convolution, one IIR filter (``scipy.signal.lfilter``) per uniform kernel
     segment, stable for arbitrarily wide dips.  Valid in the linear regime N(w) << 1.
+    ``n_steps`` below 4 raises ValidationError.
     """
     segs = _absorption_kernel(schedule, n_steps)
     # one grid: a later segment drops its first sample, shared with the one before
@@ -427,11 +430,14 @@ def pulse_spectrum(
 ) -> np.ndarray:
     """Absorption-kernel spectrum F(w) = (2 pi)^{-1/2} int e^{i w t} f(t) dt,
     one chirp-z transform (``scipy.signal.czt``) per uniform kernel segment;
-    ``omega_grid`` must be uniformly spaced, else ValidationError.  int |F|^2 dw
-    is the emitted norm 1 - G1(tf,t0)^2 up to the tail mass outside the grid."""
+    ``omega_grid`` must be finite and uniformly spaced and ``n_steps`` >= 4,
+    else ValidationError.  int |F|^2 dw is the emitted norm 1 - G1(tf,t0)^2
+    up to the tail mass outside the grid."""
     omega = np.asarray(omega_grid, dtype=float).ravel()
     if omega.size == 0:
         return np.zeros(0, dtype=complex)
+    if not np.all(np.isfinite(omega)):
+        raise ValidationError("pulse_spectrum needs a finite omega_grid")
     d_omega = (omega[-1] - omega[0]) / max(omega.size - 1, 1)
     uniform = omega[0] + d_omega * np.arange(omega.size)
     if not np.max(np.abs(omega - uniform)) <= 1e-10 * np.max(np.abs(omega)):

@@ -35,7 +35,14 @@ def test_fock_cutoff_rule():
 def test_fock_cutoff_cap_warns():
     with pytest.warns(RuntimeWarning, match=r"capped at 30 for n_th = 20; .* asks for 86"):
         model = CascadedModel(analytic_schedule(1.0), n_th=20.0, gamma=10.0)
-    assert model.hilbert.fock_cutoff == 30
+    assert model.fock_cutoff == 30
+
+
+def test_fock_cutoff_below_two_rejected():
+    sch = analytic_schedule(1.0)
+    with pytest.raises(pn.ValidationError, match="fock_cutoff must be >= 2"):
+        CascadedModel(sch, n_th=0.5, gamma=10.0, fock_cutoff=1)
+    assert CascadedModel(sch, n_th=0.5, include_cavity=False).fock_cutoff is None
 
 
 def test_density_matrix_validation():
@@ -200,13 +207,6 @@ def test_excited_population_names_the_qubit():
             model.excited_population(rho, which)
 
 
-def test_hamiltonian_hermitian():
-    sch = analytic_schedule(1.0)
-    model = CascadedModel(sch, n_th=0.5, gamma=10.0, fock_cutoff=3)
-    H = model.hamiltonian(0.5)
-    assert np.max(np.abs(H - H.conj().T)) < 1e-14
-
-
 def test_thermal_steady_state_of_cavity():
     # Gamma_1,2 = 0: the cavity balances the thermal channel against the
     # cold optical bath at occupation n_th * gamma / (gamma + gamma_op)
@@ -242,7 +242,7 @@ def test_populations_match_amplitude_oracle_at_zero_temperature():
 def test_trace_positivity_and_cutoff_convergence():
     sch = analytic_schedule(1.0, cutoff_floor=1e-4)
     model = CascadedModel(sch, n_th=0.5, gamma=10.0)  # default cutoff rule
-    n_max = model.hilbert.fock_cutoff
+    n_max = model.fock_cutoff
     ts = np.linspace(-14, 14, 11)
     traj = integrate(model, model.initial_state(), (-14.0, 14.0), ts)
     for snap in traj:

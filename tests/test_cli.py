@@ -1,6 +1,7 @@
 """Tests for configuration parsing, output format and CLI plumbing."""
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -187,6 +188,51 @@ def test_cli_empty_sweep_list_exits_2(tmp_path, capsys, experiment, params, key)
     assert main([experiment, "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert f"parameters.{key} must not be an empty list" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "experiment, params, key",
+    [
+        ("filter", {"n_points": -5}, "n_points"),
+        ("filter", {"omega_m_hz": math.nan}, "omega_m_hz"),
+        ("fidelity", {"n_th": [0.5, "a"]}, "n_th"),
+        ("filter", {"n_th": math.nan}, "n_th"),
+        ("circulator", {"span_gammas": math.inf}, "span_gammas"),
+        ("filter", {"fit_dip": [1]}, "fit_dip"),
+        ("fidelity", {"rtol": True}, "rtol"),
+        ("multimode", {"site": "3"}, "site"),
+        ("multimode", {"n_modes": 4.0}, "n_modes"),
+        ("multimode", {"site": 2.5}, "site"),
+        ("nv", {"n_points": 3.5}, "n_points"),
+    ],
+)
+def test_cli_value_of_wrong_kind_exits_2(tmp_path, capsys, experiment, params, key):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"experiment": experiment, "parameters": params}))
+    out = tmp_path / "out"
+    assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"parameters.{key} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, params",
+    [
+        ("filter", {"model": "rwa"}),
+        ("fidelity", {"state": 1}),
+        ("waveguide", {"quantity": "Dispersion"}),
+    ],
+)
+def test_choice_keys_checked_when_parsed(experiment, params):
+    with pytest.raises(ConfigError, match=f"parameters.{next(iter(params))} must be one of"):
+        parse_config(json.dumps({"experiment": experiment, "parameters": params}))
+
+
+@pytest.mark.parametrize(
+    "path", sorted((Path(__file__).parents[1] / "configs").glob("*.json")), ids=lambda p: p.stem
+)
+def test_shipped_configs_parse(path):
+    assert parse_config(path.read_text(), path.stem).experiment == path.stem
 
 
 def test_config_doc_tables_match_schemas():

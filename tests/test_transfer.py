@@ -331,6 +331,25 @@ def test_pulse_spectrum_grid_must_be_uniform():
         pulse_spectrum(sch, np.geomspace(0.1, 5.0, 51), 201)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("omega", [[0.0, np.inf], [np.nan, 1.0], [-np.inf, 0.0, np.inf]])
+def test_pulse_spectrum_rejects_non_finite_grid_before_arithmetic(omega):
+    with pytest.raises(pn.ValidationError, match="finite omega_grid"):
+        pulse_spectrum(analytic_schedule(1.0), np.array(omega), 201)
+
+
+def test_kernel_needs_four_steps():
+    # the window straddles t = 0, so the kernel has two segments of >= 2 samples
+    sch, noise, omega = analytic_schedule(1.0), FilteredNoise(1.0, 0.0, 0.5), np.linspace(-1, 1, 3)
+    for n_steps in (2, 3):
+        with pytest.raises(pn.ValidationError, match="n_steps must be >= 4"):
+            effective_occupation_integral(sch, noise, n_steps)
+        with pytest.raises(pn.ValidationError, match="n_steps must be >= 4"):
+            pulse_spectrum(sch, omega, n_steps)
+    assert math.isfinite(effective_occupation_integral(sch, noise, 4))
+    assert np.all(np.isfinite(pulse_spectrum(sch, omega, 4)))
+
+
 def test_import_leaves_scipy_signal_unloaded():
     # scipy.signal is imported where it is used: loading it with the
     # package would double the cost of `import phononet`
