@@ -9,7 +9,6 @@ from .errors import (
     FitError,
     NumericalError,
     PhononetError,
-    ResourceLimitError,
     SingularFrequencyError,
     StabilityError,
     ValidationError,

@@ -270,9 +270,13 @@ def integrate(
     entries of err / (atol + rtol |rho_ij|), not a maximum norm.  One
     solver run covers t0 to the last sample time; the samples are read
     from its dense output at exactly the requested times and each is
-    re-Hermitised.  Solver failure raises ``NumericalError``;
+    re-Hermitised.  A non-finite or non-positive ``rtol`` or ``atol``
+    raises ``ValidationError``; solver failure raises ``NumericalError``;
     the solver statistics are logged at DEBUG on ``phononet.cascade``.
     """
+    for key, tol in (("rtol", rtol), ("atol", atol)):
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValidationError(f"{key} must be a finite number > 0, got {tol!r}")
     t0, t1 = t_span
     if t1 <= t0:
         raise ValidationError("t_span must be increasing")

@@ -29,9 +29,5 @@ class DesignFailureError(PhononetError):
     """A pulse or drive design target could not be reached."""
 
 
-class ResourceLimitError(PhononetError):
-    """A requested computation exceeds the configured size limits."""
-
-
 class NumericalError(PhononetError):
     """An integrator or quadrature failed to meet its tolerance."""

@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import cascade, circulator, network, nv, transfer, waveguide
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 
 TWO_PI = 2 * math.pi
 
@@ -402,6 +402,8 @@ def run_nv(p: dict):
     grid = np.linspace(-span, span, p["n_points"])
     # keep the Raman resonances +-omega_m/2 off the grid
     grid = grid[np.abs(np.abs(grid) - omega_m / 2) > 1e-9 * omega_m]
+    if not grid.size:
+        raise ValidationError("detuning grid is empty once the Raman resonances are removed")
     rows = []
     for d in grid:
         with warnings.catch_warnings():

@@ -164,6 +164,7 @@ def test_cli_singular_grid_point_exits_3(tmp_path, capsys):
         ("multimode", {}),
         ("circulator", {}),
         ("waveguide", {"quantity": "rethermalization"}),
+        ("nv", {}),
     ],
 )
 def test_cli_empty_grid_exits_3(tmp_path, capsys, experiment, params):
@@ -172,6 +173,15 @@ def test_cli_empty_grid_exits_3(tmp_path, capsys, experiment, params):
     assert main([experiment, "--config", str(cfg), "--out", str(tmp_path)]) == 3
     assert "ValidationError" in capsys.readouterr().err
     assert not (tmp_path / f"{experiment}.csv").exists()
+
+
+@pytest.mark.parametrize("rtol", [-1, 0])
+def test_cli_non_positive_tolerance_exits_3(tmp_path, capsys, rtol):
+    cfg = tmp_path / "tol.json"
+    cfg.write_text(json.dumps({"experiment": "fidelity", "parameters": {"rtol": rtol}}))
+    assert main(["fidelity", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert "ValidationError: rtol must be a finite number > 0" in capsys.readouterr().err
+    assert not (tmp_path / "fidelity.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from phononet.network import (
     ModeKind,
     ModeSpec,
     PortSpec,
+    _response_rows,
     build_drift_matrix,
     closed_form_filter,
     default_filter_grid,
@@ -282,6 +283,51 @@ def test_rwa_flux_balance_and_lossless_unitarity(net, w):
         assert np.max(np.abs(blk.conj().T @ blk - np.eye(len(net.ports)))) < 1e-10
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    net=_random_networks(),
+    ws=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_response_rows_match_dense_solve(net, ws, data):
+    d = _damped_drift(net)
+    M = d.matrix
+    assert _ph_defect(M) <= 1e-12 * max(np.max(np.abs(M)), 1.0)
+    rows = data.draw(st.lists(st.integers(0, d.dimension - 1), min_size=1, unique=True))
+    got = _response_rows(d, ws, rows)
+    for w, X in zip(ws, got):
+        ref = np.linalg.solve(M - 1j * w * np.eye(d.dimension), np.eye(d.dimension))[rows]
+        assert np.max(np.abs(X - ref)) <= 1e-10 * np.max(np.abs(ref))
+    if np.any(d.intrinsic_rates):
+        return
+    # lossless: S is unitary (RWA) or preserves the particle-hole metric
+    S, _ = scattering(net, ws[0], d)
+    idx = [2 * net.mode_index(p.mode) + s for p in net.ports for s in (0, 1)]
+    blk = S[np.ix_(idx, idx)]
+    metric = np.diag([1.0, -1.0] * len(net.ports))
+    assert np.max(np.abs(blk @ metric @ blk.conj().T - metric)) < 1e-10
+    if all(c.rotating_wave for c in net.couplings):
+        assert np.max(np.abs(blk.conj().T @ blk - np.eye(len(idx)))) < 1e-10
+
+
+def test_response_at_exceptional_point_matches_dense_inverse():
+    # a port of rate 2 damps a at 1 and b not at all: J = 0.5 merges the two
+    # eigenvalues 5i + 1/2 +- sqrt(1/4 - J^2) into one defective eigenvalue
+    net = LinearNetwork(
+        (ModeSpec("a", ModeKind.MECHANICAL, 5.0), ModeSpec("b", ModeKind.MECHANICAL, 5.0)),
+        (CouplingSpec("a", "b", 0.5),),
+        (PortSpec("a", 2.0),),
+    )
+    d = build_drift_matrix(net)
+    vecs = np.linalg.eig(d.matrix)[1]
+    assert np.linalg.cond(vecs) > 1e6  # defective: the eigenvectors are parallel
+    grid = np.linspace(3.0, 7.0, 41)
+    got = _response_rows(d, grid, range(d.dimension))
+    for w, X in zip(grid, got):
+        ref = np.linalg.inv(d.matrix - 1j * w * np.eye(d.dimension))
+        assert np.max(np.abs(X - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 # ---------------------------------------------------------------- spectra
 
 
@@ -331,7 +377,7 @@ def _undamped_chain():
     "spectrum, mode, omega",
     [
         (internal_spectrum, "b3", 100.0),  # M - i w exactly singular
-        (internal_spectrum, "b3", 100.0 + math.sqrt(2)),  # residual above 1e-8
+        (internal_spectrum, "b3", 100.0 + math.sqrt(2)),  # M - i w singular to rounding
         (output_spectrum, "a", 100.0),
     ],
 )
@@ -372,6 +418,15 @@ def test_closed_form_cancellation_and_limits():
     kw = dict(gamma=1.0, gamma_op=1.0, kappa=300.0, omega_m=1200.0, n_th=40.0)
     assert closed_form_filter(1200.0, **kw) == 0.0
     assert closed_form_filter(1200.0 + 1e7, **kw) == pytest.approx(40.0, rel=1e-8)
+
+
+def test_high_q_filter_matches_closed_form():
+    # Q = 4e8: |w| |X| ~ 1e8, so the residual check must not cancel i w X against X M
+    wm, gam, kap, n_th = 2 * math.pi * 4e9, 2 * math.pi * 10.0, 2 * math.pi * 1e3, 10.0
+    net = om_filter_network(omega_m=wm, gamma=gam, kappa=kap, n_th=n_th)
+    grid = wm + np.linspace(-20 * gam, 20 * gam, 401)
+    ref = closed_form_filter(grid, gamma=gam, gamma_op=gam, kappa=kap, omega_m=wm, n_th=n_th)
+    np.testing.assert_allclose(filtered_noise_spectrum(net, grid).values, ref, atol=1e-8 * n_th)
 
 
 def test_closed_form_half_depth_from_root_solve():

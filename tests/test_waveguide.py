@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 import phononet as pn
 from phononet.waveguide import (
@@ -206,8 +207,48 @@ def test_lossy_chain_matches_exponential_rethermalization():
         assert np.max(np.abs(oracle.values - closed.values) / closed.values) < 0.05
 
 
-def test_chain_size_limit():
-    ch = _chain(n_sites=500, omega0=1000.0)
-    drive = _dip_spectrum(center=ch.band_center, width=0.005, span=0.05, n=41)
-    with pytest.raises(pn.ResourceLimitError):
-        simulate_lossy_chain(ch, drive, 450)
+def test_long_chain_matches_exponential_rethermalization():
+    # 451 sites after truncation at the detection port: past the old
+    # 400-site limit, the oracle still follows the continuum law
+    n_th, site = 40.0, 450
+    ch = ChainSpec(500, 1000.0, 1.0, 1.0, 0.2 / site, n_th)
+    wc = ch.band_center
+    drive = _dip_spectrum(n_th=n_th, floor=0.05 * n_th, width=0.005, center=wc, span=0.1, n=241)
+    oracle = simulate_lossy_chain(ch, drive, site)
+    closed = propagate_spectrum(drive, site * ch.lattice_a, continuum_parameters(ch))
+    assert np.max(np.abs(oracle.values - closed.values) / closed.values) < 0.05
+
+
+def _banded_oracle(chain, drive, site):
+    """Per-frequency reference: one LU-with-pivoting banded solve per omega."""
+    n, K, g0 = site + 1, chain.coupling_K, chain.intrinsic_gamma0
+    ab = np.zeros((3, n), dtype=complex)
+    ab[0, 1:] = ab[2, :-1] = -0.5j * K
+    e_out = np.zeros(n)
+    e_out[-1] = 1.0
+    out = []
+    for w, n_in in zip(drive.grid, drive.values):
+        ab[1] = g0 / 2 + 1j * (chain.band_center - w)
+        ab[1, [0, -1]] += K / 2
+        x = solve_banded((1, 1), ab, e_out)
+        thermal = chain.bath_occupation * K * g0 * np.sum(np.abs(x) ** 2)
+        out.append(n_in * abs(K * x[0]) ** 2 + thermal)
+    return np.array(out)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    n_sites=st.integers(2, 80),
+    site_frac=st.floats(0.0, 1.0),
+    K=st.floats(0.1, 3.0),
+    g0_rel=st.floats(0.0, 0.1),
+    n_th=st.floats(0.0, 50.0),
+    seed=st.integers(0, 2**16),
+)
+def test_lossy_chain_matches_banded_reference(n_sites, site_frac, K, g0_rel, n_th, seed):
+    ch = ChainSpec(n_sites, 100.0, K, 1.0, g0_rel * K, n_th)
+    site = 1 + round(site_frac * (n_sites - 2))
+    grid = ch.band_center + np.linspace(-3 * K, 3 * K, 61)
+    drive = pn.NoiseSpectrum(grid, np.random.default_rng(seed).uniform(0.0, 20.0, grid.size))
+    got = simulate_lossy_chain(ch, drive, site).values
+    np.testing.assert_allclose(got, _banded_oracle(ch, drive, site), rtol=1e-10, atol=0)
