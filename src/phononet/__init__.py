@@ -65,6 +65,7 @@ from .transfer import (
 from .cascade import (
     CascadedModel,
     DensityMatrix,
+    Trajectory,
     default_fock_cutoff,
     fidelity,
     integrate,

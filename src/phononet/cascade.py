@@ -16,7 +16,8 @@ damped at gamma into the channel and at gamma_op (matched to gamma by
 default) into the cold optical bath, emulates the noise dip of the
 upstream filter; the channel's white occupation n_th enters through the
 collective jump operators.  Restricting to the two qubits with a white
-occupation N_eff gives the reduced model used for fidelity sweeps.
+occupation N_eff gives the reduced model used for fidelity sweeps; a
+sweep integrates one copy of it per N_eff, block-diagonally, in one solve.
 
 The generator is built once as constant sparse superoperators and
 integrated with scipy's BDF solver: the channel's thermal decay is stiff.
@@ -33,6 +34,7 @@ import gc
 import logging
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +49,7 @@ __all__ = [
     "DensityMatrix",
     "default_fock_cutoff",
     "integrate",
+    "Trajectory",
     "fidelity",
     "transferred_target",
     "reduced_two_qubit_model",
@@ -110,6 +113,33 @@ def _lowering(dims: tuple[int, ...], i: int) -> np.ndarray:
     return _kron(*local)
 
 
+def _pair_blocks(ops: list[np.ndarray], pairs: np.ndarray, n: float,
+                 op_rel: float | None) -> list[sp.csr_matrix]:
+    """The constant superoperator L_kl of every pair (k, l) at channel occupation n,
+    on the row-major vec(rho); ``op_rel`` = gamma_op / gamma adds D[b] to the (0, 0)
+    block of a cavity model."""
+    adj = [op.conj().T for op in ops]
+    eye = np.eye(ops[0].shape[0])
+    blocks = []
+    for k, l in pairs:
+        # jumps (w, A, B) contribute w (A rho B - {B A, rho}/2)
+        if k == l:
+            jumps = [(n + 1, ops[k], adj[k]), (n, adj[k], ops[k])]
+            h = 0.0
+        else:
+            jumps = [(n + 1, ops[k], adj[l]), (n + 1, ops[l], adj[k]),
+                     (n, adj[k], ops[l]), (n, adj[l], ops[k])]
+            h = -0.5j * (adj[k] @ ops[l] - adj[l] @ ops[k])
+        if k == l == 0 and op_rel is not None:
+            jumps.append((op_rel, ops[0], adj[0]))
+        decay = -0.5 * sum(w * (b @ a) for w, a, b in jumps)
+        terms = [(w * a, b) for w, a, b in jumps if w]
+        terms += [(decay - 1j * h, eye), (eye, decay + 1j * h)]
+        # rho -> A rho B is kron(A, B^T) on the row-major vec(rho)
+        blocks.append(sum(sp.kron(sp.csr_matrix(a), sp.csr_matrix(b.T)) for a, b in terms))
+    return blocks
+
+
 class CascadedModel:
     """Operators and rates of the cascaded chain.
 
@@ -122,21 +152,34 @@ class CascadedModel:
     once: each L_kl is a constant sparse superoperator on the row-major
     vec(rho) holding the pair's (n_th + 1) D[S], n_th D[S^dag] and
     -i[H_kl, .] terms; gamma_op D[b] joins the constant (b, b) block.
+
+    For the two-qubit reduction ``n_th`` may also be a list of K
+    occupations: the model then holds K copies side by side, the state is
+    the K density matrices vectorised one after another, and each L_kl is
+    block-diagonal over the copies, so the rates are evaluated once for
+    all of them.  ``n_th`` keeps the list (as a tuple) and ``copies`` is K;
+    a number gives one copy.
     """
 
     def __init__(
         self,
         schedule: PulseSchedule,
-        n_th: float,
+        n_th: float | Sequence[float],
         gamma: float = 0.0,
         gamma_op: float | None = None,
         fock_cutoff: int | None = None,
         include_cavity: bool = True,
     ):
-        if n_th < 0:
+        ns = [float(n) for n in np.ravel(n_th)]
+        if np.ndim(n_th) > 1 or not ns:
+            raise ValidationError("n_th must be a number or a non-empty list of numbers")
+        if any(n < 0 for n in ns):
             raise ValidationError("n_th must be >= 0")
+        if include_cavity and np.ndim(n_th):
+            raise ValidationError("a list of n_th needs the two-qubit model (include_cavity=False)")
         self.schedule = schedule
-        self.n_th = float(n_th)
+        self.n_th = tuple(ns) if np.ndim(n_th) else ns[0]
+        self.copies = len(ns)
         self.include_cavity = include_cavity
         if include_cavity:
             if gamma <= 0:
@@ -168,29 +211,13 @@ class CascadedModel:
         self.b = ops[0] if include_cavity else None
         self.s1, self.s2 = ops[-2:]
         self.dimension = math.prod(dims)
-
-        adj = [op.conj().T for op in ops]
-        n = self.n_th
-        eye = np.eye(self.dimension)
         self._pairs = np.array([(k, l) for k in range(len(ops)) for l in range(k + 1)])
-        blocks = []
-        for k, l in self._pairs:
-            # jumps (w, A, B) contribute w (A rho B - {B A, rho}/2)
-            if k == l:
-                jumps = [(n + 1, ops[k], adj[k]), (n, adj[k], ops[k])]
-                h = 0.0
-            else:
-                jumps = [(n + 1, ops[k], adj[l]), (n + 1, ops[l], adj[k]),
-                         (n, adj[k], ops[l]), (n, adj[l], ops[k])]
-                h = -0.5j * (adj[k] @ ops[l] - adj[l] @ ops[k])
-            if k == l == 0 and include_cavity:  # gamma_op D[b]; this block's weight is gamma
-                jumps.append((self.gamma_op / self.gamma, ops[0], adj[0]))
-            decay = -0.5 * sum(w * (b @ a) for w, a, b in jumps)
-            terms = [(w * a, b) for w, a, b in jumps if w]
-            terms += [(decay - 1j * h, eye), (eye, decay + 1j * h)]
-            # rho -> A rho B is kron(A, B^T) on the row-major vec(rho)
-            blocks.append(sum(sp.kron(sp.csr_matrix(a), sp.csr_matrix(b.T)) for a, b in terms))
-        self._stack = sp.vstack(blocks, format="csr")
+        # gamma_op D[b] joins the (b, b) block, whose weight is gamma
+        op_rel = self.gamma_op / self.gamma if include_cavity else None
+        per_copy = [_pair_blocks(ops, self._pairs, n, op_rel) for n in ns]
+        # each pair's block is block-diagonal over the copies; one copy is that block itself
+        self._stack = sp.vstack([sp.block_diag(b, format="csr") for b in zip(*per_copy)],
+                                format="csr")
 
     # -- state constructors -------------------------------------------------
 
@@ -222,17 +249,19 @@ class CascadedModel:
         return np.sqrt(g[:, 0] * g[:, 1])
 
     def rhs(self, t: float, rho: np.ndarray) -> np.ndarray:
-        """Apply the generator at time t to rho (a matrix or its row-major
-        vectorisation); the result has rho's shape."""
+        """Apply the generator at time t to rho (a matrix, the copies as a
+        (K, d, d) array, or the row-major vectorisation); the result has
+        rho's shape."""
         rho = np.asarray(rho)
-        n2 = self.dimension**2
+        n2 = self.copies * self.dimension**2
         drho = self._coefficients(t) @ (self._stack @ rho.reshape(n2)).reshape(-1, n2)
         return drho.reshape(rho.shape)
 
     def _generator(self, t: float) -> sp.csr_matrix:
         """The sparse superoperator L(t) that ``rhs`` applies."""
         coef = sp.csr_matrix(self._coefficients(t)[None, :])
-        return (sp.kron(coef, sp.identity(self.dimension**2), format="csr") @ self._stack).tocsr()
+        n2 = self.copies * self.dimension**2
+        return (sp.kron(coef, sp.identity(n2), format="csr") @ self._stack).tocsr()
 
     # -- observables ----------------------------------------------------------
 
@@ -254,25 +283,38 @@ class CascadedModel:
         return np.einsum("xaxb->ab", rho.reshape(m, 2, m, 2))
 
 
+class Trajectory(list):
+    """The samples of one ``integrate`` run, with the solver's work counts
+    (``rhs_calls``, ``jacobians``, ``lu_factorisations``) in ``stats``."""
+
+    def __init__(self, samples, stats: dict[str, int]):
+        super().__init__(samples)
+        self.stats = stats
+
+
 def integrate(
     model: CascadedModel,
-    rho0: DensityMatrix,
+    rho0: DensityMatrix | Sequence[DensityMatrix],
     t_span: tuple[float, float],
     t_eval: np.ndarray | None = None,
     rtol: float = 1e-8,
     atol: float = 1e-10,
-) -> list[DensityMatrix]:
+) -> Trajectory:
     """Integrate the cascaded master equation with a stiff BDF solver.
 
     ``scipy.integrate.solve_ivp(method="BDF")`` runs on the vectorised
     state with ``model.rhs`` as the right-hand side and the sparse
     generator L(t) as the Jacobian.  Its error test is the RMS over all
-    entries of err / (atol + rtol |rho_ij|), not a maximum norm.  One
-    solver run covers t0 to the last sample time; the samples are read
+    entries of err / (atol + rtol |rho_ij|), not a maximum norm; for a
+    model with several copies the RMS spans the entries of every copy.
+    One solver run covers t0 to the last sample time; the samples are read
     from its dense output at exactly the requested times and each is
-    re-Hermitised.  A non-finite or non-positive ``rtol`` or ``atol``
-    raises ``ValidationError``; solver failure raises ``NumericalError``;
-    the solver statistics are logged at DEBUG on ``phononet.cascade``.
+    re-Hermitised.  ``rho0`` is one state, and then each sample is one
+    ``DensityMatrix``, or a sequence of ``model.copies`` states, and then
+    each sample is a list of them.  A non-finite or non-positive ``rtol``
+    or ``atol`` raises ``ValidationError``; solver failure raises
+    ``NumericalError``.  The solver statistics are returned in the
+    trajectory's ``stats`` and logged at DEBUG on ``phononet.cascade``.
     """
     for key, tol in (("rtol", rtol), ("atol", atol)):
         if not (math.isfinite(tol) and tol > 0):
@@ -280,10 +322,15 @@ def integrate(
     t0, t1 = t_span
     if t1 <= t0:
         raise ValidationError("t_span must be increasing")
-    if rho0.dimension != model.dimension:
-        raise ValidationError(
-            f"state dimension {rho0.dimension} != model dimension {model.dimension}"
-        )
+    single = isinstance(rho0, DensityMatrix)
+    states = [rho0] if single else list(rho0)
+    if len(states) != model.copies:
+        raise ValidationError(f"{len(states)} initial states for {model.copies} model copies")
+    for rho in states:
+        if rho.dimension != model.dimension:
+            raise ValidationError(
+                f"state dimension {rho.dimension} != model dimension {model.dimension}"
+            )
     if t_eval is None:
         t_eval = np.array([t1])
     t_eval = np.asarray(t_eval, dtype=float)
@@ -291,28 +338,35 @@ def integrate(
         raise ValidationError("t_eval must be increasing within t_span")
 
     # a sample at t0 is the initial state; the rest come from one solver run
-    out = [DensityMatrix(rho0.matrix.copy(), t) for t in t_eval[t_eval == t0].tolist()]
+    out = [[DensityMatrix(r.matrix.copy(), t) for r in states]
+           for t in t_eval[t_eval == t0].tolist()]
     later = t_eval[t_eval > t0]
-    nfev = njev = nlu = 0
+    stats = {"rhs_calls": 0, "jacobians": 0, "lu_factorisations": 0}
     if later.size:
         failed = f"BDF integration failed between t = {t0!r} and {later[-1]!r}"
+        y0 = np.concatenate([r.matrix.ravel() for r in states])
         try:  # t_eval: keep the samples only, not every step's state
             sol = solve_ivp(
-                model.rhs, (t0, later[-1]), rho0.matrix.flatten(), method="BDF", t_eval=later,
+                model.rhs, (t0, later[-1]), y0, method="BDF", t_eval=later,
                 rtol=rtol, atol=atol, jac=lambda s, _: model._generator(s),
             )
         except RuntimeError as exc:  # singular Newton matrix, from SuperLU
             raise NumericalError(f"{failed}: {exc}") from exc
         # BDF is a reference cycle holding SuperLU factors (~1.2 kB per nonzero): free it
         gc.collect(1)
-        nfev, njev, nlu = sol.nfev, sol.njev, sol.nlu
+        stats = {"rhs_calls": int(sol.nfev), "jacobians": int(sol.njev),
+                 "lu_factorisations": int(sol.nlu)}
         if sol.status != 0 or not np.all(np.isfinite(sol.y)):
             raise NumericalError(f"{failed}: {sol.message}")
-        rhos = sol.y.T.reshape(-1, *rho0.matrix.shape)
-        out += [DensityMatrix(0.5 * (r + r.conj().T), t) for r, t in zip(rhos, later.tolist())]
-    _log.debug("integrate: dim %d, %d samples, %d RHS calls, %d Jacobians, "
-               "%d LU factorisations", model.dimension, len(out), nfev, njev, nlu)
-    return out
+        rhos = sol.y.T.reshape(later.size, len(states), model.dimension, model.dimension)
+        out += [[DensityMatrix(0.5 * (r + r.conj().T), t) for r in sample]
+                for sample, t in zip(rhos, later.tolist())]
+    _log.debug("integrate: dim %d, %d copies, %d samples, %d RHS calls, %d Jacobians, "
+               "%d LU factorisations", model.dimension, model.copies, len(out),
+               *stats.values())
+    if single:
+        out = [sample[0] for sample in out]
+    return Trajectory(out, stats)
 
 
 def fidelity(rho: np.ndarray | DensityMatrix, rho_target: np.ndarray) -> float:
@@ -339,15 +393,21 @@ def transferred_target(qubit1=(0.0, 1.0)) -> np.ndarray:
 
 
 def reduced_two_qubit_model(
-    n_eff: float,
+    n_eff: float | Sequence[float],
     schedule: PulseSchedule,
     qubit1=(0.0, 1.0),
     t_eval: np.ndarray | None = None,
     rtol: float = 1e-8,
-) -> tuple[CascadedModel, list[DensityMatrix]]:
-    """Run the two-qubit cascade with white channel occupation n_eff."""
+) -> tuple[CascadedModel, Trajectory]:
+    """Run the two-qubit cascade with white channel occupation n_eff.
+
+    A list of occupations runs one copy per entry, all from the same
+    initial state, in one solver run; each sample is then a list of
+    states in the order of ``n_eff``."""
     model = CascadedModel(schedule, n_eff, include_cavity=False)
     rho0 = model.initial_state(qubit1)
+    if np.ndim(n_eff):
+        rho0 = [rho0] * model.copies
     t0, t1 = schedule.window
     traj = integrate(model, rho0, (t0, t1), t_eval, rtol=rtol)
     return model, traj

@@ -23,7 +23,7 @@ TWO_PI = 2 * math.pi
 # --------------------------------------------------------------------------
 # parameter schemas: name -> (default, description).  The default's type is
 # the value rule: float or None -> finite number (None also admits null),
-# int -> integer >= 0, bool -> true/false, list -> number or non-empty list
+# int -> integer in [0, MAX_COUNT], bool -> true/false, list -> number or non-empty list
 # of numbers, tuple of strings -> one of them (the first is the default).
 # --------------------------------------------------------------------------
 
@@ -112,6 +112,10 @@ SCHEMAS: dict[str, dict[str, tuple[object, str]]] = {
 
 EXPERIMENTS = tuple(SCHEMAS)
 
+# largest grid size or count a config may ask for, ~360x the largest default
+# grid; far larger sizes fail to allocate inside numpy, with no key named
+MAX_COUNT = 10**7
+
 
 def _is_number(x) -> bool:
     """An int or float, not bool, that is finite as a float (NaN fails the comparison)."""
@@ -126,7 +130,8 @@ def _check_value(key: str, default, value) -> None:
     elif isinstance(default, bool):
         ok, rule = isinstance(value, bool), "true or false"
     elif isinstance(default, int):
-        ok, rule = isinstance(value, int) and _is_number(value) and value >= 0, "an integer >= 0"
+        ok = isinstance(value, int) and _is_number(value) and 0 <= value <= MAX_COUNT
+        rule = f"an integer in [0, {MAX_COUNT}]"
     elif isinstance(default, list):
         if value == []:
             raise ConfigError(f"parameters.{key} must not be an empty list")
@@ -253,30 +258,22 @@ def run_transfer(p: dict):
     return cols, rows, extras
 
 
-def _fidelity_point(gm_rel: float, n_th: float, filtered: bool, p: dict):
-    if filtered:
-        n0 = p["gamma0_over_gamma"] * n_th
-        n_eff = transfer.effective_occupation_closed(n_th, n0, 1.0, gm_rel)
-    else:
-        n_eff = n_th
+def run_fidelity(p: dict):
+    points = [(gm_rel, n_th, filtered)
+              for filtered in ((True, False) if p["include_no_filter"] else (True,))
+              for gm_rel in _aslist(p, "gamma_max_over_gamma") for n_th in _aslist(p, "n_th")]
+    n_effs = [transfer.effective_occupation_closed(n_th, p["gamma0_over_gamma"] * n_th, 1.0, gm)
+              if filtered else n_th for gm, n_th, filtered in points]
+    distinct = list(dict.fromkeys(n_effs))  # one copy per distinct n_eff, in one solver run
     sch = transfer.analytic_schedule(1.0, cutoff_floor=p["cutoff_floor_rel"])  # units of Gamma_max
     psi = (1.0, 1.0) if p["state"] == "superposition" else (0.0, 1.0)
-    model, traj = cascade.reduced_two_qubit_model(n_eff, sch, psi, rtol=p["rtol"])
-    rho2 = model.reduce_to_qubit2(traj[-1].matrix)
-    f = cascade.fidelity(rho2, cascade.transferred_target(psi))
-    return gm_rel, n_th, n_eff, f, int(filtered)
-
-
-def run_fidelity(p: dict):
-    gm_rels, n_ths = _aslist(p, "gamma_max_over_gamma"), _aslist(p, "n_th")
-    rows = [
-        _fidelity_point(gm_rel, n_th, filtered, p)
-        for filtered in ((True, False) if p["include_no_filter"] else (True,))
-        for gm_rel in gm_rels
-        for n_th in n_ths
-    ]
+    model, traj = cascade.reduced_two_qubit_model(distinct, sch, psi, rtol=p["rtol"])
+    target = cascade.transferred_target(psi)
+    f = {n: cascade.fidelity(model.reduce_to_qubit2(rho.matrix), target)
+         for n, rho in zip(distinct, traj[-1])}
+    rows = [(gm, n_th, n, f[n], int(filtered)) for (gm, n_th, filtered), n in zip(points, n_effs)]
     cols = ["gamma_max_over_gamma", "n_th", "n_eff", "fidelity", "filtered"]
-    return cols, rows, {"sweep_points": len(rows)}
+    return cols, rows, {"sweep_points": len(rows), "distinct_n_eff": len(distinct), **traj.stats}
 
 
 def run_circulator(p: dict):

@@ -68,7 +68,15 @@ class PulseShape(enum.Enum):
 
 
 def pulse_eq_analytic(t, gamma_max: float):
-    """Closed-form emit pulse Gamma1(t) (no window, no floor)."""
+    """Closed-form emit pulse Gamma1(t) (no window, no floor); a Python
+    float t is evaluated on plain floats, an array elementwise."""
+    if isinstance(t, float):
+        if not t < 0:
+            return float(gamma_max)
+        # numpy's exp, as on arrays: math.exp differs from it by an ulp on
+        # ~5 % of arguments, and u / (2 - u) triples that near t = 0
+        u = float(np.exp(gamma_max * t))
+        return gamma_max * u / (2.0 - u)
     t = np.asarray(t, dtype=float)
     u = np.exp(gamma_max * np.minimum(t, 0.0))
     rising = gamma_max * u / (2.0 - u)
@@ -115,19 +123,24 @@ class PulseSchedule:
         return (self.t_start, self.t_end)
 
     def _clamp(self, t, g):
+        if isinstance(t, float):  # g < 0 gives 0 here too when the floor is 0
+            if t < self.t_start or t > self.t_end or g < self.cutoff_floor:
+                return 0.0
+            return max(float(g), 0.0)
         g = np.where((t < self.t_start) | (t > self.t_end), 0.0, g)
         if self.cutoff_floor > 0:
             g = np.where(g < self.cutoff_floor, 0.0, g)
         return np.maximum(g, 0.0)
 
     def _rate(self, t, sign: float, table):
-        t = np.asarray(t, dtype=float)
+        scalar = isinstance(t, (int, float))  # one time: plain floats, no 0-d arrays
+        t = float(t) if scalar else np.asarray(t, dtype=float)
         if self.shape is PulseShape.ANALYTIC:
             g = pulse_eq_analytic(sign * t, self.gamma_max)
         else:
             g = np.interp(t, self.table_t, table, left=0.0, right=0.0)
         out = self._clamp(t, g)
-        return out if out.ndim else float(out)
+        return out if scalar or out.ndim else float(out)
 
     def gamma1(self, t):
         return self._rate(t, 1.0, self.table_g1)

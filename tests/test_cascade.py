@@ -334,3 +334,77 @@ def test_integrate_logs_solver_statistics(caplog):
     assert "2 samples" in caplog.text
     for counter in ("RHS calls", "Jacobians", "LU factorisations"):
         assert counter in caplog.text
+
+
+# ------------------------------------------------------------ stacked copies
+
+
+def test_stacked_generator_is_block_diagonal_over_copies():
+    # K copies side by side: applying the stacked generator equals applying
+    # each copy's own model to its own density matrix
+    sch = analytic_schedule(1.0, cutoff_floor=1e-4)
+    ns = [0.0, 0.3, 5.0, 0.3]
+    stacked = CascadedModel(sch, n_th=ns, include_cavity=False)
+    assert stacked.copies == 4 and stacked.n_th == tuple(ns) and stacked.dimension == 4
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(4, 4, 4)) + 1j * rng.normal(size=(4, 4, 4))
+    rhos = a @ a.conj().transpose(0, 2, 1)
+    rhos /= np.trace(rhos, axis1=1, axis2=2)[:, None, None]
+    for t in (-14.0, -3.0, 0.0, 2.5, 10.0):
+        drho = stacked.rhs(t, rhos)
+        assert drho.shape == rhos.shape
+        np.testing.assert_array_equal(stacked.rhs(t, rhos.ravel()), drho.ravel())
+        for n, rho, d in zip(ns, rhos, drho):
+            solo = CascadedModel(sch, n_th=n, include_cavity=False)
+            np.testing.assert_allclose(d, solo.rhs(t, rho), rtol=0, atol=1e-15)
+            assert abs(np.trace(d)) < 1e-12
+            assert np.max(np.abs(d - d.conj().T)) < 1e-12
+        jac = stacked._generator(t).toarray()
+        np.testing.assert_allclose(jac @ rhos.ravel(), drho.ravel(), rtol=0, atol=1e-14)
+        assert np.count_nonzero(jac[:16, 16:]) == 0 and np.count_nonzero(jac[16:, :16]) == 0
+
+
+def test_one_copy_list_is_the_scalar_model_bit_for_bit():
+    sch = analytic_schedule(1.0, cutoff_floor=1e-4)
+    ts = np.array([-2.0, 14.0])
+    model, traj = reduced_two_qubit_model(0.7, sch, (0.6, 0.8), ts)
+    listed, ltraj = reduced_two_qubit_model([0.7], sch, (0.6, 0.8), ts)
+    for part in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(model._stack, part), getattr(listed._stack, part))
+    assert [len(s) for s in ltraj] == [1, 1]
+    for snap, (lsnap,) in zip(traj, ltraj):
+        assert snap.time == lsnap.time
+        np.testing.assert_array_equal(snap.matrix, lsnap.matrix)
+    assert traj.stats == ltraj.stats and traj.stats["rhs_calls"] > 0
+
+
+def test_stacked_copies_stay_density_matrices():
+    sch = analytic_schedule(1.0, cutoff_floor=1e-4)
+    ns = [0.0026, 0.1, 0.96, 5.0, 20.0]
+    ts = np.linspace(-14.0, 14.0, 8)
+    model, traj = reduced_two_qubit_model(ns, sch, (1.0, 1.0), ts)
+    assert len(traj) == ts.size and all(len(sample) == len(ns) for sample in traj)
+    for sample, t in zip(traj, ts):
+        for snap in sample:  # DensityMatrix checked trace (1e-8) and Hermiticity (1e-10)
+            assert snap.time == t
+            assert abs(np.trace(snap.matrix).real - 1) < 1e-8
+            assert snap.min_eigenvalue() > -1e-8
+    # a stacked copy differs from its solo run only through the shared error norm
+    for n, snap in zip(ns, traj[-1]):
+        _, solo = reduced_two_qubit_model(n, sch, (1.0, 1.0))
+        assert np.max(np.abs(snap.matrix - solo[-1].matrix)) < 1e-6
+
+
+def test_copies_need_the_two_qubit_model_and_one_state_each():
+    sch = analytic_schedule(1.0)
+    with pytest.raises(pn.ValidationError, match="two-qubit model"):
+        CascadedModel(sch, n_th=[0.5, 1.0], gamma=10.0)
+    for bad in ([], [[0.5]], [0.5, -1.0]):
+        with pytest.raises(pn.ValidationError, match="n_th"):
+            CascadedModel(sch, n_th=bad, include_cavity=False)
+    model = CascadedModel(sch, n_th=[0.5, 1.0], include_cavity=False)
+    rho0 = model.initial_state()
+    with pytest.raises(pn.ValidationError, match="1 initial states for 2 model copies"):
+        integrate(model, rho0, sch.window)
+    with pytest.raises(pn.ValidationError, match="3 initial states for 2 model copies"):
+        integrate(model, [rho0] * 3, sch.window)

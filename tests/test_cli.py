@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from phononet import cascade
 from phononet.cli import (
     RunConfig,
     main,
@@ -16,7 +17,8 @@ from phononet.cli import (
     run_experiment,
 )
 from phononet.errors import ConfigError
-from phononet.experiments import SCHEMAS
+from phononet.experiments import RUNNERS, SCHEMAS
+from phononet.transfer import analytic_schedule
 
 
 def test_minimal_filter_config_gets_figure_defaults():
@@ -88,6 +90,40 @@ def test_fidelity_rows_filtered_block_first_then_gamma_max_major(tmp_path):
     assert [tuple(r) for r in rows[:, :2]] == expected
     assert rows[:, 4].tolist() == [1, 1, 1, 1, 0, 0, 0, 0]
     assert np.array_equal(rows[4:, 2], rows[4:, 1])  # unfiltered: n_eff == n_th
+
+
+@pytest.mark.parametrize("state", ["superposition", "excited"])
+def test_fidelity_sweep_matches_solo_runs(tmp_path, state):
+    # the shipped sweep runs every distinct n_eff in one stacked solve; each
+    # row must agree with a run of that n_eff alone
+    raw = json.loads((Path(__file__).parents[1] / "configs" / "fidelity.json").read_text())
+    raw["parameters"]["state"] = state
+    text = run_experiment(parse_config(json.dumps(raw)), tmp_path).read_text()
+    rows = np.array(_data_rows(tmp_path / "fidelity.csv"))
+    meta = json.loads(next(l for l in text.splitlines() if l.startswith("# metadata: "))[12:])
+    assert (meta["sweep_points"], meta["distinct_n_eff"]) == (12, 9)
+    assert all(meta[k] > 0 for k in ("rhs_calls", "jacobians", "lu_factorisations"))
+    psi = (1.0, 1.0) if state == "superposition" else (0.0, 1.0)
+    sch = analytic_schedule(1.0, cutoff_floor=1e-4)
+    solo = {}
+    for n_eff in np.unique(rows[:, 2]).tolist():
+        model, traj = cascade.reduced_two_qubit_model(n_eff, sch, psi)
+        solo[n_eff] = cascade.fidelity(model.reduce_to_qubit2(traj[-1].matrix),
+                                       cascade.transferred_target(psi))
+    assert len(solo) == 9
+    assert max(abs(row[3] - solo[row[2]]) for row in rows.tolist()) <= 1e-6
+    unfiltered = rows[rows[:, 4] == 0]  # n_eff = n_th repeats for each gamma_max
+    assert np.array_equal(unfiltered[:3, 1:], unfiltered[3:, 1:])
+
+
+def test_fidelity_sweep_is_one_integration(monkeypatch):
+    calls = []
+    real = cascade.integrate
+    monkeypatch.setattr(cascade, "integrate", lambda *a, **k: calls.append(a) or real(*a, **k))
+    p = parse_config(json.dumps({"experiment": "fidelity", "parameters": {"rtol": 1e-5}}))
+    _, rows, meta = RUNNERS["fidelity"](p.parameters)
+    assert len(calls) == 1 and calls[0][0].copies == meta["distinct_n_eff"] == 9
+    assert len(rows) == meta["sweep_points"] == 12
 
 
 def test_metadata_header_round_trips(tmp_path):
@@ -214,6 +250,9 @@ def test_cli_empty_sweep_list_exits_2(tmp_path, capsys, experiment, params, key)
         ("multimode", {"n_modes": 4.0}, "n_modes"),
         ("multimode", {"site": 2.5}, "site"),
         ("nv", {"n_points": 3.5}, "n_points"),
+        # too large for numpy to allocate: 1e20 overflows its size, 1e15 is 7 PiB
+        ("circulator", {"n_points": 10**20}, "n_points"),
+        ("circulator", {"n_points": 10**15}, "n_points"),
     ],
 )
 def test_cli_value_of_wrong_kind_exits_2(tmp_path, capsys, experiment, params, key):

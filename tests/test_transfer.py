@@ -75,6 +75,45 @@ def test_schedule_cutoff_floor():
     assert sch.gamma1(-5.0) > 1e-3
 
 
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        analytic_schedule(1.0, 28.0),
+        analytic_schedule(2.5, 28.0 / 2.5, cutoff_floor=1e-4 * 2.5),
+        _asymmetric_schedule(),
+        tabulated_schedule(np.linspace(-2.0, 3.0, 41),
+                           np.random.default_rng(3).uniform(-0.1, 1.0, 41),
+                           np.random.default_rng(4).uniform(0.0, 1.0, 41), cutoff_floor=0.2),
+    ],
+    ids=["analytic", "analytic_floor", "tabulated", "tabulated_floor"],
+)
+def test_scalar_rates_match_array_rates(schedule):
+    # a float time takes the plain-float path; it must agree with the array path
+    t0, t1 = schedule.window
+    rng = np.random.default_rng(7)
+    edges = [t0, t1, 0.0, -0.0, *np.nextafter([t0, t0, t1, t1], [-np.inf, np.inf] * 2)]
+    ts = np.r_[rng.uniform(t0 - 1.0, t1 + 1.0, 4000), -rng.exponential(1e-3, 200), edges]
+    for rate in (schedule.gamma1, schedule.gamma2):  # the adjacent floats where a rate switches
+        s = np.sort(ts)
+        on = rate(s) > 0
+        i = np.flatnonzero(on[1:] != on[:-1])
+        lo, hi = s[i], s[i + 1]
+        for _ in range(80):  # bisect on the array path
+            mid = 0.5 * (lo + hi)
+            left = (rate(mid) > 0) == on[i]
+            lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+        ts = np.r_[ts, lo, hi]
+    for rate in (schedule.gamma1, schedule.gamma2):
+        scalar = [rate(t) for t in ts.tolist()]
+        assert all(type(g) is float for g in scalar)
+        np.testing.assert_array_max_ulp(np.array(scalar), rate(ts), maxulp=1)
+        assert rate(int(t1) + 1) == rate(float(int(t1) + 1))
+    if schedule.shape is pn.PulseShape.ANALYTIC:
+        scalar = [pulse_eq_analytic(t, schedule.gamma_max) for t in ts.tolist()]
+        np.testing.assert_array_max_ulp(np.array(scalar), pulse_eq_analytic(ts, schedule.gamma_max),
+                                        maxulp=1)
+
+
 # -------------------------------------------------------------- amplitudes
 
 
