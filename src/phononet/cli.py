@@ -10,7 +10,8 @@ The configuration is a flat JSON object
 with experiment-specific parameter keys (frequencies in ordinary Hz);
 unknown keys are rejected.  Every output file carries a metadata header
 with the fully resolved configuration, so any emitted file reproduces its
-run.  Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+run.  Exit codes: 0 success, 2 configuration error, 3 numerical failure
+(out of memory included).
 """
 
 from __future__ import annotations
@@ -105,16 +106,9 @@ def parse_config(text: str, experiment: str | None = None) -> RunConfig:
     return RunConfig(exp, params, seed, out_path, out_format)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, (int,)):
-        return str(x)
-    return format(float(x), ".17g")
-
-
 def render_csv(config: RunConfig, columns, rows, extras, timestamp: str) -> str:
-    """17-significant-digit CSV with a re-parseable metadata header."""
+    """17-significant-digit CSV of the float table ``rows`` with a re-parseable
+    metadata header; a whole value prints without a point (1.0 as 1)."""
     lines = [
         f"# phononet {__version__}",
         f"# generated: {timestamp}",
@@ -124,8 +118,8 @@ def render_csv(config: RunConfig, columns, rows, extras, timestamp: str) -> str:
     if extras:
         lines.append(f"# metadata: {json.dumps(extras, sort_keys=True)}")
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    pattern = ",".join(["%.17g"] * len(columns))
+    lines.extend(pattern % tuple(row) for row in rows.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -137,7 +131,7 @@ def render_json(config: RunConfig, columns, rows, extras, timestamp: str) -> str
         "config": config.as_dict(),
         "metadata": extras,
         "columns": list(columns),
-        "data": [[float(x) for x in row] for row in rows],
+        "data": rows.tolist(),
     }
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
@@ -156,7 +150,7 @@ def parse_metadata_header(text: str) -> RunConfig:
 
 def run_experiment(config: RunConfig, out_dir: Path) -> Path:
     """Execute a run and write its output file; returns the path."""
-    columns, rows, extras = RUNNERS[config.experiment](config.parameters)
+    columns, table, extras = RUNNERS[config.experiment](config.parameters)
     timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     if config.output_path is not None:
         path = Path(config.output_path)
@@ -166,7 +160,7 @@ def run_experiment(config: RunConfig, out_dir: Path) -> Path:
         path = out_dir / f"{config.experiment}.{config.output_format}"
     path.parent.mkdir(parents=True, exist_ok=True)
     render = render_csv if config.output_format == "csv" else render_json
-    path.write_text(render(config, columns, rows, extras, timestamp), newline="\n")
+    path.write_text(render(config, columns, table, extras, timestamp), newline="\n")
     return path
 
 
@@ -210,6 +204,9 @@ def main(argv=None) -> int:
         return 2
     except PhononetError as exc:
         print(f"phononet: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # a size the schema admits but this machine cannot hold
+        print(f"phononet: MemoryError: {exc}", file=sys.stderr)
         return 3
     print(path)
     return 0

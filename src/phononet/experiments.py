@@ -1,8 +1,11 @@
 """Experiment runners behind the CLI.
 
 Each runner takes a resolved parameter dict (frequencies in ordinary Hz,
-converted to angular units here) and returns a table:
-(column names, rows, extra metadata).  Runners are pure and deterministic.
+converted to angular units here) and returns (columns, table, extras): the
+column names, one 2-D float64 array of shape (rows, len(columns)) built from
+the arrays the runner already holds, and a dict of extra metadata.  Integer
+and flag columns are whole floats, which the writers print without a point.
+Runners are pure and deterministic.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
@@ -202,7 +204,6 @@ def run_filter(p: dict):
     }
     if p["fit_dip"]:
         fit = network.fit_lorentzian_dip(spec)
-        spec = spec.with_fit(fit)
         extras["fit"] = {
             "center_shift_over_gamma": (fit.center - omega_m) / gamma,
             "width_over_gamma": fit.width / gamma,
@@ -210,8 +211,8 @@ def run_filter(p: dict):
             "n_th": fit.n_th,
             "rms": fit.rms,
         }
-    rows = [((w - omega_m) / gamma, v) for w, v in zip(spec.grid, spec.values)]
-    return ["omega_over_gamma", "N_F"], rows, extras
+    table = np.column_stack([(spec.grid - omega_m) / gamma, spec.values])
+    return ["omega_over_gamma", "N_F"], table, extras
 
 
 def run_multimode(p: dict):
@@ -228,8 +229,8 @@ def run_multimode(p: dict):
         raise ConfigError(f"parameters.site must be an integer in [1, {n_modes}]; got {site!r}")
     grid = np.linspace(omega_m - p["span_k"] * K, omega_m + p["span_k"] * K, p["n_points"])
     spec = network.internal_spectrum(net, grid, f"b{site:.0f}")  # a site of 3.0 names b3
-    rows = [((w - omega_m) / K, v) for w, v in zip(spec.grid, spec.values)]
-    return ["omega_minus_omega_m_over_k", "S"], rows, {"site": site}
+    table = np.column_stack([(spec.grid - omega_m) / K, spec.values])
+    return ["omega_minus_omega_m_over_k", "S"], table, {"site": site}
 
 
 def run_transfer(p: dict):
@@ -241,12 +242,9 @@ def run_transfer(p: dict):
     g1 = sch.gamma1(ts)
     g2 = sch.gamma2(ts)
     resid = np.abs(np.sqrt(g1) * amps.v1 + np.sqrt(g2) * amps.v2) / math.sqrt(gmax)
-    rows = [
-        (t * gmax, a / gmax, b / gmax, x, y, e, tr, r)
-        for t, a, b, x, y, e, tr, r in zip(
-            ts, g1, g2, amps.v1, amps.v2, amps.g1, amps.transfer, resid
-        )
-    ]
+    table = np.column_stack(
+        [ts * gmax, g1 / gmax, g2 / gmax, amps.v1, amps.v2, amps.g1, amps.transfer, resid]
+    )
     extras = {
         "final_transfer": abs(amps.final_transfer),
         "max_norm_defect": float(np.max(np.abs(amps.v1**2 + amps.v2**2 - 1))),
@@ -255,7 +253,7 @@ def run_transfer(p: dict):
         "t_gamma_max", "gamma1_over_max", "gamma2_over_max",
         "v1", "v2", "g1_envelope", "transfer_quadrature", "dark_residual_scaled",
     ]
-    return cols, rows, extras
+    return cols, table, extras
 
 
 def run_fidelity(p: dict):
@@ -269,11 +267,13 @@ def run_fidelity(p: dict):
     psi = (1.0, 1.0) if p["state"] == "superposition" else (0.0, 1.0)
     model, traj = cascade.reduced_two_qubit_model(distinct, sch, psi, rtol=p["rtol"])
     target = cascade.transferred_target(psi)
-    f = {n: cascade.fidelity(model.reduce_to_qubit2(rho.matrix), target)
-         for n, rho in zip(distinct, traj[-1])}
-    rows = [(gm, n_th, n, f[n], int(filtered)) for (gm, n_th, filtered), n in zip(points, n_effs)]
+    f = np.array([cascade.fidelity(model.reduce_to_qubit2(rho.matrix), target) for rho in traj[-1]])
+    sweep = np.array(points, dtype=float)  # gamma_max_over_gamma, n_th, filtered
+    table = np.column_stack(
+        [sweep[:, :2], n_effs, f[[distinct.index(n) for n in n_effs]], sweep[:, 2]]
+    )
     cols = ["gamma_max_over_gamma", "n_th", "n_eff", "fidelity", "filtered"]
-    return cols, rows, {"sweep_points": len(rows), "distinct_n_eff": len(distinct), **traj.stats}
+    return cols, table, {"sweep_points": len(table), "distinct_n_eff": len(distinct), **traj.stats}
 
 
 def run_circulator(p: dict):
@@ -292,10 +292,8 @@ def run_circulator(p: dict):
         p["n_points"],
     )
     probs = circulator.scattering_probabilities(spec, grid)
-    rows = [
-        ((w - omega_m) / gamma, *pr) for w, pr in zip(grid, probs)
-    ]
-    return ["delta_omega_over_gamma", "P_11", "P_12", "P_13"], rows, {}
+    table = np.column_stack([(grid - omega_m) / gamma, probs])
+    return ["delta_omega_over_gamma", "P_11", "P_12", "P_13"], table, {}
 
 
 def run_waveguide(p: dict):
@@ -317,15 +315,14 @@ def run_waveguide(p: dict):
     }
     if p["quantity"] == "dispersion":
         N = chain.n_sites
-        rows = []
-        for n in range(-(N // 2 - 1), N // 2 + 1):
-            qa = 2 * math.pi * n / N
-            w_exact = waveguide.dispersion_exact(chain, n)
-            w_tb = waveguide.dispersion_tight_binding(chain, qa)
-            w_lin = channel.omega_offset + channel.sound_speed * abs(qa) / chain.lattice_a
-            rows.append((n, qa, w_exact / TWO_PI, w_tb / TWO_PI, w_lin / TWO_PI))
+        n = np.arange(-(N // 2 - 1), N // 2 + 1)
+        qa = 2 * math.pi * n / N
+        w_exact = waveguide.dispersion_exact(chain, n)
+        w_tb = waveguide.dispersion_tight_binding(chain, qa)
+        w_lin = channel.omega_offset + channel.sound_speed * np.abs(qa) / chain.lattice_a
+        table = np.column_stack([n, qa, w_exact / TWO_PI, w_tb / TWO_PI, w_lin / TWO_PI])
         cols = ["mode_index", "qa", "omega_exact_hz", "omega_tight_binding_hz", "omega_linear_hz"]
-        return cols, rows, extras
+        return cols, table, extras
 
     K = chain.coupling_K
     n_th = p["n_th"]
@@ -335,7 +332,7 @@ def run_waveguide(p: dict):
     dip = n_th - (n_th - p["dip_floor_rel"] * n_th) * width**2 / ((grid - wc) ** 2 + width**2)
     drive = network.NoiseSpectrum(grid, dip)
     site = chain.n_sites - 1
-    rows = []
+    blocks = []
     for z_rel in _aslist(p, "z_over_mfp"):
         gamma0 = z_rel * K / site  # site * a / mean_free_path = z_rel
         cz = waveguide.ChainSpec(
@@ -345,10 +342,11 @@ def run_waveguide(p: dict):
         closed = waveguide.propagate_spectrum(
             drive, site * chain.lattice_a, waveguide.continuum_parameters(cz)
         )
-        for w, a, b in zip(grid, oracle.values, closed.values):
-            rows.append((z_rel, (w - wc) / K, a, b))
+        blocks.append(np.column_stack(
+            [np.full(grid.size, z_rel), (grid - wc) / K, oracle.values, closed.values]
+        ))
     cols = ["z_over_mfp", "delta_omega_over_k", "n_f_oracle", "n_f_closed"]
-    return cols, rows, extras
+    return cols, np.vstack(blocks), extras
 
 
 def run_design(p: dict):
@@ -366,7 +364,7 @@ def run_design(p: dict):
     )
     eff = circulator.effective_coupling(design, omega_m)
     alpha = math.sqrt(abs(eff.alpha1) * abs(eff.alpha2))
-    row = (
+    table = np.array([[
         design.drive1 / TWO_PI, design.drive2 / TWO_PI,
         design.phase1, design.phase2,
         abs(eff.alpha1), abs(eff.alpha2),
@@ -376,43 +374,39 @@ def run_design(p: dict):
         eff.phase,
         eff.gamma_op / TWO_PI,
         eff.gamma_op / gamma,
-    )
+    ]])
     cols = [
         "drive1_hz", "drive2_hz", "phase1", "phase2",
         "alpha1_abs", "alpha2_abs", "g_alpha_hz",
         "t_eff_hz", "t_eff_over_target", "phase_eff", "gamma_op_hz", "gamma_op_over_gamma",
     ]
-    return cols, [row], {}
+    return cols, table, {}
 
 
 def run_nv(p: dict):
     omega_m = _ang(p["omega_m_hz"])
-    params = nv.RamanParams(
-        coupling_lambda=_ang(p["lambda_hz"]),
-        omega_m=omega_m,
-        omega_rabi0=_ang(p["omega_rabi0_hz"]),
-        omega_rabi1=_ang(p["omega_rabi1_hz"]),
-        delta=0.0,
-        gamma_e=_ang(p["gamma_e_hz"]),
-    )
     span = p["delta_span_omega_m"] * omega_m
     grid = np.linspace(-span, span, p["n_points"])
     # keep the Raman resonances +-omega_m/2 off the grid
     grid = grid[np.abs(np.abs(grid) - omega_m / 2) > 1e-9 * omega_m]
     if not grid.size:
         raise ValidationError("detuning grid is empty once the Raman resonances are removed")
-    rows = []
-    for d in grid:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            r = nv.effective_spin_phonon(replace(params, delta=d))
-        rows.append(
-            (d / omega_m, r.lambda_eff / TWO_PI, r.gamma_eff_0 / TWO_PI,
-             r.gamma_eff_1 / TWO_PI, r.figure_of_merit)
-        )
+    params = nv.RamanParams(
+        coupling_lambda=_ang(p["lambda_hz"]),
+        omega_m=omega_m,
+        omega_rabi0=_ang(p["omega_rabi0_hz"]),
+        omega_rabi1=_ang(p["omega_rabi1_hz"]),
+        delta=grid,
+        gamma_e=_ang(p["gamma_e_hz"]),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        r = nv.effective_spin_phonon(params)
+    table = np.column_stack([grid / omega_m, r.lambda_eff / TWO_PI, r.gamma_eff_0 / TWO_PI,
+                             r.gamma_eff_1 / TWO_PI, r.figure_of_merit])
     cols = ["delta_over_omega_m", "lambda_eff_hz", "gamma_eff_0_hz", "gamma_eff_1_hz",
             "figure_of_merit"]
-    return cols, rows, {}
+    return cols, table, {}
 
 
 RUNNERS = {

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import schur
@@ -363,7 +363,6 @@ class NoiseSpectrum:
 
     grid: np.ndarray
     values: np.ndarray
-    fit: LorentzianDipFit | None = None
 
     def __post_init__(self) -> None:
         grid = np.asarray(self.grid, dtype=float)
@@ -376,9 +375,6 @@ class NoiseSpectrum:
             raise ValidationError("frequency grid must be strictly increasing")
         if np.min(values) < -1e-12:
             raise ValidationError(f"negative spectral value {np.min(values)!r}")
-
-    def with_fit(self, fit: LorentzianDipFit) -> "NoiseSpectrum":
-        return replace(self, fit=fit)
 
 
 def _bath_columns(network: LinearNetwork):

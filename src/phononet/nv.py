@@ -14,6 +14,9 @@ the figure of merit |lambda_eff| / mean(Gamma_eff) peaks at lambda/Gamma_e.
 Note: a widely circulated alternative expression for the mean decay,
 4 lambda Omega_0 Omega_1 / omega_m^2, is dimensionally inconsistent with
 the adiabatic elimination and is not used here.
+
+``delta`` may be an array: one call then evaluates the whole detuning grid
+with the same formulas, and a scalar ``delta`` gives floats.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ class RamanParams:
     omega_m: float
     omega_rabi0: float
     omega_rabi1: float
-    delta: float
+    delta: float | np.ndarray
     gamma_e: float
 
     def __post_init__(self) -> None:
@@ -45,39 +48,40 @@ class RamanParams:
             raise ValidationError("omega_m must be > 0")
 
     @property
-    def delta0(self) -> float:
+    def delta0(self) -> float | np.ndarray:
         return self.delta + self.omega_m / 2
 
     @property
-    def delta1(self) -> float:
+    def delta1(self) -> float | np.ndarray:
         return self.delta - self.omega_m / 2
 
 
 @dataclass(frozen=True)
 class RamanRates:
-    lambda_eff: float          # signed coupling
-    gamma_eff_0: float
-    gamma_eff_1: float
+    lambda_eff: float | np.ndarray  # signed coupling
+    gamma_eff_0: float | np.ndarray
+    gamma_eff_1: float | np.ndarray
 
     @property
-    def gamma_eff_mean(self) -> float:
+    def gamma_eff_mean(self) -> float | np.ndarray:
         return 0.5 * (self.gamma_eff_0 + self.gamma_eff_1)
 
     @property
-    def figure_of_merit(self) -> float:
+    def figure_of_merit(self) -> float | np.ndarray:
         """|lambda_eff| / mean decay; inf when both drives are off."""
         m = self.gamma_eff_mean
-        return abs(self.lambda_eff) / m if m > 0 else math.inf
+        with np.errstate(divide="ignore", invalid="ignore"):  # [()]: a scalar delta gives a float
+            return np.where(m > 0, np.abs(self.lambda_eff) / m, math.inf)[()]
 
 
 def effective_spin_phonon(params: RamanParams) -> RamanRates:
     """Adiabatically eliminated coupling and per-level decay rates."""
     den = params.delta**2 - params.omega_m**2 / 4
-    if den == 0.0:
+    if np.any(den == 0.0):
         raise ValidationError("Raman resonance Delta = ±omega_m/2: elimination singular")
     d0, d1 = params.delta0, params.delta1
     for d, om in ((d0, params.omega_rabi0), (d1, params.omega_rabi1)):
-        if om != 0 and abs(d) < 5 * abs(om):
+        if om != 0 and np.any(np.abs(d) < 5 * abs(om)):
             warnings.warn(
                 "dispersive condition |Delta_j| >> Omega_j marginal (ratio < 5)",
                 stacklevel=2,
@@ -93,9 +97,6 @@ def figure_of_merit_sweep(params: RamanParams, delta_grid: np.ndarray) -> np.nda
     delta_grid = np.asarray(delta_grid, dtype=float)
     if np.any(np.isclose(np.abs(delta_grid), params.omega_m / 2, rtol=0, atol=1e-12)):
         raise ValidationError("grid touches the Raman resonance ±omega_m/2")
-    out = np.empty_like(delta_grid)
-    for i, d in enumerate(delta_grid):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            out[i] = effective_spin_phonon(replace(params, delta=d)).figure_of_merit
-    return out
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return effective_spin_phonon(replace(params, delta=delta_grid)).figure_of_merit

@@ -366,7 +366,8 @@ class FilteredNoise:
 
 
 def _absorption_kernel(schedule: PulseSchedule, n_steps: int):
-    """f(t) = sqrt(Gamma1) G1(tf, t) as uniform segments (t_start, dt, f) that share t = 0."""
+    """f(t) = sqrt(Gamma1) G1(tf, t) on the joined grid ``ts``, with the uniform segments
+    (t_start, dt, f) of that grid, views that share their end point t = 0."""
     if n_steps < 4:  # two segments of at least two samples each
         raise ValidationError(f"n_steps must be >= 4, got {n_steps!r}")
     t0, tf = schedule.window
@@ -380,7 +381,7 @@ def _absorption_kernel(schedule: PulseSchedule, n_steps: int):
     g1 = schedule.gamma1(ts)
     a1 = cumulative_simpson(g1 / 2, x=ts, initial=0)
     f = np.sqrt(g1) * np.exp(-(a1[-1] - a1))  # G1(tf, t)
-    return [(ts[i], (ts[j] - ts[i]) / (j - i), f[i : j + 1]) for i, j in zip(ends, ends[1:])]
+    return ts, f, [(ts[i], (ts[j] - ts[i]) / (j - i), f[i : j + 1]) for i, j in zip(ends, ends[1:])]
 
 
 def effective_occupation_integral(
@@ -397,10 +398,7 @@ def effective_occupation_integral(
     segment, stable for arbitrarily wide dips.  Valid in the linear regime N(w) << 1.
     ``n_steps`` below 4 raises ValidationError.
     """
-    segs = _absorption_kernel(schedule, n_steps)
-    # one grid: a later segment drops its first sample, shared with the one before
-    ts = np.concatenate([t + dt * np.arange(i > 0, g.size) for i, (t, dt, g) in enumerate(segs)])
-    f = np.concatenate([g[i > 0 :] for i, (_, _, g) in enumerate(segs)])
+    ts, f, segs = _absorption_kernel(schedule, n_steps)
     w_norm = float(simpson(f**2, x=ts))
     if isinstance(noise, WhiteNoise):
         return noise.n_th * w_norm
@@ -457,7 +455,7 @@ def pulse_spectrum(
         raise ValidationError("pulse_spectrum needs a uniformly spaced omega_grid")
     from scipy.signal import czt  # here, as it would double `import phononet`'s time
     out = np.zeros(omega.size, dtype=complex)
-    for t_start, dt, fs in _absorption_kernel(schedule, n_steps):
+    for t_start, dt, fs in _absorption_kernel(schedule, n_steps)[2]:
         wf = dt * np.r_[fs[0] / 2, fs[1:-1], fs[-1] / 2]  # trapezoid weights
         # sum_j wf_j e^{i w_m (t_start + j dt)} with w_m = omega[0] + m d_omega
         a, w = np.exp(-1j * omega[0] * dt), np.exp(1j * d_omega * dt)

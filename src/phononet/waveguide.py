@@ -72,22 +72,23 @@ class ContinuumChannel:
     bath_occupation: float
 
 
-def dispersion_exact(chain: ChainSpec, n: int) -> float:
-    """Eigenfrequency of plane-wave mode n of the periodic chain.
+def dispersion_exact(chain: ChainSpec, n: int | np.ndarray) -> float | np.ndarray:
+    """Eigenfrequency of plane-wave mode n (an integer or an array of them)
+    of the periodic chain.
 
     omega_n = sqrt(omega0^2 + 2 K omega0 [1 - cos(2 pi n / N)]) for
     n in [-(N/2 - 1), N/2].
     """
     N = chain.n_sites
-    if not (-(N // 2 - 1) <= n <= N // 2):
+    if np.any(np.clip(n, -(N // 2 - 1), N // 2) != n):
         raise ValidationError(f"mode index {n} outside the Brillouin zone of {N} sites")
     w0, K = chain.omega0, chain.coupling_K
-    return math.sqrt(w0**2 + 2 * K * w0 * (1 - math.cos(2 * math.pi * n / N)))
+    return np.sqrt(w0**2 + 2 * K * w0 * (1 - np.cos(2 * math.pi * n / N)))
 
 
-def dispersion_tight_binding(chain: ChainSpec, qa: float) -> float:
-    """Tight-binding band omega(q) = omega0 + K (1 - cos(q a))."""
-    return chain.omega0 + chain.coupling_K * (1 - math.cos(qa))
+def dispersion_tight_binding(chain: ChainSpec, qa: float | np.ndarray) -> float | np.ndarray:
+    """Tight-binding band omega(q) = omega0 + K (1 - cos(q a)), for a number or an array."""
+    return chain.omega0 + chain.coupling_K * (1 - np.cos(qa))
 
 
 def continuum_parameters(chain: ChainSpec) -> ContinuumChannel:

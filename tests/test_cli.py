@@ -277,11 +277,59 @@ def test_choice_keys_checked_when_parsed(experiment, params):
         parse_config(json.dumps({"experiment": experiment, "parameters": params}))
 
 
-@pytest.mark.parametrize(
-    "path", sorted((Path(__file__).parents[1] / "configs").glob("*.json")), ids=lambda p: p.stem
-)
+SHIPPED_CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
 def test_shipped_configs_parse(path):
     assert parse_config(path.read_text(), path.stem).experiment == path.stem
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+def test_shipped_configs_run_to_one_float_table(tmp_path, monkeypatch, path):
+    returned = []
+    runner = RUNNERS[path.stem]
+    monkeypatch.setitem(RUNNERS, path.stem, lambda p: returned.append(runner(p)) or returned[0])
+    assert main([path.stem, "--config", str(path), "--out", str(tmp_path)]) == 0
+    [(columns, table, _)] = returned
+    assert table.dtype == np.float64 and table.ndim == 2
+    assert table.shape[1] == len(columns) and table.shape[0] > 0
+    [out] = tmp_path.glob("*.csv")
+    lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert lines[0].split(",") == columns
+    assert len(lines) == table.shape[0] + 1
+    assert all(len(l.split(",")) == len(columns) for l in lines[1:])
+
+
+def test_integer_columns_print_as_integers(tmp_path):
+    assert main(["waveguide", "--out", str(tmp_path)]) == 0  # default: dispersion, 200 sites
+    lines = (tmp_path / "waveguide.csv").read_text().splitlines()
+    header = lines.index(next(l for l in lines if l.startswith("mode_index,")))
+    assert [l.split(",")[0] for l in lines[header + 1:]] == [str(n) for n in range(-99, 101)]
+
+    cfg = tmp_path / "fidelity.json"
+    cfg.write_text(json.dumps({"experiment": "fidelity", "parameters": {
+        "gamma_max_over_gamma": 0.1, "n_th": 0.5, "rtol": 1e-6}}))
+    assert main(["fidelity", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    lines = [l for l in (tmp_path / "fidelity.csv").read_text().splitlines()
+             if not l.startswith("#")]
+    assert lines[0].split(",")[4] == "filtered"
+    assert [l.split(",")[4] for l in lines[1:]] == ["1", "0"]
+
+
+def test_cli_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
+    message = ("Unable to allocate 149. GiB for an array with shape (100002, 100002) "
+               "and data type float64")
+
+    def runner(p):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(RUNNERS, "multimode", runner)
+    assert main(["multimode", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert f"phononet: MemoryError: {message}" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_config_doc_tables_match_schemas():

@@ -1,10 +1,17 @@
 """Tests for the Raman spin-phonon interface formulas."""
 
+import json
+import math
+import warnings
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
 import phononet as pn
+from phononet.experiments import resolve_parameters
 from phononet.nv import RamanParams, effective_spin_phonon, figure_of_merit_sweep
 
 
@@ -90,3 +97,35 @@ def test_unequal_rabi_peak_found_by_independent_minimizer():
 def test_sweep_rejects_resonant_grid():
     with pytest.raises(pn.ValidationError, match="resonance"):
         figure_of_merit_sweep(_params(), np.array([0.0, 0.5, 1.0]))
+
+
+def test_array_call_matches_scalar_calls_on_shipped_grid():
+    raw = json.loads((Path(__file__).parents[1] / "configs" / "nv.json").read_text())
+    p = resolve_parameters("nv", raw["parameters"])
+    wm = 2 * math.pi * p["omega_m_hz"]
+    span = p["delta_span_omega_m"] * wm
+    grid = np.linspace(-span, span, p["n_points"])
+    grid = grid[np.abs(np.abs(grid) - wm / 2) > 1e-9 * wm]
+    params = RamanParams(2 * math.pi * p["lambda_hz"], wm, 2 * math.pi * p["omega_rabi0_hz"],
+                         2 * math.pi * p["omega_rabi1_hz"], grid, 2 * math.pi * p["gamma_e_hz"])
+    with pytest.warns(UserWarning, match="dispersive"):  # grid points near the resonances
+        rates = effective_spin_phonon(params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        solo = [effective_spin_phonon(replace(params, delta=float(d))) for d in grid]
+    for name in ("lambda_eff", "gamma_eff_0", "gamma_eff_1", "figure_of_merit"):
+        scalar = np.array([getattr(r, name) for r in solo])
+        np.testing.assert_allclose(getattr(rates, name), scalar, rtol=4.5e-16, atol=0)
+    assert all(isinstance(r.lambda_eff, float) and isinstance(r.figure_of_merit, float)
+               for r in solo[:3])
+
+
+def test_both_drives_off_gives_infinite_figure_of_merit():
+    assert effective_spin_phonon(_params(om0=0.0, om1=0.0)).figure_of_merit == math.inf
+    fom = effective_spin_phonon(_params(delta=np.array([-0.2, 0.0, 1.3]), om0=0.0, om1=0.0))
+    assert np.all(fom.figure_of_merit == math.inf)
+
+
+def test_array_touching_resonance_raises():
+    with pytest.raises(pn.ValidationError, match="singular"):
+        effective_spin_phonon(_params(delta=np.array([0.0, 0.5, 1.0])))

@@ -39,7 +39,7 @@ def _asymmetric_schedule():
 
 def _kernel_on_one_grid(schedule, n_steps):
     """The absorption kernel's segments joined into one time grid."""
-    segments = _absorption_kernel(schedule, n_steps)
+    segments = _absorption_kernel(schedule, n_steps)[2]
     ts = [t0 + dt * np.arange(f.size) for t0, dt, f in segments]
     fs = [f for _, _, f in segments]
     for later in range(1, len(segments)):  # segments share their junction sample
@@ -300,7 +300,7 @@ def _neff_per_step_loop(schedule, noise, n_steps):
 def test_filtered_integral_matches_per_step_recursion(schedule, noise, series):
     n_steps = 4001
     lam = abs(complex(noise.width, noise.center_offset))
-    steps = [dt for _, dt, _ in _absorption_kernel(schedule, n_steps)]
+    steps = [dt for _, dt, _ in _absorption_kernel(schedule, n_steps)[2]]
     assert all(lam * dt <= 1e-6 for dt in steps) == series
     quad = effective_occupation_integral(schedule, noise, n_steps)
     assert quad == pytest.approx(_neff_per_step_loop(schedule, noise, n_steps), rel=1e-12)
@@ -355,6 +355,9 @@ def test_pulse_spectrum_matches_direct_sum(schedule, omega, n_steps, n_segments)
     ts, f, count = _kernel_on_one_grid(schedule, n_steps)
     assert count == n_segments
     assert ts[0] == schedule.t_start and ts[-1] == pytest.approx(schedule.t_end)
+    kernel_ts, kernel_f, _ = _absorption_kernel(schedule, n_steps)  # the N_eff quadrature's grid
+    np.testing.assert_array_equal(kernel_f, f)
+    np.testing.assert_allclose(kernel_ts, ts, rtol=0, atol=1e-14 * np.max(np.abs(ts)))
     weights = np.empty_like(ts)
     weights[1:-1] = 0.5 * (ts[2:] - ts[:-2])
     weights[0] = 0.5 * (ts[1] - ts[0])

@@ -64,6 +64,21 @@ def test_dispersion_even_and_monotone():
     assert np.all(np.diff(ws) > 0)
 
 
+def test_dispersion_over_an_array_of_modes_matches_the_scalar_formula():
+    ch = _chain(n_sites=200)
+    N, w0, K = ch.n_sites, ch.omega0, ch.coupling_K
+    n = np.arange(-(N // 2 - 1), N // 2 + 1)
+    qa = 2 * math.pi * n / N
+    exact = [math.sqrt(w0**2 + 2 * K * w0 * (1 - math.cos(q))) for q in qa.tolist()]
+    tight_binding = [w0 + K * (1 - math.cos(q)) for q in qa.tolist()]
+    # numpy's and libm's cos may round differently: one ulp
+    np.testing.assert_allclose(dispersion_exact(ch, n), exact, rtol=2.3e-16, atol=0)
+    np.testing.assert_allclose(dispersion_tight_binding(ch, qa), tight_binding,
+                               rtol=2.3e-16, atol=0)
+    with pytest.raises(pn.ValidationError, match="Brillouin"):
+        dispersion_exact(ch, np.array([0, N // 2 + 1]))
+
+
 def test_linear_dispersion_window_bound():
     # |omega_q - (offset + c|q|)| / K <= 0.12 for qa in [pi/4, 3pi/4]
     ch = _chain(omega0=1000.0)
