@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import root
 
 from .errors import DesignFailureError, ValidationError
 from .network import (
@@ -205,12 +204,16 @@ def solve_drives_for_target(
     omega_m: float,
     max_alpha: float = 1e6,
 ) -> OpticalDriveDesign:
-    """Invert the drive equations: find (E1, E2, phi1 - phi2) realising a
-    target (t_eff, phase) with balanced fields |alpha1| = |alpha2|.
+    """Invert the drive equations in closed form: the drives (E1, E2,
+    phi1 - phi2) realising a target (t_eff, phase) with balanced fields.
 
-    phi2 is gauged to zero (a common drive phase only rotates both alphas).
-    Raises DesignFailureError when no drive below the |alpha| saturation
-    bound reproduces the target to 1e-6 relative.
+    The fields are alpha1 = |alpha| and alpha2 = |alpha| e^{-i phi} with
+    |alpha| = sqrt(t_target / pref), and the drives are the cavity
+    equations read backwards, E_j e^{i phi_j} = (kappa - i delta) alpha_j
+    - i J alpha_k; phi2 is gauged to zero (a common drive phase only
+    rotates both alphas).  Raises DesignFailureError on an optical
+    normal-mode resonance, for a tunneling sign the detunings cannot give,
+    or when |alpha| exceeds ``max_alpha``.
     """
     dp = delta + tunnel_J + omega_m
     dm = delta - tunnel_J + omega_m
@@ -226,30 +229,10 @@ def solve_drives_for_target(
         raise DesignFailureError(
             f"target needs |alpha| = {alpha_req:.3g} above the saturation bound {max_alpha:.3g}"
         )
-
-    def make(x) -> OpticalDriveDesign:
-        e1, e2, dphi = x
-        return OpticalDriveDesign(
-            delta, delta, tunnel_J, kappa, om_coupling_g,
-            abs(e1), abs(e2), dphi, 0.0,
-        )
-
-    def residual(x):
-        a1, a2 = steady_state_amplitudes(make(x))
-        phase_err = cmath.phase(a1 * np.conj(a2) * cmath.exp(-1j * phi_target))
-        return [
-            (abs(a1) - alpha_req) / alpha_req,
-            (abs(a2) - alpha_req) / alpha_req,
-            phase_err,
-        ]
-
-    # large-J asymptotics: alpha_i ~ i e^{i phi_j} E_j / J (cross-driven)
-    e0 = alpha_req * abs((kappa - 1j * delta) * (kappa - 1j * delta) + tunnel_J**2) / math.hypot(
-        kappa, abs(delta) + tunnel_J
+    a1, a2 = alpha_req, alpha_req * cmath.exp(-1j * phi_target)
+    e1 = (kappa - 1j * delta) * a1 - 1j * tunnel_J * a2
+    e2 = (kappa - 1j * delta) * a2 - 1j * tunnel_J * a1
+    return OpticalDriveDesign(
+        delta, delta, tunnel_J, kappa, om_coupling_g,
+        abs(e1), abs(e2), cmath.phase(e1 * e2.conjugate()), 0.0,
     )
-    sol = root(residual, x0=[e0, e0, -phi_target], method="hybr", tol=1e-12)
-    if not sol.success or np.max(np.abs(sol.fun)) > 1e-6:
-        raise DesignFailureError(
-            f"drive solver did not reach the target: residual {np.max(np.abs(sol.fun)):.2e}"
-        )
-    return make(sol.x)

@@ -239,12 +239,9 @@ def run_transfer(p: dict):
     sch = transfer.analytic_schedule(gmax, tau, p["cutoff_floor_rel"] * gmax)
     ts = np.linspace(-tau / 2, tau / 2, p["n_points"])
     amps = transfer.evolve_amplitudes(sch, ts)
-    g1 = sch.gamma1(ts)
-    g2 = sch.gamma2(ts)
-    resid = np.abs(np.sqrt(g1) * amps.v1 + np.sqrt(g2) * amps.v2) / math.sqrt(gmax)
-    table = np.column_stack(
-        [ts * gmax, g1 / gmax, g2 / gmax, amps.v1, amps.v2, amps.g1, amps.transfer, resid]
-    )
+    resid = transfer.dark_state_residual(amps, sch, ts) / math.sqrt(gmax)
+    table = np.column_stack([ts * gmax, sch.gamma1(ts) / gmax, sch.gamma2(ts) / gmax,
+                             amps.v1, amps.v2, amps.g1, amps.transfer, resid])
     extras = {
         "final_transfer": abs(amps.final_transfer),
         "max_norm_defect": float(np.max(np.abs(amps.v1**2 + amps.v2**2 - 1))),
@@ -399,14 +396,15 @@ def run_nv(p: dict):
         delta=grid,
         gamma_e=_ang(p["gamma_e_hz"]),
     )
-    with warnings.catch_warnings():
+    with warnings.catch_warnings():  # the marginal rows are counted in the metadata instead
         warnings.simplefilter("ignore")
         r = nv.effective_spin_phonon(params)
     table = np.column_stack([grid / omega_m, r.lambda_eff / TWO_PI, r.gamma_eff_0 / TWO_PI,
                              r.gamma_eff_1 / TWO_PI, r.figure_of_merit])
     cols = ["delta_over_omega_m", "lambda_eff_hz", "gamma_eff_0_hz", "gamma_eff_1_hz",
             "figure_of_merit"]
-    return cols, table, {}
+    marginal = int(np.count_nonzero(nv.dispersive_marginal(params)))
+    return cols, table, {"dispersive_marginal_rows": marginal}
 
 
 RUNNERS = {

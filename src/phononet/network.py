@@ -571,17 +571,11 @@ def om_filter_network(
     value sqrt((gamma + gamma0) * kappa / 2)."""
     if g_alpha is None:
         g_alpha = math.sqrt((gamma + gamma0) * kappa / 2)
-    delta = -omega_m if detuning is None else detuning
-    modes = (
-        ModeSpec("a", ModeKind.OPTICAL, -delta),
-        ModeSpec("b", ModeKind.MECHANICAL, omega_m, gamma0, n_th),
+    net = om_cooling_network(
+        omega_m=omega_m, kappa=kappa, g_alpha=g_alpha, gamma0=gamma0, n_th=n_th,
+        detuning=detuning, rotating_wave=rotating_wave,
     )
-    couplings = (CouplingSpec("a", "b", g_alpha, rotating_wave),)
-    ports = (
-        PortSpec("a", 2 * kappa, 0.0),
-        PortSpec("b", gamma, n_th),
-    )
-    return LinearNetwork(modes, couplings, ports)
+    return LinearNetwork(net.modes, net.couplings, net.ports + (PortSpec("b", gamma, n_th),))
 
 
 def multimode_cooling_network(

@@ -29,7 +29,8 @@ import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["RamanParams", "RamanRates", "effective_spin_phonon", "figure_of_merit_sweep"]
+__all__ = ["RamanParams", "RamanRates", "dispersive_marginal", "effective_spin_phonon",
+           "figure_of_merit_sweep"]
 
 
 @dataclass(frozen=True)
@@ -74,18 +75,25 @@ class RamanRates:
             return np.where(m > 0, np.abs(self.lambda_eff) / m, math.inf)[()]
 
 
+def dispersive_marginal(params: RamanParams) -> bool | np.ndarray:
+    """True where a leg breaks the dispersive condition, |Delta_j| < 5 |Omega_j|
+    (elementwise for an array ``delta``)."""
+    return (np.abs(params.delta0) < 5 * abs(params.omega_rabi0)) | (
+        np.abs(params.delta1) < 5 * abs(params.omega_rabi1)
+    )
+
+
 def effective_spin_phonon(params: RamanParams) -> RamanRates:
     """Adiabatically eliminated coupling and per-level decay rates."""
     den = params.delta**2 - params.omega_m**2 / 4
     if np.any(den == 0.0):
         raise ValidationError("Raman resonance Delta = ±omega_m/2: elimination singular")
     d0, d1 = params.delta0, params.delta1
-    for d, om in ((d0, params.omega_rabi0), (d1, params.omega_rabi1)):
-        if om != 0 and np.any(np.abs(d) < 5 * abs(om)):
-            warnings.warn(
-                "dispersive condition |Delta_j| >> Omega_j marginal (ratio < 5)",
-                stacklevel=2,
-            )
+    if np.any(dispersive_marginal(params)):
+        warnings.warn(
+            "dispersive condition |Delta_j| >> Omega_j marginal (ratio < 5)",
+            stacklevel=2,
+        )
     lam_eff = params.coupling_lambda * params.omega_rabi0 * params.omega_rabi1 / den
     g0 = params.gamma_e * params.omega_rabi0**2 / d0**2
     g1 = params.gamma_e * params.omega_rabi1**2 / d1**2

@@ -202,9 +202,9 @@ def evolve_amplitudes(
 ) -> TransferAmplitudes:
     """Integrate the amplitude equations and the closed-form envelopes.
 
-    The ODE is solved piecewise (split at t = 0 where the analytic pulse
-    has a kink); g1, g2 and the transfer amplitude come from independent
-    cumulative quadrature on ``t_grid``, so the two routes can be compared.
+    The ODE is solved in one RK45 run sampled on ``t_grid``; g1, g2 and the
+    transfer amplitude come from independent cumulative quadrature on
+    ``t_grid``, so the two routes can be compared.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 3 or not np.all(np.diff(t_grid) > 0):
@@ -215,28 +215,13 @@ def evolve_amplitudes(
         g2 = schedule.gamma2(t)
         return [-0.5 * g1 * v[0], -0.5 * g2 * v[1] - math.sqrt(g1 * g2) * v[0]]
 
-    pieces = [t_grid]
-    if t_grid[0] < 0.0 < t_grid[-1] and 0.0 not in t_grid:
-        k = np.searchsorted(t_grid, 0.0)
-        pieces = [np.r_[t_grid[:k], 0.0], np.r_[0.0, t_grid[k:]]]
-
-    v = np.asarray(v0, dtype=float)
-    vs = []
-    for i, piece in enumerate(pieces):
-        sol = solve_ivp(
-            rhs, (piece[0], piece[-1]), v, t_eval=piece, rtol=rtol, atol=1e-14,
-            method="RK45", max_step=(piece[-1] - piece[0]) / 16,
-        )
-        if not sol.success:
-            raise NumericalError(f"amplitude integration failed: {sol.message}")
-        block = sol.y.T
-        vs.append(block if i == 0 else block[1:])
-        v = block[-1]
-    vy = np.vstack(vs)
-    if len(pieces) > 1:  # drop the helper sample inserted at the t = 0 kink
-        allt = np.r_[pieces[0], pieces[1][1:]]
-        vy = vy[np.isin(allt, t_grid)]
-    v1, v2 = vy[:, 0], vy[:, 1]
+    sol = solve_ivp(
+        rhs, (t_grid[0], t_grid[-1]), np.asarray(v0, dtype=float), t_eval=t_grid,
+        rtol=rtol, atol=1e-14, method="RK45", max_step=(t_grid[-1] - t_grid[0]) / 16,
+    )
+    if not sol.success:
+        raise NumericalError(f"amplitude integration failed: {sol.message}")
+    v1, v2 = sol.y
 
     g1v = schedule.gamma1(t_grid)
     g2v = schedule.gamma2(t_grid)
@@ -250,15 +235,12 @@ def evolve_amplitudes(
     return TransferAmplitudes(t_grid, v1, v2, env1, env2, transfer)
 
 
-def dark_state_residual(
-    amplitudes: TransferAmplitudes, schedule: PulseSchedule, t: float
-) -> float:
-    """|sqrt(Gamma1) v1 + sqrt(Gamma2) v2| at time t (grid interpolation)."""
+def dark_state_residual(amplitudes: TransferAmplitudes, schedule: PulseSchedule, t):
+    """|sqrt(Gamma1) v1 + sqrt(Gamma2) v2| at time(s) t (grid interpolation,
+    exact at the grid's own samples)."""
     v1 = np.interp(t, amplitudes.times, amplitudes.v1)
     v2 = np.interp(t, amplitudes.times, amplitudes.v2)
-    return abs(
-        math.sqrt(schedule.gamma1(t)) * v1 + math.sqrt(schedule.gamma2(t)) * v2
-    )
+    return np.abs(np.sqrt(schedule.gamma1(t)) * v1 + np.sqrt(schedule.gamma2(t)) * v2)
 
 
 def design_pulses_iterative(

@@ -2,9 +2,12 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import phononet as pn
 from phononet.circulator import (
@@ -269,3 +272,31 @@ def test_solver_unreachable_target():
             delta=-wm, tunnel_J=TWO_PI * 1e9, kappa=TWO_PI * 5e7,
             om_coupling_g=TWO_PI * 1e5, omega_m=wm, max_alpha=10.0,
         )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    t_abs=st.floats(1e-3, 1.0),
+    phi=st.floats(-math.pi, math.pi),
+    delta=st.floats(-3.0, 3.0),
+    tunnel_J=st.floats(0.05, 3.0),
+    kappa=st.floats(1e-3, 1.0),
+)
+@example(t_abs=0.5, phi=math.pi, delta=-1.0, tunnel_J=0.75, kappa=0.0125)
+@example(t_abs=0.4, phi=-math.pi, delta=-1.0, tunnel_J=0.25, kappa=0.0125)
+def test_solver_round_trips_reachable_targets(t_abs, phi, delta, tunnel_J, kappa):
+    # omega_m = 1 sets the units; the sign of t is the one the detunings give
+    wm, g = 1.0, 1e-2
+    dp, dm = delta + tunnel_J + wm, delta - tunnel_J + wm
+    assume(min(abs(dp), abs(dm)) > 1e-3)
+    t = math.copysign(t_abs, 1.0 / dp - 1.0 / dm)
+    design = solve_drives_for_target(
+        t, phi, delta=delta, tunnel_J=tunnel_J, kappa=kappa, om_coupling_g=g, omega_m=wm,
+        max_alpha=math.inf,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the dispersive condition is not the point here
+        eff = effective_coupling(design, wm)
+    assert abs(eff.t_eff / t - 1) < 1e-9
+    assert abs(abs(eff.alpha1) / abs(eff.alpha2) - 1) < 1e-9
+    assert abs(cmath.phase(cmath.exp(1j * (eff.phase - phi)))) < 1e-9

@@ -351,6 +351,27 @@ def test_cli_design_meets_operating_point(tmp_path):
     assert abs(vals["g_alpha_hz"] - 110e6) / 110e6 < 0.02
 
 
+@pytest.mark.parametrize("params", [
+    {"phi_target": math.pi, "tunnel_j_hz": 3e9},
+    {"phi_target": -math.pi, "t_target_over_gamma": 0.4},
+])
+def test_cli_design_reaches_phase_pi(tmp_path, params):
+    cfg = tmp_path / "design.json"
+    cfg.write_text(json.dumps({"experiment": "design", "parameters": params}))
+    assert main(["design", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "design.csv").read_text().splitlines()
+    vals = dict(zip(lines[-2].split(","), map(float, lines[-1].split(","))))
+    assert abs(vals["t_eff_over_target"] - 1) < 1e-6
+    assert abs(math.remainder(vals["phase_eff"] - params["phi_target"], 2 * math.pi)) < 1e-6
+
+
+def test_nv_metadata_counts_marginal_rows(tmp_path):
+    cfg = parse_config((Path(__file__).parents[1] / "configs" / "nv.json").read_text())
+    text = run_experiment(cfg, tmp_path).read_text()
+    meta = json.loads(next(l for l in text.splitlines() if l.startswith("# metadata: "))[12:])
+    assert meta == {"dispersive_marginal_rows": 78}
+
+
 def test_run_config_equality_and_dict():
     cfg = RunConfig("filter", {"a": 1}, 3, "f.csv", "csv")
     assert cfg.as_dict()["output"] == {"path": "f.csv", "format": "csv"}

@@ -12,7 +12,12 @@ from scipy.optimize import minimize_scalar
 
 import phononet as pn
 from phononet.experiments import resolve_parameters
-from phononet.nv import RamanParams, effective_spin_phonon, figure_of_merit_sweep
+from phononet.nv import (
+    RamanParams,
+    dispersive_marginal,
+    effective_spin_phonon,
+    figure_of_merit_sweep,
+)
 
 
 def _params(delta=0.0, om0=0.02, om1=0.02, lam=0.01, wm=1.0, ge=0.1):
@@ -118,6 +123,21 @@ def test_array_call_matches_scalar_calls_on_shipped_grid():
         np.testing.assert_allclose(getattr(rates, name), scalar, rtol=4.5e-16, atol=0)
     assert all(isinstance(r.lambda_eff, float) and isinstance(r.figure_of_merit, float)
                for r in solo[:3])
+
+
+def test_dispersive_marginal_flags_the_warned_rows():
+    grid = np.array([-0.56, -0.3, 0.0, 0.44, 0.62])  # |Delta_j| < 5 * 0.02 near ±1/2
+    params = _params(delta=grid)
+    np.testing.assert_array_equal(dispersive_marginal(params), [True, False, False, True, False])
+    with pytest.warns(UserWarning, match="dispersive"):
+        effective_spin_phonon(params)
+    calm = replace(params, delta=grid[1:3])
+    assert not np.any(dispersive_marginal(calm))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        effective_spin_phonon(calm)
+    # a leg with its drive off never counts
+    assert not dispersive_marginal(_params(delta=0.5 + 1e-3, om0=0.0, om1=0.0))
 
 
 def test_both_drives_off_gives_infinite_figure_of_merit():

@@ -145,6 +145,28 @@ def test_dark_state_residual_small_and_zero_before_pulse():
         assert dark_state_residual(amps, sch, t) < 1e-6 * math.sqrt(sch.gamma_max)
 
 
+def test_perfect_transfer_on_grid_without_t0_sample():
+    # an even point count leaves the pulse kink at t = 0 between samples;
+    # one RK45 run still meets criterion 06's bounds
+    sch = analytic_schedule(1.0)
+    amps = evolve_amplitudes(sch, _grid(n=28000))
+    assert 0.0 not in amps.times
+    assert abs(amps.final_transfer) >= 1 - 1e-3
+    resid = dark_state_residual(amps, sch, np.linspace(0.0, 13.0, 27))
+    assert np.max(resid) / math.sqrt(sch.gamma_max) < 1e-6
+    assert np.max(np.abs(amps.v1**2 + amps.v2**2 - 1.0)) < 1e-6
+    assert np.max(amps.norm_defect()) < 1e-6
+
+
+def test_dark_state_residual_array_matches_scalar_calls():
+    sch = analytic_schedule(1.0)
+    amps = evolve_amplitudes(sch, _grid(n=2801))
+    ts = np.r_[-20.0, amps.times[::100], 3.3333]
+    np.testing.assert_array_equal(
+        dark_state_residual(amps, sch, ts), [dark_state_residual(amps, sch, t) for t in ts]
+    )
+
+
 def test_mismatched_pulses_break_darkness():
     ts = _grid(n=14001)
     g1 = pulse_eq_analytic(ts, 1.0)
