@@ -189,7 +189,7 @@ def effective_coupling(design: OpticalDriveDesign, omega_m: float) -> EffectiveC
         )
     t_eff = (g**2 * alpha_sq / 2) * (1.0 / dp - 1.0 / dm)
     gamma_op = g**2 * alpha_sq * design.kappa * (1.0 / dp**2 + 1.0 / dm**2)
-    phase = cmath.phase(a1) - cmath.phase(a2)
+    phase = cmath.phase(a1 * a2.conjugate())
     return EffectiveCoupling(a1, a2, t_eff, phase, gamma_op, dp, dm)
 
 

@@ -25,6 +25,12 @@ variant with e^{-Gamma_max t} diverges at t = -ln2/Gamma_max and does not
 solve the defining Riccati equation; the form above does and is continuous
 at t = 0.
 
+For any other emitter the absorb pulse is closed form too: a dark
+pair conserves v1^2 + v2^2, so v1^2 = e^{-A} and v2^2 = 1 - e^{-A} with
+A = int Gamma1 dt, and the dark-state condition gives
+Gamma2 = Gamma1 / expm1(A) (``design_pulses_iterative``, a name kept for
+its callers).
+
 Channel noise enters through the spectral overlap of the absorption kernel
 F(w) with the channel occupation N(w); for the inverted-Lorentzian dip this
 reduces to N_eff = (2 g N0 + Gamma_max n_th) / (2 g + Gamma_max) with g the
@@ -247,21 +253,23 @@ def design_pulses_iterative(
     gamma1,
     t_grid: np.ndarray,
     gamma_ceiling: float | None = None,
-    v2_eps: float = 1e-6,
 ) -> PulseSchedule:
-    """Construct Gamma2(t) step by step so the dark-state condition holds.
+    """Absorb pulse Gamma2(t) that keeps the pair dark, in closed form (the
+    name keeps "iterative" for its callers).
 
-    ``gamma1`` is a callable or an array sampled on ``t_grid``.  At each
-    step Gamma2 = Gamma1 v1^2 / v2^2, clamped to ``gamma_ceiling``; while
-    |v2| < v2_eps the absorber is held at the ceiling to bootstrap the
-    transfer, since the ratio is singular at v2 = 0.  Abruptly switched
-    emitters launch one-sided wavepackets whose complete reabsorption
-    needs a large early Gamma2 (the exact requirement diverges at the
-    leading edge), hence the generous default ceiling of 1e3 x max Gamma1.
-    A binding ceiling that prevents the transfer from completing (final
-    |T| < 1 - 1e-3) is a design failure, as is an emit pulse whose
-    survival amplitude stays above 1e-3.  ``gamma1`` is sampled in one call
-    on an internal grid of steps 1e-3 / max(Gamma1) and their midpoints.
+    A dark pair conserves v1^2 + v2^2, so v1^2 = e^{-A} and v2^2 = 1 - e^{-A}
+    with A = int Gamma1 dt, and sqrt(Gamma1) v1 + sqrt(Gamma2) v2 = 0 gives
+    Gamma2 = Gamma1 / expm1(A), clamped to ``gamma_ceiling`` (0 where
+    Gamma1 = 0, the ceiling at A = 0).  ``gamma1`` is a callable or an array
+    sampled on ``t_grid``; it is sampled in one call on an internal grid of
+    steps 1e-3 / max(Gamma1).  Abruptly switched emitters launch one-sided
+    wavepackets whose complete reabsorption needs a large early Gamma2 (the
+    exact requirement diverges at the leading edge), hence the generous
+    default ceiling of 1e3 x max Gamma1.  A binding ceiling that prevents the
+    transfer from completing, |T(tf)| < 1 - 1e-3 with T(tf) = -int
+    e^{-(a2(tf) - a2(t))} sqrt(Gamma1 Gamma2) G1 dt and a2 = int Gamma2 / 2,
+    is a design failure, as is an emit pulse whose survival amplitude stays
+    above 1e-3.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if callable(gamma1):
@@ -281,47 +289,28 @@ def design_pulses_iterative(
     dt = 1e-3 / gmax
     n = int(np.ceil((t_grid[-1] - t_grid[0]) / dt)) + 1
     ts = np.linspace(t_grid[0], t_grid[-1], n)
-    g1_all = np.asarray(g1_of(np.r_[ts, ts[:-1] + 0.5 * np.diff(ts)]), dtype=float)  # RK4 stages
-    g1s = g1_all[:n]
+    g1s = np.asarray(g1_of(ts), dtype=float)
 
-    total = simpson(g1s, x=ts)
-    if math.exp(-total / 2) >= 1e-3:
+    area = cumulative_simpson(g1s, x=ts, initial=0)  # A(t) = int Gamma1
+    survival = math.exp(-area[-1] / 2)
+    if survival >= 1e-3:
         raise DesignFailureError(
-            f"gamma1 leaves survival amplitude {math.exp(-total / 2):.3g} >= 1e-3; "
+            f"gamma1 leaves survival amplitude {survival:.3g} >= 1e-3; "
             "pulse too short or too weak for a complete emission"
         )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        requested = np.where(g1s > 0, g1s / np.expm1(area), 0.0)
+    g2s = np.minimum(requested, gamma_ceiling)
 
-    def f(g1t, g2, v):
-        return -0.5 * g1t * v[0], -0.5 * g2 * v[1] - math.sqrt(g1t * g2) * v[0]
-    t_at, g1_at, g1_mid = ts.tolist(), g1s.tolist(), g1_all[n:].tolist()
-    g2s = []
-    v1, v2 = 1.0, 0.0
-    max_requested = 0.0
-    for k in range(n - 1):
-        g1 = g1_at[k]
-        if abs(v2) < v2_eps:
-            g2 = gamma_ceiling if g1 > 0 else 0.0
-        else:
-            g2 = g1 * v1**2 / v2**2
-            max_requested = max(max_requested, g2)
-            g2 = min(g2, gamma_ceiling)
-        g2s.append(g2)
-        h = t_at[k + 1] - t_at[k]
-        # one classical RK4 step with Gamma2 frozen on the interval
-        k1 = f(g1, g2, (v1, v2))
-        k2 = f(g1_mid[k], g2, (v1 + h / 2 * k1[0], v2 + h / 2 * k1[1]))
-        k3 = f(g1_mid[k], g2, (v1 + h / 2 * k2[0], v2 + h / 2 * k2[1]))
-        k4 = f(g1_at[k + 1], g2, (v1 + h * k3[0], v2 + h * k3[1]))
-        v1 += h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        v2 += h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    g2s.append(g2s[-1])
-
-    if abs(v2) < 1 - 1e-3:
+    a2 = cumulative_simpson(g2s / 2, x=ts, initial=0)
+    transfer = simpson(np.exp(a2 - a2[-1]) * np.sqrt(g1s * g2s) * np.exp(-area / 2), x=ts)
+    if not transfer >= 1 - 1e-3:
+        max_requested = float(np.max(requested[area > 0], initial=0.0))
         raise DesignFailureError(
-            f"transfer incomplete: |T| = {abs(v2):.6f} < 1 - 1e-3 "
+            f"transfer incomplete: |T| = {transfer:.6f} < 1 - 1e-3 "
             f"(Gamma2 ceiling {gamma_ceiling:.3g}, max requested {max_requested:.3g})"
         )
-    return tabulated_schedule(ts, g1s, np.array(g2s), PulseShape.ITERATIVE_DARKSTATE)
+    return tabulated_schedule(ts, g1s, g2s, PulseShape.ITERATIVE_DARKSTATE)
 
 
 # --------------------------------------------------------------------------
@@ -423,9 +412,10 @@ def pulse_spectrum(
 ) -> np.ndarray:
     """Absorption-kernel spectrum F(w) = (2 pi)^{-1/2} int e^{i w t} f(t) dt,
     one chirp-z transform (``scipy.signal.czt``) per uniform kernel segment;
-    ``omega_grid`` must be finite and uniformly spaced and ``n_steps`` >= 4,
-    else ValidationError.  int |F|^2 dw is the emitted norm 1 - G1(tf,t0)^2
-    up to the tail mass outside the grid."""
+    ``omega_grid`` must be finite and uniformly spaced, ``n_steps`` >= 4 and
+    max|w| within the Nyquist limit pi/dt of the coarsest segment, else
+    ValidationError.  int |F|^2 dw is the emitted norm 1 - G1(tf,t0)^2 up to
+    the tail mass outside the grid."""
     omega = np.asarray(omega_grid, dtype=float).ravel()
     if omega.size == 0:
         return np.zeros(0, dtype=complex)
@@ -435,9 +425,16 @@ def pulse_spectrum(
     uniform = omega[0] + d_omega * np.arange(omega.size)
     if not np.max(np.abs(omega - uniform)) <= 1e-10 * np.max(np.abs(omega)):
         raise ValidationError("pulse_spectrum needs a uniformly spaced omega_grid")
+    segments = _absorption_kernel(schedule, n_steps)[2]
+    nyquist, w_max = math.pi / max(dt for _, dt, _ in segments), float(np.max(np.abs(omega)))
+    if w_max > nyquist:
+        raise ValidationError(
+            f"pulse_spectrum omega_grid reaches |w| = {w_max:.6g}, beyond the Nyquist "
+            f"limit pi/dt = {nyquist:.6g} of the kernel's coarsest step; raise n_steps"
+        )
     from scipy.signal import czt  # here, as it would double `import phononet`'s time
     out = np.zeros(omega.size, dtype=complex)
-    for t_start, dt, fs in _absorption_kernel(schedule, n_steps)[2]:
+    for t_start, dt, fs in segments:
         wf = dt * np.r_[fs[0] / 2, fs[1:-1], fs[-1] / 2]  # trapezoid weights
         # sum_j wf_j e^{i w_m (t_start + j dt)} with w_m = omega[0] + m d_omega
         a, w = np.exp(-1j * omega[0] * dt), np.exp(1j * d_omega * dt)

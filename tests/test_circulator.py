@@ -241,6 +241,24 @@ def test_solver_round_trip_and_operating_point():
     assert g_alpha == pytest.approx(TWO_PI * 110e6, rel=0.02)
 
 
+def test_effective_phase_is_the_principal_value():
+    # the phase of alpha1 conj(alpha2), not a difference of two phases in (-2pi, 2pi)
+    wm = TWO_PI * 4e9
+    phis = np.linspace(-math.pi, math.pi, 721)
+    phases = np.array([
+        effective_coupling(solve_drives_for_target(
+            TWO_PI * 12.5e6, float(phi),
+            delta=-wm, tunnel_J=TWO_PI * 1e9, kappa=TWO_PI * 5e7,
+            om_coupling_g=TWO_PI * 1e5, omega_m=wm,
+        ), wm).phase
+        for phi in phis
+    ])
+    assert np.all(np.abs(phases) <= math.pi)
+    # inside the ends the phase is phi itself; at phi = +-pi, -pi and pi are one angle
+    np.testing.assert_allclose(phases[1:-1], phis[1:-1], rtol=0, atol=1e-9)
+    np.testing.assert_allclose(np.abs(phases[[0, -1]]), math.pi, rtol=0, atol=1e-9)
+
+
 def test_solver_phase_sign_symmetry():
     # reversing the target phase flips the drive phase difference; the
     # drive magnitudes agree only approximately (the direct and

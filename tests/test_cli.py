@@ -347,7 +347,10 @@ def test_cli_design_meets_operating_point(tmp_path):
     row = lines[-1].split(",")
     vals = dict(zip(header, map(float, row)))
     assert abs(vals["t_eff_over_target"] - 1) < 1e-6
-    assert vals["gamma_op_over_gamma"] <= 0.05
+    # at delta = -omega_m, Delta_± = ±J, so gamma_op / gamma is kappa / J exactly
+    defaults = {key: value for key, (value, _) in SCHEMAS["design"].items()}
+    kappa_over_j = defaults["kappa_hz"] / defaults["tunnel_j_hz"]
+    assert vals["gamma_op_over_gamma"] == pytest.approx(kappa_over_j, rel=1e-12)
     assert abs(vals["g_alpha_hz"] - 110e6) / 110e6 < 0.02
 
 
