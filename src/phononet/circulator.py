@@ -32,7 +32,7 @@ from .network import (
     ModeKind,
     ModeSpec,
     PortSpec,
-    _response_rows,
+    _scattering_rows,
     build_drift_matrix,
 )
 
@@ -128,13 +128,9 @@ def scattering_probabilities(
     the omega at which the response is singular or ill-conditioned.
     """
     net = circulator_network(spec)
-    drift = build_drift_matrix(net)
     ports = [2 * net.mode_index(p.mode) for p in net.ports]
-    sR = np.sqrt(drift.input_rates[ports])
-    # row 1 of S = 1 - sqrt(R) X sqrt(R) on the port columns
-    S = -sR[0] * _response_rows(drift, omega_grid, ports[:1])[:, 0, ports] * sR
-    S[:, 0] += 1.0
-    return np.abs(S) ** 2
+    S, _ = _scattering_rows(build_drift_matrix(net), omega_grid, ports[:1])
+    return np.abs(S[:, 0, ports]) ** 2
 
 
 def steady_state_amplitudes(design: OpticalDriveDesign) -> tuple[complex, complex]:

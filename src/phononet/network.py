@@ -8,7 +8,8 @@ Langevin equations read
     d/dt A = -M A - sqrt(R) A_in - sqrt(G0) B_in,
 
 with M the drift matrix, R the diagonal matrix of port rates and G0 the
-diagonal matrix of intrinsic rates.  The input-output relation
+diagonal matrix of intrinsic rates; M = [[A, B], [B*, A*]] (interleaved)
+is particle-hole symmetric by construction.  The input-output relation
 A_out = A_in + sqrt(R) A then gives the scattering matrices
 
     S(w)  = 1 - sqrt(R) X(w) sqrt(R),      X(w) = [M - i w]^-1,
@@ -20,7 +21,8 @@ excitation-conserving networks and conserves flux row-wise,
 sum_j |S_ij|^2 + sum_j |S'_ij|^2 = 1 (Gardiner & Collett, PRA 31, 3761
 (1985)).  Every response, from X itself to the spectra and the circulator's
 probabilities, comes from the rows of X it needs on the whole frequency
-grid, from one Schur factorisation of M and a residual check per point.
+grid, from one Schur factorisation of M that also checks stability, and a
+residual check per point; the rows of S and S' come from one function.
 
 Conventions
 -----------
@@ -99,6 +101,8 @@ class ModeSpec:
     bath_occupation: float = 0.0
 
     def __post_init__(self) -> None:
+        if np.imag(self.frequency) != 0:
+            raise ValidationError(f"mode {self.label!r}: frequency must be real")
         if self.intrinsic_rate < 0:
             raise ValidationError(f"mode {self.label!r}: intrinsic_rate must be >= 0")
         if self.bath_occupation < 0:
@@ -184,13 +188,18 @@ class DriftMatrix:
     """Drift matrix in the doubled basis plus the diagonal bath couplings.
 
     ``matrix`` is M with ordering (a1, a1^dag, a2, a2^dag, ...);
-    ``input_rates``/``intrinsic_rates`` are the diagonals of R and G0.
+    ``input_rates``/``intrinsic_rates`` are the diagonals of R and G0, and
+    ``input_occupations``/``intrinsic_occupations`` the bath occupations:
+    N on a_i, and on a_i^dag N again, or the vacuum's 1 when N = 0 (N + 1
+    would be exact; the difference is negligible at the occupations used).
     """
 
     matrix: np.ndarray
     input_rates: np.ndarray
     intrinsic_rates: np.ndarray
     labels: tuple[str, ...]
+    input_occupations: np.ndarray
+    intrinsic_occupations: np.ndarray
 
     @property
     def dimension(self) -> int:
@@ -202,64 +211,44 @@ class DriftMatrix:
         return self.matrix[0::2, 0::2]
 
 
-def _check_particle_hole(M: np.ndarray) -> None:
-    n = M.shape[0]
-    perm = np.arange(n).reshape(-1, 2)[:, ::-1].ravel()
-    sym = M[np.ix_(perm, perm)].conj()
-    scale = max(np.max(np.abs(M)), 1.0)
-    if np.max(np.abs(M - sym)) > 1e-12 * scale:
-        raise ValidationError("drift matrix violates particle-hole symmetry")
-
-
 def build_drift_matrix(network: LinearNetwork) -> DriftMatrix:
-    """Assemble and stability-check the doubled-basis drift matrix.
-
-    Raises StabilityError if any eigenvalue of M has a negative real part
-    (the tolerance is 1e-12 relative to max|M|).
+    """Assemble the doubled-basis drift matrix M = [[A, B], [B*, A*]] from the
+    annihilation block A (i frequency + half rates, i J hoppings) and the
+    anomalous block B (non-RWA terms).  Stability is checked where M is
+    factorised, so every response raises StabilityError for an unstable M.
     """
     n = len(network.modes)
-    M = np.zeros((2 * n, 2 * n), dtype=complex)
-    R = np.zeros(2 * n)
-    G0 = np.zeros(2 * n)
+    A, B = np.zeros((2, n, n), dtype=complex)
+    R, G0, N_in, N0 = np.zeros((4, n))
 
     for i, m in enumerate(network.modes):
-        M[2 * i, 2 * i] += 1j * m.frequency + m.intrinsic_rate / 2
-        M[2 * i + 1, 2 * i + 1] += -1j * m.frequency + m.intrinsic_rate / 2
-        G0[2 * i] = G0[2 * i + 1] = m.intrinsic_rate
+        A[i, i] += 1j * m.frequency + m.intrinsic_rate / 2
+        G0[i], N0[i] = m.intrinsic_rate, m.bath_occupation
 
     for c in network.couplings:
-        i = network.mode_index(c.mode_a)
-        j = network.mode_index(c.mode_b)
+        i, j = network.mode_index(c.mode_a), network.mode_index(c.mode_b)
         J = complex(c.amplitude)
-        M[2 * j, 2 * i] += 1j * J
-        M[2 * i, 2 * j] += 1j * np.conj(J)
-        M[2 * j + 1, 2 * i + 1] += -1j * np.conj(J)
-        M[2 * i + 1, 2 * j + 1] += -1j * J
+        A[j, i] += 1j * J
+        A[i, j] += 1j * np.conj(J)
         if not c.rotating_wave:
-            M[2 * i, 2 * j + 1] += 1j * np.conj(J)
-            M[2 * j, 2 * i + 1] += 1j * np.conj(J)
-            M[2 * i + 1, 2 * j] += -1j * J
-            M[2 * j + 1, 2 * i] += -1j * J
+            B[i, j] += 1j * np.conj(J)
+            B[j, i] += 1j * np.conj(J)
 
     for p in network.ports:
         k = network.mode_index(p.mode)
-        M[2 * k, 2 * k] += p.rate / 2
-        M[2 * k + 1, 2 * k + 1] += p.rate / 2
-        R[2 * k] += p.rate
-        R[2 * k + 1] += p.rate
+        A[k, k] += p.rate / 2
+        R[k] += p.rate
+        N_in[k] = p.input_occupation
 
-    _check_particle_hole(M)
+    M = np.empty((2 * n, 2 * n), dtype=complex)
+    M[0::2, 0::2], M[0::2, 1::2] = A, B
+    M[1::2, 0::2], M[1::2, 1::2] = B.conj(), A.conj()
 
-    eigs = np.linalg.eigvals(M)
-    tol = _STABILITY_TOL * max(np.max(np.abs(M)), 1.0)
-    bad = eigs[np.real(eigs) < -tol]
-    if bad.size:
-        worst = bad[np.argmin(np.real(bad))]
-        raise StabilityError(
-            f"drift matrix is unstable: eigenvalue {worst!r} has negative real part"
-        )
-
-    return DriftMatrix(M, R, G0, tuple(m.label for m in network.modes))
+    N = np.stack([N_in, N0])  # on a^dag: N again, or the vacuum's 1
+    N_in, N0 = np.stack([N, np.where(N > 0, N, 1.0)], axis=-1).reshape(2, 2 * n)
+    return DriftMatrix(
+        M, np.repeat(R, 2), np.repeat(G0, 2), tuple(m.label for m in network.modes), N_in, N0
+    )
 
 
 def _response_rows(drift: DriftMatrix, omegas, rows) -> np.ndarray:
@@ -271,7 +260,9 @@ def _response_rows(drift: DriftMatrix, omegas, rows) -> np.ndarray:
     substitution over T's columns, each step vectorised over the grid.  The
     residual shifts M's diagonal before the product: X @ M - i w X would
     cancel eps |w X| (1e-8 at Q ~ 1e8).  Raises ValidationError for an empty
-    grid, SingularFrequencyError naming an omega that is not finite, where
+    grid; StabilityError naming the eigenvalue (diag T + i w0) of most
+    negative real part when one lies below -1e-12 max(|M|, 1); and
+    SingularFrequencyError naming an omega that is not finite, where
     M - i w is singular, or where max|x (M - i w) - e_r| exceeds 1e-8 or is NaN.
     """
     omegas = np.asarray(omegas, dtype=float)
@@ -281,8 +272,14 @@ def _response_rows(drift: DriftMatrix, omegas, rows) -> np.ndarray:
     finite = omegas[np.isfinite(omegas)]
     w0 = 0.5 * (finite.min() + finite.max()) if finite.size else 0.0
     T, Q = schur(M - 1j * w0 * np.eye(d), output="complex")
-    shifted = T.diagonal()[:, None] - 1j * (omegas - w0)  # (dim, n_w)
     tol = _STABILITY_TOL * max(np.max(np.abs(M)), 1.0)
+    eigs = T.diagonal()
+    worst = complex(eigs[np.argmin(eigs.real)] + 1j * w0)
+    if worst.real < -tol:
+        raise StabilityError(
+            f"drift matrix is unstable: eigenvalue {worst!r} has negative real part"
+        )
+    shifted = eigs[:, None] - 1j * (omegas - w0)  # (dim, n_w)
     singular = ~np.isfinite(omegas) | (np.min(np.abs(shifted), axis=0) <= tol)
     if np.any(singular):
         w = omegas[np.argmax(singular)]
@@ -305,8 +302,16 @@ def _response_rows(drift: DriftMatrix, omegas, rows) -> np.ndarray:
     return X.reshape(n, k, d)
 
 
+def _scattering_rows(drift: DriftMatrix, omegas, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``rows`` of S = 1 - sqrt(R) X sqrt(R) and S' = sqrt(R) X sqrt(G0)
+    on the grid, each of shape (len(omegas), len(rows), dim)."""
+    sR = np.sqrt(drift.input_rates)
+    left = sR[rows][:, None] * _response_rows(drift, omegas, rows)
+    return np.eye(drift.dimension)[rows] - left * sR, left * np.sqrt(drift.intrinsic_rates)
+
+
 def susceptibility(drift: DriftMatrix, omega: float) -> np.ndarray:
-    """X(omega) = [M - i*omega]^-1; raises SingularFrequencyError naming omega."""
+    """X(omega) = [M - i*omega]^-1; raises StabilityError or SingularFrequencyError."""
     return _response_rows(drift, [omega], range(drift.dimension))[0]
 
 
@@ -320,12 +325,8 @@ def scattering(
     routes intrinsic-bath noise into the ports.
     """
     drift = build_drift_matrix(network) if drift is None else drift
-    X = susceptibility(drift, omega)
-    sR = np.sqrt(drift.input_rates)
-    sG = np.sqrt(drift.intrinsic_rates)
-    S = np.eye(drift.dimension, dtype=complex) - sR[:, None] * X * sR[None, :]
-    Sp = sR[:, None] * X * sG[None, :]
-    return S, Sp
+    S, Sp = _scattering_rows(drift, [omega], range(drift.dimension))
+    return S[0], Sp[0]
 
 
 def port_block(network: LinearNetwork, S: np.ndarray) -> np.ndarray:
@@ -377,33 +378,20 @@ class NoiseSpectrum:
             raise ValidationError(f"negative spectral value {np.min(values)!r}")
 
 
-def _bath_columns(network: LinearNetwork):
-    """Yield (column, rate, occupation, is_port) for every port and intrinsic bath."""
-    for p in network.ports:
-        yield 2 * network.mode_index(p.mode), p.rate, p.input_occupation, True
-    for i, m in enumerate(network.modes):
-        if m.intrinsic_rate > 0:
-            yield 2 * i, m.intrinsic_rate, m.bath_occupation, False
-
-
-def _channel_sum(network: LinearNetwork, omega_grid, mode: str, output: bool) -> NoiseSpectrum:
-    """Sum occupation * |amplitude|^2 over the bath channels of ``mode``'s row:
-    sqrt(r) X_row,c for a channel of rate r in column c; for the out-field,
-    times sqrt(R_row) and less the direct reflection on the mode's own port.
-    An anomalous column c + 1 carries occupation N, not N+1 (negligible at
-    the occupations of interest); a vacuum bath keeps the commutator's 1 there.
-    """
+def _spectrum(network: LinearNetwork, omega_grid, mode: str, output: bool) -> NoiseSpectrum:
+    """Occupation-weighted power of ``mode``'s row over every bath channel:
+    |S_r|^2 N_in + |S'_r|^2 N0 for the out-field, |X_r|^2 (R N_in + G0 N0)
+    inside."""
     drift = build_drift_matrix(network)
-    r = 2 * network.mode_index(mode)
-    X = _response_rows(drift, omega_grid, [r])[:, 0, :]
-    scale = math.sqrt(drift.input_rates[r]) if output else 1.0
-    vals = np.zeros(len(X))
-    for col, rate, n, is_port in _bath_columns(network):
-        amp = scale * X[:, col : col + 2] * math.sqrt(rate)
-        if output and is_port and col == r:
-            amp[:, 0] -= 1.0
-        vals += n * np.abs(amp[:, 0]) ** 2
-        vals += (n if n > 0 else 1.0) * np.abs(amp[:, 1]) ** 2
+    rows = [2 * network.mode_index(mode)]
+    if output:
+        S, Sp = _scattering_rows(drift, omega_grid, rows)
+        vals = (np.abs(S[:, 0]) ** 2 @ drift.input_occupations
+                + np.abs(Sp[:, 0]) ** 2 @ drift.intrinsic_occupations)
+    else:
+        weights = (drift.input_rates * drift.input_occupations
+                   + drift.intrinsic_rates * drift.intrinsic_occupations)
+        vals = np.abs(_response_rows(drift, omega_grid, rows)[:, 0]) ** 2 @ weights
     return NoiseSpectrum(omega_grid, np.maximum(vals, 0.0))
 
 
@@ -413,11 +401,12 @@ def internal_spectrum(
     """Stationary fluctuation spectrum <a^dag(w) a(w')> of an internal mode.
 
     Sums rate * occupation * |X_row,col|^2 over every bath channel.  Raises
-    ValidationError for an unknown mode or an empty grid, StabilityError for
-    an unstable network, and SingularFrequencyError naming the omega where
+    ValidationError for an unknown mode or an empty grid, and, from the
+    response core's one Schur factorisation, StabilityError naming the
+    unstable eigenvalue and SingularFrequencyError naming the omega where
     the response is singular or ill-conditioned.
     """
-    return _channel_sum(network, omega_grid, mode, output=False)
+    return _spectrum(network, omega_grid, mode, output=False)
 
 
 def output_spectrum(
@@ -431,7 +420,7 @@ def output_spectrum(
     """
     if network.port_for(port_mode) is None:
         raise ValidationError(f"mode {port_mode!r} has no port")
-    return _channel_sum(network, omega_grid, port_mode, output=True)
+    return _spectrum(network, omega_grid, port_mode, output=True)
 
 
 def filtered_noise_spectrum(

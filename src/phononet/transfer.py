@@ -210,7 +210,10 @@ def evolve_amplitudes(
 
     The ODE is solved in one RK45 run sampled on ``t_grid``; g1, g2 and the
     transfer amplitude come from independent cumulative quadrature on
-    ``t_grid``, so the two routes can be compared.
+    ``t_grid``, so the two routes can be compared.  The transfer's
+    quadrature -e^{-a2(t)} int e^{a2} sqrt(Gamma1 Gamma2) G1 ds restarts
+    wherever a2 = int Gamma2/2 has risen by 300, carrying its running sum
+    over with e^{-rise}, so e^{a2} never overflows.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 3 or not np.all(np.diff(t_grid) > 0):
@@ -235,8 +238,15 @@ def evolve_amplitudes(
     a2 = cumulative_simpson(g2v / 2, x=t_grid, initial=0)
     env1 = np.exp(-a1)
     env2 = np.exp(-a2)
-    integrand = np.exp(a2) * np.sqrt(g1v * g2v) * env1
-    transfer = -env2 * cumulative_simpson(integrand, x=t_grid, initial=0)
+    root, transfer, s, carry = np.sqrt(g1v * g2v), np.empty_like(t_grid), 0, 0.0
+    while s < t_grid.size - 1:  # one piece from s; the sum is carried scaled by e^{-a2[s]}
+        over = np.nonzero(a2[s + 1 :] - a2[s] > 300.0)[0]
+        piece = slice(s, s + max(int(over[0]), 1) + 1 if over.size else t_grid.size)
+        rise = a2[piece] - a2[s]
+        integrand = np.exp(rise) * root[piece] * env1[piece]
+        run = carry + cumulative_simpson(integrand, x=t_grid[piece], initial=0)
+        transfer[piece] = -np.exp(-rise) * run
+        s, carry = piece.stop - 1, run[-1] * np.exp(-rise[-1])
 
     return TransferAmplitudes(t_grid, v1, v2, env1, env2, transfer)
 

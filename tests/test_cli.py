@@ -193,6 +193,18 @@ def test_cli_singular_grid_point_exits_3(tmp_path, capsys):
     assert "SingularFrequencyError: response singular at omega=" in capsys.readouterr().err
 
 
+def test_cli_unstable_network_exits_3_naming_eigenvalue(tmp_path, capsys):
+    # the full model at this drive is past the parametric instability
+    cfg = tmp_path / "unstable.json"
+    cfg.write_text(json.dumps({
+        "experiment": "filter", "parameters": {"model": "full", "g_alpha_hz": 700},
+    }))
+    assert main(["filter", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "StabilityError: drift matrix is unstable: eigenvalue (-2026.58" in err
+    assert "np." not in err
+
+
 @pytest.mark.parametrize(
     "experiment, params",
     [

@@ -97,8 +97,16 @@ def test_unstable_network_raises_naming_eigenvalue():
         couplings=(CouplingSpec("a", "b", 5.0, rotating_wave=False),),
         ports=(PortSpec("a", 0.4), PortSpec("b", 0.4)),
     )
+    # the check runs where M is factorised, so every response carries it
     with pytest.raises(pn.StabilityError, match="eigenvalue"):
-        build_drift_matrix(net)
+        susceptibility(build_drift_matrix(net), 0.0)
+    with pytest.raises(pn.StabilityError, match=r"eigenvalue \(-"):
+        internal_spectrum(net, [1.0], "b")
+
+
+def test_complex_mode_frequency_rejected():
+    with pytest.raises(pn.ValidationError, match="mode 'a'"):
+        ModeSpec("a", ModeKind.OPTICAL, 1 + 0.5j)
 
 
 # --------------------------------------------------------------- response
@@ -232,12 +240,28 @@ def _random_networks(draw, rwa_only=False):
     return LinearNetwork(modes, couplings, ports)
 
 
+@settings(max_examples=100, deadline=None)
+@given(net=_random_networks(), w=st.floats(-4.0, 4.0))
+def test_drift_symmetric_and_stability_matches_eigenvalue_oracle(net, w):
+    d = build_drift_matrix(net)
+    M = d.matrix
+    assert _ph_defect(M) == 0.0
+    tol = 1e-12 * max(np.max(np.abs(M)), 1.0)
+    lowest = np.min(np.linalg.eigvals(M).real)
+    assume(abs(lowest + tol) > 1e-9 * max(np.max(np.abs(M)), 1.0))
+    try:
+        susceptibility(d, w)
+    except pn.StabilityError:
+        assert lowest < -tol
+    except pn.SingularFrequencyError:  # an undamped network may be singular at w
+        assert lowest >= -tol
+    else:
+        assert lowest >= -tol
+
+
 def _damped_drift(net):
     """The drift matrix, skipping unstable or nearly undamped networks."""
-    try:
-        d = build_drift_matrix(net)
-    except pn.StabilityError:
-        assume(False)
+    d = build_drift_matrix(net)
     assume(np.min(np.linalg.eigvals(d.matrix).real) > 1e-2)
     return d
 

@@ -138,6 +138,16 @@ def test_perfect_transfer_and_route_agreement():
     assert np.max(amps.norm_defect()) < 1e-6
 
 
+def test_transfer_quadrature_finite_past_exp_overflow():
+    # int Gamma2/2 reaches 750 > ln(max float) ~ 709: e^{a2} alone would overflow
+    ts = np.linspace(0.0, 30.0, 30001)
+    sch = tabulated_schedule(ts, np.ones_like(ts), np.full_like(ts, 50.0))
+    amps = evolve_amplitudes(sch, ts)
+    exact = -math.sqrt(50.0) * (np.exp(-ts / 2) - np.exp(-25.0 * ts)) / 24.5
+    assert np.all(np.isfinite(amps.transfer))
+    assert np.max(np.abs(amps.transfer - exact)) < 1e-8
+
+
 def test_dark_state_residual_small_and_zero_before_pulse():
     sch = analytic_schedule(1.0)
     ts = _grid()
