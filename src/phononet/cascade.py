@@ -21,6 +21,11 @@ sweep integrates one copy of it per N_eff, block-diagonally, in one solve.
 
 The generator is built once as constant sparse superoperators and
 integrated with scipy's BDF solver: the channel's thermal decay is stiff.
+Every term conserves the ket-minus-bra excitation number k of an entry
+|m><n| of rho (Buca & Prosen, NJP 14, 073007 (2012)), so the solver
+evolves only the k-sectors that the initial state occupies (k in
+{-1, 0, +1} for the states built here); the other entries stay exactly 0,
+and the solver's RMS error norm spans the evolved entries only.
 
 A transferred amplitude arrives with a deterministic sign flip
 (the transfer amplitude tends to -1), so the ideal target for
@@ -30,6 +35,7 @@ this convention.
 
 from __future__ import annotations
 
+import copy
 import gc
 import logging
 import math
@@ -85,6 +91,8 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError("density matrix must be square")
+        if not np.all(np.isfinite(m)):
+            raise ValidationError("density matrix has non-finite entries")
         if abs(np.trace(m).real - 1.0) > 1e-8 or abs(np.trace(m).imag) > 1e-10:
             raise ValidationError(f"trace {np.trace(m)!r} is not 1 within 1e-8")
         if np.max(np.abs(m - m.conj().T)) > 1e-10:
@@ -173,8 +181,8 @@ class CascadedModel:
         ns = [float(n) for n in np.ravel(n_th)]
         if np.ndim(n_th) > 1 or not ns:
             raise ValidationError("n_th must be a number or a non-empty list of numbers")
-        if any(n < 0 for n in ns):
-            raise ValidationError("n_th must be >= 0")
+        if not all(math.isfinite(n) and n >= 0 for n in ns):
+            raise ValidationError(f"n_th must be finite and >= 0, got {n_th!r}")
         if include_cavity and np.ndim(n_th):
             raise ValidationError("a list of n_th needs the two-qubit model (include_cavity=False)")
         self.schedule = schedule
@@ -182,12 +190,12 @@ class CascadedModel:
         self.copies = len(ns)
         self.include_cavity = include_cavity
         if include_cavity:
-            if gamma <= 0:
-                raise ValidationError("cavity model needs gamma > 0")
+            if not (math.isfinite(gamma) and gamma > 0):
+                raise ValidationError(f"cavity model needs a finite gamma > 0, got {gamma!r}")
             self.gamma = float(gamma)
             self.gamma_op = float(gamma if gamma_op is None else gamma_op)
-            if self.gamma_op < 0:
-                raise ValidationError("gamma_op must be >= 0")
+            if not (math.isfinite(self.gamma_op) and self.gamma_op >= 0):
+                raise ValidationError(f"gamma_op must be finite and >= 0, got {gamma_op!r}")
             if fock_cutoff is None:
                 fock_cutoff = default_fock_cutoff(n_th)
                 uncapped = _uncapped_fock_cutoff(n_th)
@@ -218,6 +226,9 @@ class CascadedModel:
         # each pair's block is block-diagonal over the copies; one copy is that block itself
         self._stack = sp.vstack([sp.block_diag(b, format="csr") for b in zip(*per_copy)],
                                 format="csr")
+        # ket-minus-bra excitation number of every vec(rho) entry, tiled over the copies
+        exc = np.indices(dims).sum(axis=0).ravel()
+        self._k = np.tile((exc[:, None] - exc).ravel(), self.copies)
 
     # -- state constructors -------------------------------------------------
 
@@ -251,17 +262,28 @@ class CascadedModel:
     def rhs(self, t: float, rho: np.ndarray) -> np.ndarray:
         """Apply the generator at time t to rho (a matrix, the copies as a
         (K, d, d) array, or the row-major vectorisation); the result has
-        rho's shape."""
+        rho's shape.  On a model restricted to excitation sectors (see
+        ``integrate``) rho is the vector of the sector's entries."""
         rho = np.asarray(rho)
-        n2 = self.copies * self.dimension**2
+        n2 = self._stack.shape[1]
         drho = self._coefficients(t) @ (self._stack @ rho.reshape(n2)).reshape(-1, n2)
         return drho.reshape(rho.shape)
 
     def _generator(self, t: float) -> sp.csr_matrix:
         """The sparse superoperator L(t) that ``rhs`` applies."""
         coef = sp.csr_matrix(self._coefficients(t)[None, :])
-        n2 = self.copies * self.dimension**2
+        n2 = self._stack.shape[1]
         return (sp.kron(coef, sp.identity(n2), format="csr") @ self._stack).tocsr()
+
+    def _restricted(self, keep: np.ndarray) -> CascadedModel:
+        """A shallow copy whose generator acts on the vec(rho) entries ``keep``
+        only: the rows and columns ``keep`` of every pair block.  Exact when
+        ``keep`` is a union of excitation sectors, which L(t) maps to itself."""
+        n2 = self._stack.shape[1]
+        rows = (np.arange(len(self._pairs))[:, None] * n2 + keep).ravel()
+        sub = copy.copy(self)
+        sub._stack = self._stack[rows][:, keep]
+        return sub
 
     # -- observables ----------------------------------------------------------
 
@@ -285,7 +307,8 @@ class CascadedModel:
 
 class Trajectory(list):
     """The samples of one ``integrate`` run, with the solver's work counts
-    (``rhs_calls``, ``jacobians``, ``lu_factorisations``) in ``stats``."""
+    (``rhs_calls``, ``jacobians``, ``lu_factorisations``) and the number of
+    evolved ``unknowns`` in ``stats``."""
 
     def __init__(self, samples, stats: dict[str, int]):
         super().__init__(samples)
@@ -302,19 +325,27 @@ def integrate(
 ) -> Trajectory:
     """Integrate the cascaded master equation with a stiff BDF solver.
 
-    ``scipy.integrate.solve_ivp(method="BDF")`` runs on the vectorised
-    state with ``model.rhs`` as the right-hand side and the sparse
-    generator L(t) as the Jacobian.  Its error test is the RMS over all
-    entries of err / (atol + rtol |rho_ij|), not a maximum norm; for a
-    model with several copies the RMS spans the entries of every copy.
+    The generator conserves the ket-minus-bra excitation number k of every
+    entry of rho, so only the k-sectors that the initial state(s) occupy are
+    evolved: the union of k over the nonzero entries of vec(rho0).  For the
+    states of ``initial_state`` that is k in {-1, 0, +1}, or k = 0 alone for
+    a diagonal state; a state with weight in every sector evolves the full
+    space.  ``scipy.integrate.solve_ivp(method="BDF")`` runs on the sector's
+    entries with ``rhs`` and ``_generator`` of a copy of the model restricted
+    to them as the right-hand side and Jacobian; the entries outside the
+    sector are exact zeros in the returned samples.  The solver's error test
+    is the RMS over the evolved entries of err / (atol + rtol |rho_ij|), not
+    a maximum norm; for a model with several copies it spans the evolved
+    entries of every copy.
     One solver run covers t0 to the last sample time; the samples are read
     from its dense output at exactly the requested times and each is
     re-Hermitised.  ``rho0`` is one state, and then each sample is one
     ``DensityMatrix``, or a sequence of ``model.copies`` states, and then
     each sample is a list of them.  A non-finite or non-positive ``rtol``
     or ``atol`` raises ``ValidationError``; solver failure raises
-    ``NumericalError``.  The solver statistics are returned in the
-    trajectory's ``stats`` and logged at DEBUG on ``phononet.cascade``.
+    ``NumericalError``.  The solver statistics and the number of evolved
+    ``unknowns`` are returned in the trajectory's ``stats`` and logged at
+    DEBUG on ``phononet.cascade``.
     """
     for key, tol in (("rtol", rtol), ("atol", atol)):
         if not (math.isfinite(tol) and tol > 0):
@@ -337,32 +368,36 @@ def integrate(
     if np.any(t_eval < t0) or np.any(t_eval > t1) or not np.all(np.diff(t_eval) > 0):
         raise ValidationError("t_eval must be increasing within t_span")
 
+    y0 = np.concatenate([r.matrix.ravel() for r in states])
+    keep = np.flatnonzero(np.isin(model._k, model._k[y0 != 0]))
     # a sample at t0 is the initial state; the rest come from one solver run
     out = [[DensityMatrix(r.matrix.copy(), t) for r in states]
            for t in t_eval[t_eval == t0].tolist()]
     later = t_eval[t_eval > t0]
-    stats = {"rhs_calls": 0, "jacobians": 0, "lu_factorisations": 0}
+    stats = {"rhs_calls": 0, "jacobians": 0, "lu_factorisations": 0, "unknowns": keep.size}
     if later.size:
-        failed = f"BDF integration failed between t = {t0!r} and {later[-1]!r}"
-        y0 = np.concatenate([r.matrix.ravel() for r in states])
+        failed = f"BDF integration failed between t = {float(t0)!r} and {float(later[-1])!r}"
+        sector = model._restricted(keep)
         try:  # t_eval: keep the samples only, not every step's state
             sol = solve_ivp(
-                model.rhs, (t0, later[-1]), y0, method="BDF", t_eval=later,
-                rtol=rtol, atol=atol, jac=lambda s, _: model._generator(s),
+                sector.rhs, (t0, later[-1]), y0[keep], method="BDF", t_eval=later,
+                rtol=rtol, atol=atol, jac=lambda s, _: sector._generator(s),
             )
         except RuntimeError as exc:  # singular Newton matrix, from SuperLU
             raise NumericalError(f"{failed}: {exc}") from exc
         # BDF is a reference cycle holding SuperLU factors (~1.2 kB per nonzero): free it
         gc.collect(1)
-        stats = {"rhs_calls": int(sol.nfev), "jacobians": int(sol.njev),
-                 "lu_factorisations": int(sol.nlu)}
+        stats.update(rhs_calls=int(sol.nfev), jacobians=int(sol.njev),
+                     lu_factorisations=int(sol.nlu))
         if sol.status != 0 or not np.all(np.isfinite(sol.y)):
             raise NumericalError(f"{failed}: {sol.message}")
-        rhos = sol.y.T.reshape(later.size, len(states), model.dimension, model.dimension)
+        ys = np.zeros((later.size, y0.size), dtype=complex)
+        ys[:, keep] = sol.y.T
+        rhos = ys.reshape(later.size, len(states), model.dimension, model.dimension)
         out += [[DensityMatrix(0.5 * (r + r.conj().T), t) for r in sample]
                 for sample, t in zip(rhos, later.tolist())]
     _log.debug("integrate: dim %d, %d copies, %d samples, %d RHS calls, %d Jacobians, "
-               "%d LU factorisations", model.dimension, model.copies, len(out),
+               "%d LU factorisations, %d unknowns", model.dimension, model.copies, len(out),
                *stats.values())
     if single:
         out = [sample[0] for sample in out]

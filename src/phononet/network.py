@@ -103,6 +103,9 @@ class ModeSpec:
     def __post_init__(self) -> None:
         if np.imag(self.frequency) != 0:
             raise ValidationError(f"mode {self.label!r}: frequency must be real")
+        for field in ("frequency", "intrinsic_rate", "bath_occupation"):
+            if not np.isfinite(getattr(self, field)):
+                raise ValidationError(f"mode {self.label!r}: {field} must be finite")
         if self.intrinsic_rate < 0:
             raise ValidationError(f"mode {self.label!r}: intrinsic_rate must be >= 0")
         if self.bath_occupation < 0:
@@ -139,6 +142,9 @@ class PortSpec:
     input_occupation: float = 0.0
 
     def __post_init__(self) -> None:
+        for field in ("rate", "input_occupation"):
+            if not np.isfinite(getattr(self, field)):
+                raise ValidationError(f"port on {self.mode!r}: {field} must be finite")
         if self.rate <= 0:
             raise ValidationError(f"port on {self.mode!r}: rate must be > 0")
         if self.input_occupation < 0:

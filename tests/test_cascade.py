@@ -408,3 +408,104 @@ def test_copies_need_the_two_qubit_model_and_one_state_each():
         integrate(model, rho0, sch.window)
     with pytest.raises(pn.ValidationError, match="3 initial states for 2 model copies"):
         integrate(model, [rho0] * 3, sch.window)
+
+
+# ------------------------------------------------------- non-finite inputs
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"n_th": math.nan, "gamma": 10.0}, "n_th"),
+    ({"n_th": 0.5, "gamma": math.inf}, "gamma"),
+    ({"n_th": 0.5, "gamma": 10.0, "gamma_op": math.nan}, "gamma_op"),
+    ({"n_th": [0.5, math.inf], "include_cavity": False}, "n_th"),
+])
+def test_non_finite_cascade_inputs_rejected(kwargs, name):
+    with pytest.raises(pn.ValidationError, match=rf"^(cavity model needs a finite )?{name}\b"):
+        CascadedModel(analytic_schedule(1.0), fock_cutoff=3, **kwargs)
+
+
+def test_density_matrix_refuses_non_finite_entries():
+    m = np.diag([0.5, 0.5]).astype(complex)
+    m[0, 1] = m[1, 0] = math.nan  # fails no trace or Hermiticity comparison
+    with pytest.raises(pn.ValidationError, match="non-finite"):
+        DensityMatrix(m, 0.0)
+
+
+def test_solver_failure_names_the_span_in_plain_floats():
+    model = _NonFiniteModel(_zero_schedule(), n_th=0.0, include_cavity=False)
+    with pytest.raises(pn.NumericalError, match=r"between t = -1\.0 and 1\.0: "):
+        integrate(model, model.initial_state(), (-1.0, 1.0))
+
+
+# --------------------------------------------------------- excitation sectors
+
+
+def _excitation_difference(model):
+    """k = n(ket) - n(bra) of every entry of one copy's rho, as a (d, d) array."""
+    dims = (model.fock_cutoff + 1, 2, 2) if model.include_cavity else (2, 2)
+    n = np.indices(dims).sum(axis=0).ravel()
+    return n[:, None] - n[None, :]
+
+
+@pytest.mark.parametrize("psi, unknowns", [((1.0, 1.0), 384), ((0.0, 1.0), 132)])
+def test_integrate_evolves_only_the_occupied_sectors(caplog, psi, unknowns):
+    # cutoff 8: |k| <= 1 keeps 384 of 1296 entries, the diagonal k = 0 state 132
+    sch = analytic_schedule(1.0, cutoff_floor=1e-4)
+    model = CascadedModel(sch, n_th=0.5, gamma=10.0, fock_cutoff=8)
+    with caplog.at_level(logging.DEBUG, logger="phononet.cascade"):
+        traj = integrate(model, model.initial_state(psi), (-14.0, -12.0))
+    assert traj.stats["unknowns"] == unknowns
+    assert f"{unknowns} unknowns" in caplog.text
+    k = _excitation_difference(model)
+    assert np.count_nonzero(np.abs(k) <= (1 if psi[0] else 0)) == unknowns
+    assert np.all(traj[-1].matrix[np.abs(k) > 1] == 0)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    fock_cutoff=st.integers(2, 4),
+    n_th=st.floats(0.0, 2.0),
+    gamma=st.floats(0.5, 20.0),
+    gamma_op_rel=st.floats(0.0, 2.0),
+    include_cavity=st.booleans(),
+    t=st.floats(-6.0, 14.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_excitation_sectors_are_exact(
+    fock_cutoff, n_th, gamma, gamma_op_rel, include_cavity, t, seed
+):
+    sch = analytic_schedule(1.0, cutoff_floor=1e-4)
+    model = CascadedModel(sch, n_th, gamma=gamma, gamma_op=gamma_op_rel * gamma,
+                          fock_cutoff=fock_cutoff, include_cavity=include_cavity)
+    k = _excitation_difference(model)
+    rng = np.random.default_rng(seed)
+    d = model.dimension
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    # the generator maps one sector into itself, exactly
+    sector = k == rng.integers(k.min(), k.max() + 1)
+    assert np.all(model.rhs(t, np.where(sector, a, 0))[~sector] == 0)
+    # a full-rank state's k = 0 block evolves as its k = 0 projection does
+    rho = a @ a.conj().T
+    rho /= np.trace(rho)
+    proj = np.where(k == 0, rho, 0)  # block-diagonal in n: still a density matrix
+    full = integrate(model, DensityMatrix(rho, -14.0), (-14.0, t))
+    diag = integrate(model, DensityMatrix(proj, -14.0), (-14.0, t))
+    assert full.stats["unknowns"] == d * d
+    assert diag.stats["unknowns"] == np.count_nonzero(k == 0)
+    assert np.all(diag[-1].matrix[k != 0] == 0)
+    assert np.max(np.abs(full[-1].matrix[k == 0] - diag[-1].matrix[k == 0])) < 1e-6
+
+
+@settings(max_examples=3, deadline=None)
+@given(n_th=st.floats(0.0, 3.0), gamma=st.floats(3.0, 20.0))
+def test_all_pass_cavity_equals_reduced_model(n_th, gamma):
+    # gamma_op = 0 makes the cavity an all-pass filter of the white channel:
+    # qubit 2 sees n_th exactly as in the reduced model at n_eff = n_th
+    sch = analytic_schedule(1.0, cutoff_floor=1e-4)
+    tols = {"rtol": 1e-10, "atol": 1e-12}
+    full = CascadedModel(sch, n_th=n_th, gamma=gamma, gamma_op=0.0)
+    red = CascadedModel(sch, n_th=n_th, include_cavity=False)
+    psi = (1.0, 1.0)
+    rf = integrate(full, full.initial_state(psi), sch.window, **tols)[-1].matrix
+    rr = integrate(red, red.initial_state(psi), sch.window, **tols)[-1].matrix
+    assert np.max(np.abs(full.reduce_to_qubit2(rf) - red.reduce_to_qubit2(rr))) < 1e-7

@@ -116,6 +116,15 @@ def test_fidelity_sweep_matches_solo_runs(tmp_path, state):
     assert np.array_equal(unfiltered[:3, 1:], unfiltered[3:, 1:])
 
 
+def test_fidelity_metadata_reports_the_evolved_unknowns(tmp_path):
+    # 9 copies of the two-qubit model; the superposition occupies k in {-1, 0, +1},
+    # 14 of each copy's 16 entries
+    raw = (Path(__file__).parents[1] / "configs" / "fidelity.json").read_text()
+    text = run_experiment(parse_config(raw), tmp_path).read_text()
+    meta = json.loads(next(l for l in text.splitlines() if l.startswith("# metadata: "))[12:])
+    assert (meta["distinct_n_eff"], meta["unknowns"]) == (9, 126)
+
+
 def test_fidelity_sweep_is_one_integration(monkeypatch):
     calls = []
     real = cascade.integrate

@@ -109,6 +109,22 @@ def test_complex_mode_frequency_rejected():
         ModeSpec("a", ModeKind.OPTICAL, 1 + 0.5j)
 
 
+@pytest.mark.parametrize(
+    "frequency, rate, match",
+    [
+        (math.nan, 1.0, "mode 'a': frequency must be finite"),
+        (math.inf, 1.0, "mode 'a': frequency must be finite"),
+        (1.0, math.nan, "port on 'a': rate must be finite"),
+    ],
+)
+def test_non_finite_frequency_or_rate_rejected(frequency, rate, match):
+    # nan fails no sign check, and a one-mode network would end in schur's ValueError
+    with pytest.raises(pn.ValidationError, match=match):
+        net = LinearNetwork((ModeSpec("a", ModeKind.OPTICAL, frequency),),
+                            ports=(PortSpec("a", rate),))
+        internal_spectrum(net, [1.0], "a")
+
+
 # --------------------------------------------------------------- response
 
 
