@@ -49,7 +49,6 @@ from .waveguide import (
 from .transfer import (
     FilteredNoise,
     PulseSchedule,
-    PulseShape,
     TransferAmplitudes,
     WhiteNoise,
     analytic_schedule,

@@ -10,6 +10,7 @@ Runners are pure and deterministic.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import sys
@@ -235,7 +236,7 @@ def run_multimode(p: dict):
 
 def run_transfer(p: dict):
     gmax = _ang(p["gamma_max_hz"])
-    tau = p["tau_p_gamma_max"] / gmax
+    tau = p["tau_p_gamma_max"] / gmax if gmax else math.nan  # the schedule names gamma_max = 0
     sch = transfer.analytic_schedule(gmax, tau, p["cutoff_floor_rel"] * gmax)
     ts = np.linspace(-tau / 2, tau / 2, p["n_points"])
     amps = transfer.evolve_amplitudes(sch, ts)
@@ -326,8 +327,8 @@ def run_waveguide(p: dict):
     width = p["dip_width_over_k"] * K
     wc = chain.band_center
     grid = wc + np.linspace(-20 * width, 20 * width, p["n_points"])
-    dip = n_th - (n_th - p["dip_floor_rel"] * n_th) * width**2 / ((grid - wc) ** 2 + width**2)
-    drive = network.NoiseSpectrum(grid, dip)
+    dip = network.LorentzianDipFit(wc, width, p["dip_floor_rel"] * n_th, n_th, rms=0.0)
+    drive = network.NoiseSpectrum(grid, dip.evaluate(grid))
     site = chain.n_sites - 1
     blocks = []
     for z_rel in _aslist(p, "z_over_mfp"):
@@ -382,20 +383,21 @@ def run_design(p: dict):
 
 def run_nv(p: dict):
     omega_m = _ang(p["omega_m_hz"])
+    params = nv.RamanParams(  # checks omega_m before the grid is built from it
+        coupling_lambda=_ang(p["lambda_hz"]),
+        omega_m=omega_m,
+        omega_rabi0=_ang(p["omega_rabi0_hz"]),
+        omega_rabi1=_ang(p["omega_rabi1_hz"]),
+        delta=0.0,
+        gamma_e=_ang(p["gamma_e_hz"]),
+    )
     span = p["delta_span_omega_m"] * omega_m
     grid = np.linspace(-span, span, p["n_points"])
     # keep the Raman resonances +-omega_m/2 off the grid
     grid = grid[np.abs(np.abs(grid) - omega_m / 2) > 1e-9 * omega_m]
     if not grid.size:
         raise ValidationError("detuning grid is empty once the Raman resonances are removed")
-    params = nv.RamanParams(
-        coupling_lambda=_ang(p["lambda_hz"]),
-        omega_m=omega_m,
-        omega_rabi0=_ang(p["omega_rabi0_hz"]),
-        omega_rabi1=_ang(p["omega_rabi1_hz"]),
-        delta=grid,
-        gamma_e=_ang(p["gamma_e_hz"]),
-    )
+    params = dataclasses.replace(params, delta=grid)
     with warnings.catch_warnings():  # the marginal rows are counted in the metadata instead
         warnings.simplefilter("ignore")
         r = nv.effective_spin_phonon(params)

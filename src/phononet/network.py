@@ -196,14 +196,12 @@ class DriftMatrix:
     ``matrix`` is M with ordering (a1, a1^dag, a2, a2^dag, ...);
     ``input_rates``/``intrinsic_rates`` are the diagonals of R and G0, and
     ``input_occupations``/``intrinsic_occupations`` the bath occupations:
-    N on a_i, and on a_i^dag N again, or the vacuum's 1 when N = 0 (N + 1
-    would be exact; the difference is negligible at the occupations used).
+    N on a_i and N + 1 on a_i^dag.
     """
 
     matrix: np.ndarray
     input_rates: np.ndarray
     intrinsic_rates: np.ndarray
-    labels: tuple[str, ...]
     input_occupations: np.ndarray
     intrinsic_occupations: np.ndarray
 
@@ -250,11 +248,9 @@ def build_drift_matrix(network: LinearNetwork) -> DriftMatrix:
     M[0::2, 0::2], M[0::2, 1::2] = A, B
     M[1::2, 0::2], M[1::2, 1::2] = B.conj(), A.conj()
 
-    N = np.stack([N_in, N0])  # on a^dag: N again, or the vacuum's 1
-    N_in, N0 = np.stack([N, np.where(N > 0, N, 1.0)], axis=-1).reshape(2, 2 * n)
-    return DriftMatrix(
-        M, np.repeat(R, 2), np.repeat(G0, 2), tuple(m.label for m in network.modes), N_in, N0
-    )
+    N = np.stack([N_in, N0])  # <a a^dag> = N + 1 on the a^dag channel
+    N_in, N0 = np.stack([N, N + 1.0], axis=-1).reshape(2, 2 * n)
+    return DriftMatrix(M, np.repeat(R, 2), np.repeat(G0, 2), N_in, N0)
 
 
 def _response_rows(drift: DriftMatrix, omegas, rows) -> np.ndarray:
@@ -500,9 +496,7 @@ def fit_lorentzian_dip(spectrum: NoiseSpectrum) -> LorentzianDipFit:
     width0 = max(width0, 2 * np.min(np.diff(w)))
 
     def resid(p):
-        center, width, floor, n_th = p
-        lor = width**2 / ((w - center) ** 2 + width**2)
-        return (n_th - (n_th - floor) * lor) - y
+        return LorentzianDipFit(*p, rms=0.0).evaluate(w) - y
 
     scale = max(abs(n_th0), 1.0)
     sol = least_squares(

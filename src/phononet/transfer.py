@@ -25,6 +25,10 @@ variant with e^{-Gamma_max t} diverges at t = -ln2/Gamma_max and does not
 solve the defining Riccati equation; the form above does and is continuous
 at t = 0.
 
+A ``PulseSchedule`` is these two rates on a window: the closed-form pair
+when it has no tables, interpolated samples when it has; it is checked
+once, when built.
+
 For any other emitter the absorb pulse is closed form too: a dark
 pair conserves v1^2 + v2^2, so v1^2 = e^{-A} and v2^2 = 1 - e^{-A} with
 A = int Gamma1 dt, and the dark-state condition gives
@@ -40,7 +44,6 @@ chirp-z transform and the N_eff convolution one IIR filter per segment.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -50,7 +53,6 @@ from scipy.integrate import cumulative_simpson, simpson, solve_ivp
 from .errors import DesignFailureError, NumericalError, ValidationError
 
 __all__ = [
-    "PulseShape",
     "PulseSchedule",
     "analytic_schedule",
     "tabulated_schedule",
@@ -65,12 +67,6 @@ __all__ = [
     "effective_occupation_closed",
     "pulse_spectrum",
 ]
-
-
-class PulseShape(enum.Enum):
-    ANALYTIC = "analytic"
-    ITERATIVE_DARKSTATE = "iterative_darkstate"
-    USER_TABULATED = "user_tabulated"
 
 
 def pulse_eq_analytic(t, gamma_max: float):
@@ -92,61 +88,72 @@ def pulse_eq_analytic(t, gamma_max: float):
 
 @dataclass(frozen=True)
 class PulseSchedule:
-    """Pair of time-dependent decay rates on a finite window.
+    """Decay rates Gamma1(t), Gamma2(t) on the window [t_start, t_end].
 
-    Rates are clamped to zero outside [t_start, t_end] and wherever they
-    fall below ``cutoff_floor``.  For the analytic shape Gamma2(t) =
-    Gamma1(-t); tabulated schedules carry their own samples and are
-    linearly interpolated.
+    Without tables: the analytic pair, Gamma1 = ``pulse_eq_analytic`` and
+    Gamma2(t) = Gamma1(-t).  With tables: linear interpolation of the
+    samples.  Rates are 0 outside the window and below ``cutoff_floor``.
+    Checked here only: every number finite, cutoff_floor >= 0, and either
+    gamma_max > 0 on a symmetric window, or gamma_max >= 0 and three 1-D
+    tables of one length, table_t strictly increasing; else ValidationError
+    naming the field.
     """
 
     gamma_max: float
     t_start: float
     t_end: float
-    shape: PulseShape = PulseShape.ANALYTIC
     cutoff_floor: float = 0.0
     table_t: np.ndarray | None = None
     table_g1: np.ndarray | None = None
     table_g2: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.gamma_max < 0 or (
-            self.shape is PulseShape.ANALYTIC and self.gamma_max <= 0
+        names = ("table_t", "table_g1", "table_g2")
+        analytic = all(getattr(self, name) is None for name in names)
+        for name in () if analytic else names:
+            if getattr(self, name) is None:
+                raise ValidationError(f"{name} is missing; a tabulated schedule needs all three")
+            table = np.asarray(getattr(self, name), dtype=float)
+            object.__setattr__(self, name, table)
+            if table.ndim != 1 or table.size < 2 or table.shape != self.table_t.shape:
+                raise ValidationError(f"{name} must be 1-D, as long as table_t, >= 2 samples")
+            if not np.all(np.isfinite(table)):
+                raise ValidationError(f"{name} must hold finite numbers")
+            if name == "table_t" and not np.all(np.diff(table) > 0):
+                raise ValidationError("table_t must be strictly increasing")
+        g, t0, t1, floor = self.gamma_max, self.t_start, self.t_end, self.cutoff_floor
+        for name, ok, rule in (
+            ("gamma_max", 0 < g < math.inf if analytic else 0 <= g < math.inf,
+             "must be finite and > 0 (>= 0 with tables)"),
+            ("t_start", -math.inf < t0 < math.inf, "must be finite"),
+            ("t_end", t0 < t1 < math.inf, "must be finite and > t_start"),
+            ("cutoff_floor", 0 <= floor < math.inf, "must be finite and >= 0"),
+            ("t_start", not analytic or abs(t0 + t1) <= 1e-12 * (t1 - t0),
+             "must be -t_end: an analytic schedule needs a symmetric window"),
         ):
-            raise ValidationError("gamma_max must be > 0")
-        if self.t_end <= self.t_start:
-            raise ValidationError("empty pulse window")
-        if self.cutoff_floor < 0:
-            raise ValidationError("cutoff_floor must be >= 0")
-        if self.shape is PulseShape.ANALYTIC:
-            if abs(self.t_start + self.t_end) > 1e-12 * (self.t_end - self.t_start):
-                raise ValidationError("analytic schedule needs a symmetric window")
-        elif self.table_t is None or self.table_g1 is None or self.table_g2 is None:
-            raise ValidationError("tabulated schedule needs table_t/g1/g2")
+            if not ok:
+                raise ValidationError(f"{name} {rule}, got {getattr(self, name)!r}")
 
     @property
     def window(self) -> tuple[float, float]:
         return (self.t_start, self.t_end)
 
-    def _clamp(self, t, g):
-        if isinstance(t, float):  # g < 0 gives 0 here too when the floor is 0
-            if t < self.t_start or t > self.t_end or g < self.cutoff_floor:
-                return 0.0
-            return max(float(g), 0.0)
-        g = np.where((t < self.t_start) | (t > self.t_end), 0.0, g)
-        if self.cutoff_floor > 0:
-            g = np.where(g < self.cutoff_floor, 0.0, g)
-        return np.maximum(g, 0.0)
-
     def _rate(self, t, sign: float, table):
-        scalar = isinstance(t, (int, float))  # one time: plain floats, no 0-d arrays
+        """The rate at t, 0 outside the window and below the floor (so negative
+        samples clamp to 0): one time (int or float) on plain floats, as the
+        ODE solvers ask every step, many times as an array."""
+        scalar = isinstance(t, (int, float))
+        if scalar and (t < self.t_start or t > self.t_end):
+            return 0.0
         t = float(t) if scalar else np.asarray(t, dtype=float)
-        if self.shape is PulseShape.ANALYTIC:
+        if table is None:
             g = pulse_eq_analytic(sign * t, self.gamma_max)
         else:
             g = np.interp(t, self.table_t, table, left=0.0, right=0.0)
-        out = self._clamp(t, g)
-        return out if scalar or out.ndim else float(out)
+        if scalar:
+            return 0.0 if g < self.cutoff_floor else float(g)
+        out = np.where((t < self.t_start) | (t > self.t_end) | (g < self.cutoff_floor), 0.0, g)
+        return out if out.ndim else float(out)
 
     def gamma1(self, t):
         return self._rate(t, 1.0, self.table_g1)
@@ -159,25 +166,21 @@ def analytic_schedule(
     gamma_max: float, tau_p: float | None = None, cutoff_floor: float = 0.0
 ) -> PulseSchedule:
     """Analytic schedule on the window [-tau_p/2, tau_p/2] (default
-    tau_p = 28/gamma_max)."""
-    tau_p = 28.0 / gamma_max if tau_p is None else tau_p
-    return PulseSchedule(gamma_max, -tau_p / 2, tau_p / 2, PulseShape.ANALYTIC, cutoff_floor)
+    tau_p = 28/gamma_max; PulseSchedule refuses gamma_max = 0 by name)."""
+    if tau_p is None:
+        tau_p = 28.0 / gamma_max if gamma_max else math.nan
+    return PulseSchedule(gamma_max, -tau_p / 2, tau_p / 2, cutoff_floor)
 
 
 def tabulated_schedule(
-    t: np.ndarray,
-    g1: np.ndarray,
-    g2: np.ndarray,
-    shape: PulseShape = PulseShape.USER_TABULATED,
-    cutoff_floor: float = 0.0,
+    t: np.ndarray, g1: np.ndarray, g2: np.ndarray, cutoff_floor: float = 0.0
 ) -> PulseSchedule:
-    t = np.asarray(t, dtype=float)
-    g1 = np.asarray(g1, dtype=float)
-    g2 = np.asarray(g2, dtype=float)
-    gmax = float(max(g1.max(), g2.max()))
-    return PulseSchedule(
-        gmax, float(t[0]), float(t[-1]), shape, cutoff_floor, t, g1, g2
-    )
+    """Schedule interpolating the samples (t, g1, g2) on [t[0], t[-1]], with
+    gamma_max the largest sample, or 0 if none is positive."""
+    t, g1, g2 = (np.asarray(a, dtype=float) for a in (t, g1, g2))
+    ends = t.ravel()[[0, -1]] if t.size else (math.nan, math.nan)
+    gmax = max(np.max(g1, initial=0.0), np.max(g2, initial=0.0))
+    return PulseSchedule(float(gmax), float(ends[0]), float(ends[1]), cutoff_floor, t, g1, g2)
 
 
 @dataclass(frozen=True)
@@ -320,7 +323,7 @@ def design_pulses_iterative(
             f"transfer incomplete: |T| = {transfer:.6f} < 1 - 1e-3 "
             f"(Gamma2 ceiling {gamma_ceiling:.3g}, max requested {max_requested:.3g})"
         )
-    return tabulated_schedule(ts, g1s, g2s, PulseShape.ITERATIVE_DARKSTATE)
+    return tabulated_schedule(ts, g1s, g2s)
 
 
 # --------------------------------------------------------------------------

@@ -232,6 +232,20 @@ def test_cli_empty_grid_exits_3(tmp_path, capsys, experiment, params):
     assert not (tmp_path / f"{experiment}.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "experiment, params, field",
+    [("transfer", {"gamma_max_hz": 0}, "gamma_max"), ("nv", {"omega_m_hz": 0}, "omega_m")],
+)
+def test_cli_zero_rate_exits_3_naming_it(tmp_path, capsys, experiment, params, field):
+    cfg = tmp_path / "zero.json"
+    cfg.write_text(json.dumps({"experiment": experiment, "parameters": params}))
+    assert main([experiment, "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert f"ValidationError: {field} must be" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / f"{experiment}.csv").exists()
+
+
 @pytest.mark.parametrize("rtol", [-1, 0])
 def test_cli_non_positive_tolerance_exits_3(tmp_path, capsys, rtol):
     cfg = tmp_path / "tol.json"

@@ -296,7 +296,7 @@ def test_spectra_match_inverse_oracle(net, w):
 
     def channel_sum(port_amps, bath_amps):
         return sum(
-            n * abs(amps[c]) ** 2 + (n if n > 0 else 1.0) * abs(amps[c + 1]) ** 2
+            n * abs(amps[c]) ** 2 + (n + 1) * abs(amps[c + 1]) ** 2
             for amps, chans in ((port_amps, ports), (bath_amps, baths))
             for c, n in chans
         )

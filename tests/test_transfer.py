@@ -110,10 +110,45 @@ def test_scalar_rates_match_array_rates(schedule):
         assert all(type(g) is float for g in scalar)
         np.testing.assert_array_max_ulp(np.array(scalar), rate(ts), maxulp=1)
         assert rate(int(t1) + 1) == rate(float(int(t1) + 1))
-    if schedule.shape is pn.PulseShape.ANALYTIC:
+    if schedule.table_t is None:
         scalar = [pulse_eq_analytic(t, schedule.gamma_max) for t in ts.tolist()]
         np.testing.assert_array_max_ulp(np.array(scalar), pulse_eq_analytic(ts, schedule.gamma_max),
                                         maxulp=1)
+
+
+_TS = np.linspace(-2.0, 2.0, 5)
+_G = np.ones(5)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: analytic_schedule(math.nan), "gamma_max"),
+        (lambda: analytic_schedule(math.inf), "gamma_max"),
+        (lambda: analytic_schedule(0.0), "gamma_max"),
+        (lambda: pn.PulseSchedule(-1.0, -1.0, 1.0), "gamma_max"),
+        (lambda: analytic_schedule(1.0, math.nan), "t_start"),
+        (lambda: analytic_schedule(1.0, math.inf), "t_start"),
+        (lambda: pn.PulseSchedule(1.0, -1.0, math.inf), "t_end"),
+        (lambda: pn.PulseSchedule(1.0, -1.0, 2.0), "t_start"),  # not symmetric
+        (lambda: analytic_schedule(1.0, cutoff_floor=math.nan), "cutoff_floor"),
+        (lambda: analytic_schedule(1.0, cutoff_floor=math.inf), "cutoff_floor"),
+        (lambda: analytic_schedule(1.0, cutoff_floor=-1e-3), "cutoff_floor"),
+        (lambda: tabulated_schedule(_TS, [1, 1, math.nan, 1, 1], _G), "table_g1"),
+        (lambda: tabulated_schedule(_TS, _G, [1, 1, 1, math.inf, 1]), "table_g2"),
+        (lambda: tabulated_schedule([-2, -1, math.nan, 1, 2], _G, _G), "table_t"),
+        (lambda: tabulated_schedule(_TS[[0, 2, 1, 3, 4]], _G, _G), "table_t"),
+        (lambda: tabulated_schedule(_TS[::-1], _G, _G), "table_t"),
+        (lambda: tabulated_schedule(_TS, _G, _G[:4]), "table_g2"),
+        (lambda: tabulated_schedule(_TS, _G[:, None], _G), "table_g1"),
+        (lambda: tabulated_schedule([], [], []), "table_t"),
+        (lambda: pn.PulseSchedule(1.0, -2.0, 2.0, table_t=_TS, table_g1=_G), "table_g2"),
+        (lambda: tabulated_schedule(_TS, _G, _G, cutoff_floor=math.nan), "cutoff_floor"),
+    ],
+)
+def test_bad_schedule_names_its_field(build, field):
+    with pytest.raises(pn.ValidationError, match=rf"^{field} "):
+        build()
 
 
 # -------------------------------------------------------------- amplitudes
