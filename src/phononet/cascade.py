@@ -19,13 +19,20 @@ collective jump operators.  Restricting to the two qubits with a white
 occupation N_eff gives the reduced model used for fidelity sweeps; a
 sweep integrates one copy of it per N_eff, block-diagonally, in one solve.
 
-The generator is built once as constant sparse superoperators and
-integrated with scipy's BDF solver: the channel's thermal decay is stiff.
 Every term conserves the ket-minus-bra excitation number k of an entry
 |m><n| of rho (Buca & Prosen, NJP 14, 073007 (2012)), so the solver
 evolves only the k-sectors that the initial state occupies (k in
-{-1, 0, +1} for the states built here); the other entries stay exactly 0,
-and the solver's RMS error norm spans the evolved entries only.
+{-1, 0, +1} for the states built here), and it evolves them in real
+numbers: rho is Hermitian and the generator keeps it so, so one entry of
+each transposed pair |m><n|, |n><m| carries it, a diagonal entry as
+Re rho_mm and an off-diagonal one as Re rho_mn and Im rho_mn.  In the
+Fock basis every ladder operator and -iH are real, so the generator has
+real coefficients on the entries and these coordinates evolve under a
+real sparse matrix.  It is assembled directly on the occupied sectors
+from the product-basis labels of each entry (a ladder operator moves one
+label by one with a sqrt(n) factor), not sliced from a superoperator on
+the full vec(rho), and integrated with scipy's BDF solver: the channel's
+thermal decay is stiff.
 
 A transferred amplitude arrives with a deterministic sign flip
 (the transfer amplitude tends to -1), so the ideal target for
@@ -36,6 +43,7 @@ this convention.
 from __future__ import annotations
 
 import copy
+import functools
 import gc
 import logging
 import math
@@ -121,31 +129,79 @@ def _lowering(dims: tuple[int, ...], i: int) -> np.ndarray:
     return _kron(*local)
 
 
-def _pair_blocks(ops: list[np.ndarray], pairs: np.ndarray, n: float,
-                 op_rel: float | None) -> list[sp.csr_matrix]:
-    """The constant superoperator L_kl of every pair (k, l) at channel occupation n,
-    on the row-major vec(rho); ``op_rel`` = gamma_op / gamma adds D[b] to the (0, 0)
-    block of a cavity model."""
-    adj = [op.conj().T for op in ops]
-    eye = np.eye(ops[0].shape[0])
-    blocks = []
-    for k, l in pairs:
-        # jumps (w, A, B) contribute w (A rho B - {B A, rho}/2)
-        if k == l:
-            jumps = [(n + 1, ops[k], adj[k]), (n, adj[k], ops[k])]
-            h = 0.0
-        else:
-            jumps = [(n + 1, ops[k], adj[l]), (n + 1, ops[l], adj[k]),
-                     (n, adj[k], ops[l]), (n, adj[l], ops[k])]
-            h = -0.5j * (adj[k] @ ops[l] - adj[l] @ ops[k])
-        if k == l == 0 and op_rel is not None:
-            jumps.append((op_rel, ops[0], adj[0]))
-        decay = -0.5 * sum(w * (b @ a) for w, a, b in jumps)
-        terms = [(w * a, b) for w, a, b in jumps if w]
-        terms += [(decay - 1j * h, eye), (eye, decay + 1j * h)]
-        # rho -> A rho B is kron(A, B^T) on the row-major vec(rho)
-        blocks.append(sum(sp.kron(sp.csr_matrix(a), sp.csr_matrix(b.T)) for a, b in terms))
-    return blocks
+# A word is a product of ladder operators, one (factor, dagger) step each.
+def _low(f: int) -> tuple:
+    return ((f, False),)
+
+
+def _up(f: int) -> tuple:
+    return ((f, True),)
+
+
+def _adj(word: tuple) -> tuple:
+    return tuple((f, not dag) for f, dag in reversed(word))
+
+
+def _walk(labels: np.ndarray, dims: tuple[int, ...], word: tuple):
+    """<x|word|y> is nonzero for at most one y per basis state x (one
+    column of ``labels`` each): y's labels and the element, 0 where the
+    word annihilates.  Labels are clamped to their range there, so a zero
+    element never points outside the basis."""
+    lab = labels.copy()
+    val = np.ones(lab.shape[1])
+    for f, dag in word:
+        if dag:  # <x|c^dag|y>: y = x - 1, sqrt(x)
+            val *= np.sqrt(lab[f])
+            lab[f] = np.maximum(lab[f] - 1, 0)
+        else:  # <x|c|y>: y = x + 1, sqrt(x + 1), none above the top level
+            lab[f] += 1
+            val *= np.sqrt(lab[f]) * (lab[f] < dims[f])
+            lab[f] = np.minimum(lab[f], dims[f] - 1)
+    return lab, val
+
+
+def _pair_terms(k: int, l: int, op_rel: float | None) -> list[tuple]:
+    """The terms (a, b, A, B) of the pair block L_kl at channel occupation n,
+    each adding (a + b n) A rho B^dag with words A, B: the pair's
+    (n + 1) D[S] and n D[S^dag] parts and -i[H_kl, .]; ``op_rel`` =
+    gamma_op / gamma adds D[b] to the (0, 0) block of a cavity model."""
+    # jumps (a, b, A, B) contribute (a + b n) (A rho B - {B A, rho}/2)
+    if k == l:
+        jumps = [(1.0, 1.0, _low(k), _up(k)), (0.0, 1.0, _up(k), _low(k))]
+    else:
+        jumps = [(1.0, 1.0, _low(k), _up(l)), (1.0, 1.0, _low(l), _up(k)),
+                 (0.0, 1.0, _up(k), _low(l)), (0.0, 1.0, _up(l), _low(k))]
+    if k == l == 0 and op_rel is not None:
+        jumps.append((op_rel, 0.0, _low(0), _up(0)))
+    terms = []
+    for a, b, A, B in jumps:
+        terms += [(a, b, A, _adj(B)),
+                  (-a / 2, -b / 2, B + A, ()), (-a / 2, -b / 2, (), _adj(B + A))]
+    if k != l:  # -i[H_kl, rho] with -i H_kl = (c_l^dag c_k - c_k^dag c_l) / 2
+        kl, lk = _up(k) + _low(l), _up(l) + _low(k)
+        terms += [(-0.5, 0.0, kl, ()), (0.5, 0.0, lk, ()),
+                  (0.5, 0.0, (), lk), (-0.5, 0.0, (), kl)]
+    return terms
+
+
+def _owners(exc: np.ndarray, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row m and column n >= m of one entry per transposed pair with
+    exc[m] - exc[n] in ks (closed under k -> -k), in row-major order."""
+    order = np.argsort(exc, kind="stable")
+    bounds = np.searchsorted(exc[order], np.arange(exc.max() + 2))
+    rows, cols = [], []
+    for k in ks:  # row m meets the run of ``order`` at level exc[m] - k
+        level = exc - k
+        m = np.flatnonzero((level >= 0) & (level <= exc.max()))
+        lo, count = bounds[level[m]], np.diff(bounds)[level[m]]
+        start = np.repeat(lo - np.cumsum(count) + count, count)
+        rows.append(np.repeat(m, count))
+        cols.append(order[start + np.arange(count.sum())])
+    m, n = np.concatenate(rows), np.concatenate(cols)
+    upper = m <= n
+    m, n = m[upper], n[upper]
+    first = np.lexsort((n, m))
+    return m[first], n[first]
 
 
 class CascadedModel:
@@ -154,16 +210,18 @@ class CascadedModel:
     ``include_cavity=False`` gives the two-qubit reduction; then ``n_th``
     plays the role of the effective channel occupation and ``fock_cutoff``
     is None.  Both are built from one list of subsystem dimensions,
-    (fock_cutoff + 1, 2, 2) or (2, 2); each jump operator lowers its own factor.
-
-    The generator L(t) = sum_{k>=l} sqrt(Gamma_k(t) Gamma_l(t)) L_kl is built
-    once: each L_kl is a constant sparse superoperator on the row-major
-    vec(rho) holding the pair's (n_th + 1) D[S], n_th D[S^dag] and
-    -i[H_kl, .] terms; gamma_op D[b] joins the constant (b, b) block.
+    (fock_cutoff + 1, 2, 2) or (2, 2); each jump operator lowers its own
+    factor.  The model holds the dimensions and rates only: the generator
+    L(t) = sum_{k>=l} sqrt(Gamma_k(t) Gamma_l(t)) L_kl, each L_kl holding the
+    pair's (n_th + 1) D[S], n_th D[S^dag] and -i[H_kl, .] terms and
+    gamma_op D[b] joining the constant (b, b) block, is assembled on the
+    real coordinates of the excitation sectors that a state occupies (see
+    ``integrate``).  The ladder operators ``b``, ``s1`` and ``s2`` are dense
+    matrices built when first read.
 
     For the two-qubit reduction ``n_th`` may also be a list of K
     occupations: the model then holds K copies side by side, the state is
-    the K density matrices vectorised one after another, and each L_kl is
+    the K density matrices one after another, and each L_kl is
     block-diagonal over the copies, so the rates are evaluated once for
     all of them.  ``n_th`` keeps the list (as a tuple) and ``copies`` is K;
     a number gives one copy.
@@ -215,20 +273,29 @@ class CascadedModel:
             fock_cutoff = None
             dims = (2, 2)
         self.fock_cutoff = fock_cutoff
-        ops = [_lowering(dims, i) for i in range(len(dims))]
-        self.b = ops[0] if include_cavity else None
-        self.s1, self.s2 = ops[-2:]
         self.dimension = math.prod(dims)
-        self._pairs = np.array([(k, l) for k in range(len(ops)) for l in range(k + 1)])
-        # gamma_op D[b] joins the (b, b) block, whose weight is gamma
-        op_rel = self.gamma_op / self.gamma if include_cavity else None
-        per_copy = [_pair_blocks(ops, self._pairs, n, op_rel) for n in ns]
-        # each pair's block is block-diagonal over the copies; one copy is that block itself
-        self._stack = sp.vstack([sp.block_diag(b, format="csr") for b in zip(*per_copy)],
-                                format="csr")
-        # ket-minus-bra excitation number of every vec(rho) entry, tiled over the copies
-        exc = np.indices(dims).sum(axis=0).ravel()
-        self._k = np.tile((exc[:, None] - exc).ravel(), self.copies)
+        self._dims = dims
+        # product-basis labels: row f holds factor f's level of every basis state
+        self._labels = np.indices(dims).reshape(len(dims), -1)
+        self._pairs = [(k, l) for k in range(len(dims)) for l in range(k + 1)]
+        # the excitation sectors the generator acts on; None: the model as
+        # built, whose ``rhs`` takes density matrices (see ``_on_sectors``)
+        self._sectors = None
+
+    @functools.cached_property
+    def b(self) -> np.ndarray | None:
+        """Cavity lowering operator; None for the two-qubit reduction."""
+        return _lowering(self._dims, 0) if self.include_cavity else None
+
+    @functools.cached_property
+    def s1(self) -> np.ndarray:
+        """sigma- of qubit 1."""
+        return _lowering(self._dims, len(self._dims) - 2)
+
+    @functools.cached_property
+    def s2(self) -> np.ndarray:
+        """sigma- of qubit 2."""
+        return _lowering(self._dims, len(self._dims) - 1)
 
     # -- state constructors -------------------------------------------------
 
@@ -251,53 +318,130 @@ class CascadedModel:
 
     # -- generator ----------------------------------------------------------
 
+    def _on_sectors(self, ks: Sequence[int] | None = None) -> CascadedModel:
+        """A shallow copy whose generator acts on the real coordinates of the
+        excitation sectors ``ks`` (closed under k -> -k; None: every sector).
+
+        Per copy, the coordinates are Re rho_mn of the owners m <= n, one per
+        transposed pair of sector entries in row-major order, then Im rho_mn
+        of the owners with m < n.  Each pair block is assembled on them from
+        the terms of ``_pair_terms``: an owner row (m, n) reads entry (p, q)
+        through <m|A|p><n|B|q>, and (p, q) is folded onto its owner, with a
+        minus sign on Im rho_pq when p > q.  ``_stack`` holds the pair
+        blocks one above the other, each block-diagonal over the model's
+        copies."""
+        labels, d = self._labels, self.dimension
+        exc = labels.sum(axis=0)
+        ks = np.arange(-exc.max(), exc.max() + 1) if ks is None else np.asarray(ks)
+        m, n = _owners(exc, ks)
+        off = np.flatnonzero(m != n)
+        width = m.size + off.size  # coordinates per copy
+        im = np.zeros(m.size, dtype=np.intp)
+        im[off] = m.size + np.arange(off.size)
+        keys = m * d + n
+        strides = np.array([math.prod(self._dims[f + 1:]) for f in range(len(self._dims))])
+        ns = np.ravel(self.n_th)
+        op_rel = self.gamma_op / self.gamma if self.include_cavity else None
+        size = width * ns.size
+        rows, cols, vals = [], [], []
+        for p, (k, l) in enumerate(self._pairs):
+            for a, b, A, B in _pair_terms(k, l, op_rel):
+                ket, va = _walk(labels[:, m], self._dims, A)
+                bra, vb = _walk(labels[:, n], self._dims, B)
+                v = va * vb
+                hit = np.flatnonzero(v)
+                v = v[hit]
+                pk, pb = strides @ ket[:, hit], strides @ bra[:, hit]
+                col = np.searchsorted(keys, np.minimum(pk, pb) * d + np.maximum(pk, pb))
+                sign = np.sign(pb - pk)
+                both = np.flatnonzero((m[hit] != n[hit]) & (sign != 0))
+                r = np.concatenate([hit, im[hit[both]]])
+                c = np.concatenate([col, im[col[both]]])
+                v = np.concatenate([v, sign[both] * v[both]])
+                for j, nj in enumerate(ns):  # block-diagonal over the copies
+                    rows.append(p * size + j * width + r)
+                    cols.append(j * width + c)
+                    vals.append((a + b * nj) * v)
+        # sum repeated entries in term order: a row and its Im partner add up
+        # the same numbers in the same order, so they agree to the last bit
+        key, pos = np.unique(np.concatenate(rows) * size + np.concatenate(cols),
+                             return_inverse=True)
+        data = np.bincount(pos, weights=np.concatenate(vals), minlength=key.size)
+        row, col = np.divmod(key, size)
+        indptr = np.searchsorted(row, np.arange(size * len(self._pairs) + 1))
+        sub = copy.copy(self)
+        sub._sectors = ks
+        sub._owner, sub._off = (m, n), off
+        sub._stack = sp.csr_matrix((data, col.astype(np.int32), indptr.astype(np.int32)),
+                                   shape=(size * len(self._pairs), size))
+        return sub
+
+    def _pack(self, rho: np.ndarray) -> np.ndarray:
+        """The real coordinates of a sector copy for Hermitian rho (a matrix,
+        the copies as a (K, d, d) array, or the row-major vectorisation)."""
+        m, n = self._owner
+        own = np.asarray(rho).reshape(self.copies, self.dimension, self.dimension)[:, m, n]
+        return np.concatenate([own.real, own.imag[:, self._off]], axis=1).ravel()
+
+    def _unpack(self, x: np.ndarray) -> np.ndarray:
+        """The Hermitian (..., K, d, d) matrices of coordinates x (..., K * width);
+        zero outside the sectors."""
+        m, n = self._owner
+        x = np.asarray(x).reshape(*np.shape(x)[:-1], self.copies, -1)
+        own = x[..., :m.size].astype(complex)
+        own.imag[..., self._off] = x[..., m.size:]
+        out = np.zeros(x.shape[:-1] + (self.dimension,) * 2, dtype=complex)
+        out[..., n, m] = own.conj()
+        out[..., m, n] = own
+        return out
+
     def _coefficients(self, t: float) -> np.ndarray:
-        """sqrt(Gamma_k Gamma_l) for every block, in stacking order."""
+        """sqrt(Gamma_k Gamma_l) for every pair block, in ``_pairs`` order."""
         rates = [self.schedule.gamma1(t), self.schedule.gamma2(t)]
         if self.include_cavity:
             rates.insert(0, self.gamma)
-        g = np.array(rates)[self._pairs]
-        return np.sqrt(g[:, 0] * g[:, 1])
+        return np.array([math.sqrt(rates[k] * rates[l]) for k, l in self._pairs])
+
+    def _generator(self, t: float) -> sp.csr_matrix:
+        """L(t) on the real coordinates of a sector copy: the matrix ``rhs`` applies."""
+        coef = sp.csr_matrix(self._coefficients(t)[None, :])
+        n = self._stack.shape[1]
+        return (sp.kron(coef, sp.identity(n), format="csr") @ self._stack).tocsr()
 
     def rhs(self, t: float, rho: np.ndarray) -> np.ndarray:
         """Apply the generator at time t to rho (a matrix, the copies as a
         (K, d, d) array, or the row-major vectorisation); the result has
-        rho's shape.  On a model restricted to excitation sectors (see
-        ``integrate``) rho is the vector of the sector's entries."""
+        rho's shape.  On a copy restricted to excitation sectors (see
+        ``integrate``) rho is the vector of its real coordinates."""
         rho = np.asarray(rho)
-        n2 = self._stack.shape[1]
-        drho = self._coefficients(t) @ (self._stack @ rho.reshape(n2)).reshape(-1, n2)
-        return drho.reshape(rho.shape)
-
-    def _generator(self, t: float) -> sp.csr_matrix:
-        """The sparse superoperator L(t) that ``rhs`` applies."""
-        coef = sp.csr_matrix(self._coefficients(t)[None, :])
-        n2 = self._stack.shape[1]
-        return (sp.kron(coef, sp.identity(n2), format="csr") @ self._stack).tocsr()
-
-    def _restricted(self, keep: np.ndarray) -> CascadedModel:
-        """A shallow copy whose generator acts on the vec(rho) entries ``keep``
-        only: the rows and columns ``keep`` of every pair block.  Exact when
-        ``keep`` is a union of excitation sectors, which L(t) maps to itself."""
-        n2 = self._stack.shape[1]
-        rows = (np.arange(len(self._pairs))[:, None] * n2 + keep).ravel()
-        sub = copy.copy(self)
-        sub._stack = self._stack[rows][:, keep]
-        return sub
+        if self._sectors is not None:
+            coef = self._coefficients(t)
+            # entrywise, not BLAS: equal rows give equal sums in any position
+            return (coef[:, None] * (self._stack @ rho).reshape(coef.size, -1)).sum(axis=0)
+        # rho = her + i anti with Hermitian parts, each on real coordinates
+        full = self._on_sectors()
+        mats = rho.reshape(self.copies, self.dimension, self.dimension)
+        adj = mats.conj().transpose(0, 2, 1)
+        her, anti = (full._unpack(full.rhs(t, full._pack(h)))
+                     for h in ((mats + adj) / 2, (mats - adj) / 2j))
+        return (her + 1j * anti).reshape(rho.shape)
 
     # -- observables ----------------------------------------------------------
+
+    def _number(self, rho: np.ndarray, factor: int) -> float:
+        """Tr(c^dag c rho) for the lowering operator c of ``factor``."""
+        return float(np.real(np.diagonal(rho)) @ self._labels[factor])
 
     def excited_population(self, rho: np.ndarray, which: int) -> float:
         """Tr(s^dag s rho) for qubit ``which`` (1 or 2)."""
         if which not in (1, 2):
             raise ValidationError(f"which must be 1 or 2, got {which!r}")
-        s = self.s1 if which == 1 else self.s2
-        return float(np.real(np.trace(s.conj().T @ s @ rho)))
+        return self._number(rho, len(self._dims) - 3 + which)
 
     def cavity_occupation(self, rho: np.ndarray) -> float:
         if not self.include_cavity:
             raise ValidationError("model has no cavity")
-        return float(np.real(np.trace(self.b.conj().T @ self.b @ rho)))
+        return self._number(rho, 0)
 
     def reduce_to_qubit2(self, rho: np.ndarray) -> np.ndarray:
         """Partial trace onto qubit 2, the last factor."""
@@ -327,25 +471,30 @@ def integrate(
 
     The generator conserves the ket-minus-bra excitation number k of every
     entry of rho, so only the k-sectors that the initial state(s) occupy are
-    evolved: the union of k over the nonzero entries of vec(rho0).  For the
-    states of ``initial_state`` that is k in {-1, 0, +1}, or k = 0 alone for
-    a diagonal state; a state with weight in every sector evolves the full
-    space.  ``scipy.integrate.solve_ivp(method="BDF")`` runs on the sector's
-    entries with ``rhs`` and ``_generator`` of a copy of the model restricted
-    to them as the right-hand side and Jacobian; the entries outside the
-    sector are exact zeros in the returned samples.  The solver's error test
-    is the RMS over the evolved entries of err / (atol + rtol |rho_ij|), not
-    a maximum norm; for a model with several copies it spans the evolved
-    entries of every copy.
+    evolved: the union of k and -k over the nonzero entries of rho0.  For
+    the states of ``initial_state`` that is k in {-1, 0, +1}, or k = 0 alone
+    for a diagonal state; a state with weight in every sector evolves the
+    full space.  The sector is evolved on its real coordinates (see
+    ``CascadedModel._on_sectors``): Re rho_mn of one entry of each
+    transposed pair and Im rho_mn of the off-diagonal ones, as many real
+    unknowns as the sector has complex entries.
+    ``scipy.integrate.solve_ivp(method="BDF")`` runs on them in real
+    arithmetic with ``rhs`` and ``_generator`` of a copy of the model
+    restricted to them as the right-hand side and Jacobian.  The solver's
+    error test is the RMS over the evolved real coordinates of
+    err / (atol + rtol |x_i|), not a maximum norm; for a model with several
+    copies it spans the coordinates of every copy.
     One solver run covers t0 to the last sample time; the samples are read
-    from its dense output at exactly the requested times and each is
-    re-Hermitised.  ``rho0`` is one state, and then each sample is one
-    ``DensityMatrix``, or a sequence of ``model.copies`` states, and then
-    each sample is a list of them.  A non-finite or non-positive ``rtol``
-    or ``atol`` raises ``ValidationError``; solver failure raises
-    ``NumericalError``.  The solver statistics and the number of evolved
-    ``unknowns`` are returned in the trajectory's ``stats`` and logged at
-    DEBUG on ``phononet.cascade``.
+    from its dense output at exactly the requested times and rebuilt from
+    the coordinates, so each is Hermitian to the last bit, with exact zeros
+    outside the sector.  A sample at t0 is a copy of the initial state.
+    ``rho0`` is one state, and then each sample is one ``DensityMatrix``,
+    or a sequence of ``model.copies`` states, and then each sample is a
+    list of them.  A non-finite or non-positive ``rtol`` or ``atol``
+    raises ``ValidationError``; solver failure raises ``NumericalError``.
+    The solver statistics and the number of evolved ``unknowns`` are
+    returned in the trajectory's ``stats`` and logged at DEBUG on
+    ``phononet.cascade``.
     """
     for key, tol in (("rtol", rtol), ("atol", atol)):
         if not (math.isfinite(tol) and tol > 0):
@@ -368,19 +517,21 @@ def integrate(
     if np.any(t_eval < t0) or np.any(t_eval > t1) or not np.all(np.diff(t_eval) > 0):
         raise ValidationError("t_eval must be increasing within t_span")
 
-    y0 = np.concatenate([r.matrix.ravel() for r in states])
-    keep = np.flatnonzero(np.isin(model._k, model._k[y0 != 0]))
+    rhos0 = np.stack([r.matrix for r in states])
+    exc = model._labels.sum(axis=0)
+    _, i, j = np.nonzero(rhos0)
+    sector = model._on_sectors(np.union1d(exc[i] - exc[j], exc[j] - exc[i]))
+    y0 = sector._pack(rhos0)
     # a sample at t0 is the initial state; the rest come from one solver run
     out = [[DensityMatrix(r.matrix.copy(), t) for r in states]
            for t in t_eval[t_eval == t0].tolist()]
     later = t_eval[t_eval > t0]
-    stats = {"rhs_calls": 0, "jacobians": 0, "lu_factorisations": 0, "unknowns": keep.size}
+    stats = {"rhs_calls": 0, "jacobians": 0, "lu_factorisations": 0, "unknowns": y0.size}
     if later.size:
         failed = f"BDF integration failed between t = {float(t0)!r} and {float(later[-1])!r}"
-        sector = model._restricted(keep)
         try:  # t_eval: keep the samples only, not every step's state
             sol = solve_ivp(
-                sector.rhs, (t0, later[-1]), y0[keep], method="BDF", t_eval=later,
+                sector.rhs, (t0, later[-1]), y0, method="BDF", t_eval=later,
                 rtol=rtol, atol=atol, jac=lambda s, _: sector._generator(s),
             )
         except RuntimeError as exc:  # singular Newton matrix, from SuperLU
@@ -391,11 +542,8 @@ def integrate(
                      lu_factorisations=int(sol.nlu))
         if sol.status != 0 or not np.all(np.isfinite(sol.y)):
             raise NumericalError(f"{failed}: {sol.message}")
-        ys = np.zeros((later.size, y0.size), dtype=complex)
-        ys[:, keep] = sol.y.T
-        rhos = ys.reshape(later.size, len(states), model.dimension, model.dimension)
-        out += [[DensityMatrix(0.5 * (r + r.conj().T), t) for r in sample]
-                for sample, t in zip(rhos, later.tolist())]
+        out += [[DensityMatrix(r, t) for r in sample]
+                for sample, t in zip(sector._unpack(sol.y.T), later.tolist())]
     _log.debug("integrate: dim %d, %d copies, %d samples, %d RHS calls, %d Jacobians, "
                "%d LU factorisations, %d unknowns", model.dimension, model.copies, len(out),
                *stats.values())

@@ -322,6 +322,10 @@ def run_waveguide(p: dict):
         cols = ["mode_index", "qa", "omega_exact_hz", "omega_tight_binding_hz", "omega_linear_hz"]
         return cols, table, extras
 
+    if not p["dip_width_over_k"] > 0:  # a zero width makes the dip 0/0
+        raise ConfigError(
+            f"parameters.dip_width_over_k must be > 0; got {p['dip_width_over_k']!r}"
+        )
     K = chain.coupling_K
     n_th = p["n_th"]
     width = p["dip_width_over_k"] * K

@@ -350,6 +350,7 @@ def test_stacked_generator_is_block_diagonal_over_copies():
     a = rng.normal(size=(4, 4, 4)) + 1j * rng.normal(size=(4, 4, 4))
     rhos = a @ a.conj().transpose(0, 2, 1)
     rhos /= np.trace(rhos, axis1=1, axis2=2)[:, None, None]
+    frame = stacked._on_sectors()  # every sector: 16 real coordinates per copy
     for t in (-14.0, -3.0, 0.0, 2.5, 10.0):
         drho = stacked.rhs(t, rhos)
         assert drho.shape == rhos.shape
@@ -359,8 +360,8 @@ def test_stacked_generator_is_block_diagonal_over_copies():
             np.testing.assert_allclose(d, solo.rhs(t, rho), rtol=0, atol=1e-15)
             assert abs(np.trace(d)) < 1e-12
             assert np.max(np.abs(d - d.conj().T)) < 1e-12
-        jac = stacked._generator(t).toarray()
-        np.testing.assert_allclose(jac @ rhos.ravel(), drho.ravel(), rtol=0, atol=1e-14)
+        jac = frame._generator(t).toarray()
+        np.testing.assert_allclose(jac @ frame._pack(rhos), frame._pack(drho), rtol=0, atol=1e-14)
         assert np.count_nonzero(jac[:16, 16:]) == 0 and np.count_nonzero(jac[16:, :16]) == 0
 
 
@@ -369,8 +370,13 @@ def test_one_copy_list_is_the_scalar_model_bit_for_bit():
     ts = np.array([-2.0, 14.0])
     model, traj = reduced_two_qubit_model(0.7, sch, (0.6, 0.8), ts)
     listed, ltraj = reduced_two_qubit_model([0.7], sch, (0.6, 0.8), ts)
-    for part in ("indptr", "indices", "data"):
-        np.testing.assert_array_equal(getattr(model._stack, part), getattr(listed._stack, part))
+    # the pair blocks on the sectors the state occupies, and L(t) formed from them
+    sector, lsector = model._on_sectors([-1, 0, 1]), listed._on_sectors([-1, 0, 1])
+    pairs = [(sector._stack, lsector._stack)]
+    pairs += [(sector._generator(t), lsector._generator(t)) for t in (-14.0, -2.0, 0.0, 3.5)]
+    for a, b in pairs:
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(a, part), getattr(b, part))
     assert [len(s) for s in ltraj] == [1, 1]
     for snap, (lsnap,) in zip(traj, ltraj):
         assert snap.time == lsnap.time
@@ -509,3 +515,51 @@ def test_all_pass_cavity_equals_reduced_model(n_th, gamma):
     rf = integrate(full, full.initial_state(psi), sch.window, **tols)[-1].matrix
     rr = integrate(red, red.initial_state(psi), sch.window, **tols)[-1].matrix
     assert np.max(np.abs(full.reduce_to_qubit2(rf) - red.reduce_to_qubit2(rr))) < 1e-7
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    fock_cutoff=st.integers(2, 4),
+    include_cavity=st.booleans(),
+    copies=st.sampled_from([1, 3]),
+    n_th=st.floats(0.0, 2.0),
+    gamma=st.floats(0.5, 20.0),
+    t=st.floats(-14.0, 14.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_real_coordinates_carry_the_generator(
+    fock_cutoff, include_cavity, copies, n_th, gamma, t, seed
+):
+    copies = 1 if include_cavity else copies  # copies need the two-qubit model
+    sch = analytic_schedule(1.0, cutoff_floor=1e-4)
+    ns = n_th if copies == 1 else [n_th, 2.0 * n_th + 0.1, 0.0]
+    model = CascadedModel(sch, ns, gamma=gamma, fock_cutoff=fock_cutoff,
+                          include_cavity=include_cavity)
+    rng = np.random.default_rng(seed)
+    d = model.dimension
+    a = rng.normal(size=(copies, d, d)) + 1j * rng.normal(size=(copies, d, d))
+    rho = a @ a.conj().transpose(0, 2, 1)
+    rho = (rho + rho.conj().transpose(0, 2, 1)) / 2  # Hermitian to the last bit
+    rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    k = _excitation_difference(model)
+    picked = rng.integers(1, k.max() + 1, size=2)
+    ks = np.unique(np.r_[0, picked, -picked])
+    inside = np.isin(k, ks)
+    part = np.where(inside, rho, 0)
+    sector = model._on_sectors(ks)
+    x = sector._pack(part)
+    assert x.dtype == float and x.size == copies * np.count_nonzero(inside)
+    assert np.array_equal(sector._unpack(x), part)
+    # mapped back, the real generator is the generator on the full rho
+    ref = model.rhs(t, rho)
+    atol = 1e-12 * np.max(np.abs(ref))
+    np.testing.assert_allclose(sector._unpack(sector.rhs(t, x)), np.where(inside, ref, 0),
+                               rtol=0, atol=atol)
+    np.testing.assert_allclose(sector._generator(t) @ x, sector.rhs(t, x), rtol=0, atol=atol)
+    states = [DensityMatrix(r, -1.0) for r in part]
+    traj = integrate(model, states[0] if copies == 1 else states, (-1.0, 1.0),
+                     np.array([-1.0, 0.0, 1.0]))
+    assert traj.stats["unknowns"] == x.size
+    for sample in traj:
+        for snap in [sample] if copies == 1 else sample:
+            assert np.array_equal(snap.matrix, snap.matrix.conj().T)

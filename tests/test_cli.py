@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +245,20 @@ def test_cli_zero_rate_exits_3_naming_it(tmp_path, capsys, experiment, params, f
     assert f"ValidationError: {field} must be" in err
     assert "Traceback" not in err
     assert not (tmp_path / f"{experiment}.csv").exists()
+
+
+@pytest.mark.parametrize("width", [0, -0.005])
+def test_cli_non_positive_dip_width_exits_2(tmp_path, capsys, width):
+    cfg = tmp_path / "dip.json"
+    cfg.write_text(json.dumps({"experiment": "waveguide", "parameters": {
+        "quantity": "rethermalization", "dip_width_over_k": width}}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["waveguide", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "parameters.dip_width_over_k must be > 0" in err
+    assert caught == [] and "Warning" not in err
+    assert not (tmp_path / "waveguide.csv").exists()
 
 
 @pytest.mark.parametrize("rtol", [-1, 0])
