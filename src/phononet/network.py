@@ -21,8 +21,11 @@ excitation-conserving networks and conserves flux row-wise,
 sum_j |S_ij|^2 + sum_j |S'_ij|^2 = 1 (Gardiner & Collett, PRA 31, 3761
 (1985)).  Every response, from X itself to the spectra and the circulator's
 probabilities, comes from the rows of X it needs on the whole frequency
-grid, from one Schur factorisation of M that also checks stability, and a
+grid, from one Schur factorisation that also checks stability, and a
 residual check per point; the rows of S and S' come from one function.
+When every coupling is rotating-wave, B = 0 and M = A (+) A*: the a and
+a^dag sectors never couple, so only A is factorised, and the a^dag rows of
+X at w are the conjugated a rows at -w.
 
 Conventions
 -----------
@@ -256,52 +259,69 @@ def build_drift_matrix(network: LinearNetwork) -> DriftMatrix:
 def _response_rows(drift: DriftMatrix, omegas, rows) -> np.ndarray:
     """Rows ``rows`` of X(w) = [M - i w]^-1, shape (len(omegas), len(rows), dim).
 
-    One complex Schur factorisation M - i w0 = Q T Q^H, w0 the grid's centre
-    (backward stable at exceptional points too; its error scales with
-    |M - i w0|, not |M|), then x Q (T - i (w - w0)) = Q[r] by forward
-    substitution over T's columns, each step vectorised over the grid.  The
-    residual shifts M's diagonal before the product: X @ M - i w X would
-    cancel eps |w X| (1e-8 at Q ~ 1e8).  Raises ValidationError for an empty
-    grid; StabilityError naming the eigenvalue (diag T + i w0) of most
+    The solve runs on K = M, or, when the anomalous block B is zero, on
+    K = A: an a row of X(w) is then a row of [A - i w]^-1, an a^dag row the
+    conjugate of one of [A + i w]^-1, and entries outside a row's sector
+    are exact zeros.  One complex Schur factorisation K - i w0 = Q T Q^H,
+    w0 the grid's centre (backward stable at exceptional points too; its
+    error scales with |K - i w0|, not |K|), then x Q (T - i (v - w0)) = Q[r]
+    by forward substitution over T's columns, each step vectorised over the
+    grid, with v = -w for an a^dag row of A and v = w otherwise.  The
+    residual max|x (K - i v) - e_r| is the full row's, as the off-block part
+    is zero; it shifts K's diagonal before the product, as X @ K - i v X
+    would cancel eps |v X| (1e-8 at Q ~ 1e8).  Raises ValidationError for an
+    empty grid; StabilityError naming the eigenvalue (diag T + i w0) of most
     negative real part when one lies below -1e-12 max(|M|, 1); and
-    SingularFrequencyError naming an omega that is not finite, where
-    M - i w is singular, or where max|x (M - i w) - e_r| exceeds 1e-8 or is NaN.
+    SingularFrequencyError naming an omega that is not finite, where M - i w
+    is singular (A - i w or A + i w when B = 0), or where the residual
+    exceeds 1e-8 or is NaN.  Both checks cover every eigenvalue of M.
     """
     omegas = np.asarray(omegas, dtype=float)
     if omegas.ndim != 1 or omegas.size == 0:
         raise ValidationError("frequency grid must be a non-empty 1-D array")
-    M, d = drift.matrix, drift.dimension
+    M, d, rows = drift.matrix, drift.dimension, np.asarray(rows)
+    split = not np.any(M[0::2, 1::2])  # B = 0: M = A (+) A*, X(w)'s a^dag block is X_A(-w)*
+    K, krows = (drift.annihilation_block(), rows // 2) if split else (M, rows)
+    sign = np.where(rows % 2, -1.0, 1.0) if split else np.ones(len(rows))
     finite = omegas[np.isfinite(omegas)]
     w0 = 0.5 * (finite.min() + finite.max()) if finite.size else 0.0
-    T, Q = schur(M - 1j * w0 * np.eye(d), output="complex")
+    T, Q = schur(K - 1j * w0 * np.eye(len(K)), output="complex")
     tol = _STABILITY_TOL * max(np.max(np.abs(M)), 1.0)
-    eigs = T.diagonal()
+    eigs = T.diagonal()  # with the split, M's are these and their conjugates
     worst = complex(eigs[np.argmin(eigs.real)] + 1j * w0)
     if worst.real < -tol:
         raise StabilityError(
             f"drift matrix is unstable: eigenvalue {worst!r} has negative real part"
         )
-    shifted = eigs[:, None] - 1j * (omegas - w0)  # (dim, n_w)
-    singular = ~np.isfinite(omegas) | (np.min(np.abs(shifted), axis=0) <= tol)
+    signs = (1.0, -1.0) if split else (1.0,)  # A*'s eigenvalues at w are A's at -w
+    gap = np.min([np.abs(eigs[:, None] - 1j * (s * omegas - w0)) for s in signs], axis=(0, 1))
+    singular = ~np.isfinite(omegas) | (gap <= tol)
     if np.any(singular):
         w = omegas[np.argmax(singular)]
         raise SingularFrequencyError(f"response singular at omega={float(w)!r}")
-    n, k = omegas.size, len(rows)
-    Y = np.empty((d, n * k), dtype=complex)  # Y[j] = (x Q)_j; column w k + row
-    for j in range(d):
-        Y[j] = ((Q[rows, j] - (T[:j, j] @ Y[:j]).reshape(n, k)) / shifted[j][:, None]).ravel()
-    X = Y.T @ Q.conj().T  # (n * k, dim)
-    D = M.diagonal()
-    E = X @ (M - np.diag(D)) + X * np.repeat(D - 1j * omegas[:, None], k, axis=0)
-    E[np.arange(n * k), np.tile(rows, n)] -= 1.0
-    resid = np.max(np.abs(E).reshape(n, k * d), axis=1)
+    n, k, dk = omegas.size, len(rows), len(K)
+    freqs = omegas[:, None] * sign  # (n_w, k): the frequency at which K solves each row
+    shift = 1j * (freqs - w0)
+    Y = np.empty((dk, n * k), dtype=complex)  # Y[j] = (x Q)_j; column w k + row
+    for j in range(dk):
+        Y[j] = ((Q[krows, j] - (T[:j, j] @ Y[:j]).reshape(n, k)) / (eigs[j] - shift)).ravel()
+    X = Y.T @ Q.conj().T  # (n * k, dk)
+    D = K.diagonal()
+    E = X @ (K - np.diag(D)) + X * (D - 1j * freqs.reshape(-1, 1))
+    E[np.arange(n * k), np.tile(krows, n)] -= 1.0
+    resid = np.max(np.abs(E).reshape(n, k * dk), axis=1)
     i = int(np.argmax(resid))  # the first NaN, if any
     if not resid[i] <= 1e-8:
         raise SingularFrequencyError(
             f"response singular or ill-conditioned at omega={float(omegas[i])!r} "
             f"(residual {resid[i]:.2e})"
         )
-    return X.reshape(n, k, d)
+    if not split:
+        return X.reshape(n, k, d)
+    X, odd = X.reshape(n, k, dk), rows % 2 == 1
+    out = np.zeros((n, k, d), dtype=complex)
+    out[:, ~odd, 0::2], out[:, odd, 1::2] = X[:, ~odd], X[:, odd].conj()
+    return out
 
 
 def _scattering_rows(drift: DriftMatrix, omegas, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -402,11 +422,13 @@ def internal_spectrum(
 ) -> NoiseSpectrum:
     """Stationary fluctuation spectrum <a^dag(w) a(w')> of an internal mode.
 
-    Sums rate * occupation * |X_row,col|^2 over every bath channel.  Raises
-    ValidationError for an unknown mode or an empty grid, and, from the
-    response core's one Schur factorisation, StabilityError naming the
+    Sums rate * occupation * |X_row,col|^2 over every bath channel; for a
+    rotating-wave network only the annihilation block is factorised.
+    Raises ValidationError for an unknown mode or an empty grid, and, from
+    the response core's one Schur factorisation, StabilityError naming the
     unstable eigenvalue and SingularFrequencyError naming the omega where
-    the response is singular or ill-conditioned.
+    the response is singular or ill-conditioned, in either sector: an
+    undamped rotating-wave mode at w_m is singular at -w_m too.
     """
     return _spectrum(network, omega_grid, mode, output=False)
 
