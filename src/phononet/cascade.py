@@ -32,7 +32,9 @@ real sparse matrix.  It is assembled directly on the occupied sectors
 from the product-basis labels of each entry (a ladder operator moves one
 label by one with a sqrt(n) factor), not sliced from a superoperator on
 the full vec(rho), and integrated with scipy's BDF solver: the channel's
-thermal decay is stiff.
+thermal decay is stiff.  This is the generator's only form: the model
+builds no dense operators, and its ``rhs`` acts on the real coordinates
+of a sector copy.
 
 A transferred amplitude arrives with a deterministic sign flip
 (the transfer amplitude tends to -1), so the ideal target for
@@ -114,21 +116,6 @@ class DensityMatrix:
         return float(np.min(np.linalg.eigvalsh(self.matrix)))
 
 
-def _kron(*ops: np.ndarray) -> np.ndarray:
-    out = ops[0]
-    for op in ops[1:]:
-        out = np.kron(out, op)
-    return out
-
-
-def _lowering(dims: tuple[int, ...], i: int) -> np.ndarray:
-    """Lowering operator of factor i of the product space with local dims;
-    a qubit (d = 2, basis g, e) gets sigma-."""
-    local = [np.eye(d, dtype=complex) for d in dims]
-    local[i] = np.diag(np.sqrt(np.arange(1, dims[i])), 1).astype(complex)
-    return _kron(*local)
-
-
 # A word is a product of ladder operators, one (factor, dagger) step each.
 def _low(f: int) -> tuple:
     return ((f, False),)
@@ -184,28 +171,8 @@ def _pair_terms(k: int, l: int, op_rel: float | None) -> list[tuple]:
     return terms
 
 
-def _owners(exc: np.ndarray, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row m and column n >= m of one entry per transposed pair with
-    exc[m] - exc[n] in ks (closed under k -> -k), in row-major order."""
-    order = np.argsort(exc, kind="stable")
-    bounds = np.searchsorted(exc[order], np.arange(exc.max() + 2))
-    rows, cols = [], []
-    for k in ks:  # row m meets the run of ``order`` at level exc[m] - k
-        level = exc - k
-        m = np.flatnonzero((level >= 0) & (level <= exc.max()))
-        lo, count = bounds[level[m]], np.diff(bounds)[level[m]]
-        start = np.repeat(lo - np.cumsum(count) + count, count)
-        rows.append(np.repeat(m, count))
-        cols.append(order[start + np.arange(count.sum())])
-    m, n = np.concatenate(rows), np.concatenate(cols)
-    upper = m <= n
-    m, n = m[upper], n[upper]
-    first = np.lexsort((n, m))
-    return m[first], n[first]
-
-
 class CascadedModel:
-    """Operators and rates of the cascaded chain.
+    """Dimensions and rates of the cascaded chain.
 
     ``include_cavity=False`` gives the two-qubit reduction; then ``n_th``
     plays the role of the effective channel occupation and ``fock_cutoff``
@@ -214,10 +181,9 @@ class CascadedModel:
     factor.  The model holds the dimensions and rates only: the generator
     L(t) = sum_{k>=l} sqrt(Gamma_k(t) Gamma_l(t)) L_kl, each L_kl holding the
     pair's (n_th + 1) D[S], n_th D[S^dag] and -i[H_kl, .] terms and
-    gamma_op D[b] joining the constant (b, b) block, is assembled on the
-    real coordinates of the excitation sectors that a state occupies (see
-    ``integrate``).  The ladder operators ``b``, ``s1`` and ``s2`` are dense
-    matrices built when first read.
+    gamma_op D[b] joining the constant (b, b) block, exists only on the
+    real coordinates of the excitation sectors that a state occupies, in a
+    copy of the model made by ``_on_sectors`` (see ``integrate``).
 
     For the two-qubit reduction ``n_th`` may also be a list of K
     occupations: the model then holds K copies side by side, the state is
@@ -278,34 +244,16 @@ class CascadedModel:
         # product-basis labels: row f holds factor f's level of every basis state
         self._labels = np.indices(dims).reshape(len(dims), -1)
         self._pairs = [(k, l) for k in range(len(dims)) for l in range(k + 1)]
-        # the excitation sectors the generator acts on; None: the model as
-        # built, whose ``rhs`` takes density matrices (see ``_on_sectors``)
-        self._sectors = None
-
-    @functools.cached_property
-    def b(self) -> np.ndarray | None:
-        """Cavity lowering operator; None for the two-qubit reduction."""
-        return _lowering(self._dims, 0) if self.include_cavity else None
-
-    @functools.cached_property
-    def s1(self) -> np.ndarray:
-        """sigma- of qubit 1."""
-        return _lowering(self._dims, len(self._dims) - 2)
-
-    @functools.cached_property
-    def s2(self) -> np.ndarray:
-        """sigma- of qubit 2."""
-        return _lowering(self._dims, len(self._dims) - 1)
 
     # -- state constructors -------------------------------------------------
 
-    def initial_state(self, qubit1=(0.0, 1.0), t0: float | None = None) -> DensityMatrix:
+    def initial_state(self, qubit1=(0.0, 1.0)) -> DensityMatrix:
         """Cavity in its cooled thermal state, qubit 1 in the given pure
-        state (amplitudes on |g>, |e>), qubit 2 in the ground state."""
+        state (amplitudes on |g>, |e>), qubit 2 in the ground state, at the
+        start of the schedule's window."""
         a = np.asarray(qubit1, dtype=complex)
         a = a / np.linalg.norm(a)
         states = [np.outer(a, a.conj()), np.diag([1.0, 0.0]).astype(complex)]
-        t0 = self.schedule.window[0] if t0 is None else t0
         if self.include_cavity:
             nbar = self.n_th * self.gamma / (self.gamma + self.gamma_op)
             nc = self.fock_cutoff + 1
@@ -314,7 +262,7 @@ class CascadedModel:
             else:
                 p = np.r_[1.0, np.zeros(nc - 1)]
             states.insert(0, np.diag(p / p.sum()).astype(complex))
-        return DensityMatrix(_kron(*states), t0)
+        return DensityMatrix(functools.reduce(np.kron, states), self.schedule.window[0])
 
     # -- generator ----------------------------------------------------------
 
@@ -327,13 +275,14 @@ class CascadedModel:
         of the owners with m < n.  Each pair block is assembled on them from
         the terms of ``_pair_terms``: an owner row (m, n) reads entry (p, q)
         through <m|A|p><n|B|q>, and (p, q) is folded onto its owner, with a
-        minus sign on Im rho_pq when p > q.  ``_stack`` holds the pair
-        blocks one above the other, each block-diagonal over the model's
-        copies."""
+        minus sign on Im rho_pq when p > q.  The pair blocks are assembled
+        one at a time and ``_stack`` holds them one above the other, each
+        block-diagonal over the model's copies."""
         labels, d = self._labels, self.dimension
         exc = labels.sum(axis=0)
         ks = np.arange(-exc.max(), exc.max() + 1) if ks is None else np.asarray(ks)
-        m, n = _owners(exc, ks)
+        # the owners m <= n of the sector's transposed pairs, in row-major order
+        m, n = np.nonzero(np.triu(np.isin(exc[:, None] - exc[None, :], ks)))
         off = np.flatnonzero(m != n)
         width = m.size + off.size  # coordinates per copy
         im = np.zeros(m.size, dtype=np.intp)
@@ -343,8 +292,9 @@ class CascadedModel:
         ns = np.ravel(self.n_th)
         op_rel = self.gamma_op / self.gamma if self.include_cavity else None
         size = width * ns.size
-        rows, cols, vals = [], [], []
-        for p, (k, l) in enumerate(self._pairs):
+        blocks = []
+        for k, l in self._pairs:
+            rows, cols, vals = [], [], []
             for a, b, A, B in _pair_terms(k, l, op_rel):
                 ket, va = _walk(labels[:, m], self._dims, A)
                 bra, vb = _walk(labels[:, n], self._dims, B)
@@ -359,21 +309,18 @@ class CascadedModel:
                 c = np.concatenate([col, im[col[both]]])
                 v = np.concatenate([v, sign[both] * v[both]])
                 for j, nj in enumerate(ns):  # block-diagonal over the copies
-                    rows.append(p * size + j * width + r)
+                    rows.append(j * width + r)
                     cols.append(j * width + c)
                     vals.append((a + b * nj) * v)
-        # sum repeated entries in term order: a row and its Im partner add up
-        # the same numbers in the same order, so they agree to the last bit
-        key, pos = np.unique(np.concatenate(rows) * size + np.concatenate(cols),
-                             return_inverse=True)
-        data = np.bincount(pos, weights=np.concatenate(vals), minlength=key.size)
-        row, col = np.divmod(key, size)
-        indptr = np.searchsorted(row, np.arange(size * len(self._pairs) + 1))
+            # sum repeated entries in term order: a row and its Im partner add
+            # up the same numbers in the same order, so they agree to the last bit
+            key, pos = np.unique(np.concatenate(rows) * size + np.concatenate(cols),
+                                 return_inverse=True)
+            data = np.bincount(pos, weights=np.concatenate(vals), minlength=key.size)
+            blocks.append(sp.csr_matrix((data, np.divmod(key, size)), shape=(size, size)))
         sub = copy.copy(self)
-        sub._sectors = ks
         sub._owner, sub._off = (m, n), off
-        sub._stack = sp.csr_matrix((data, col.astype(np.int32), indptr.astype(np.int32)),
-                                   shape=(size * len(self._pairs), size))
+        sub._stack = sp.vstack(blocks, format="csr")
         return sub
 
     def _pack(self, rho: np.ndarray) -> np.ndarray:
@@ -408,23 +355,12 @@ class CascadedModel:
         n = self._stack.shape[1]
         return (sp.kron(coef, sp.identity(n), format="csr") @ self._stack).tocsr()
 
-    def rhs(self, t: float, rho: np.ndarray) -> np.ndarray:
-        """Apply the generator at time t to rho (a matrix, the copies as a
-        (K, d, d) array, or the row-major vectorisation); the result has
-        rho's shape.  On a copy restricted to excitation sectors (see
-        ``integrate``) rho is the vector of its real coordinates."""
-        rho = np.asarray(rho)
-        if self._sectors is not None:
-            coef = self._coefficients(t)
-            # entrywise, not BLAS: equal rows give equal sums in any position
-            return (coef[:, None] * (self._stack @ rho).reshape(coef.size, -1)).sum(axis=0)
-        # rho = her + i anti with Hermitian parts, each on real coordinates
-        full = self._on_sectors()
-        mats = rho.reshape(self.copies, self.dimension, self.dimension)
-        adj = mats.conj().transpose(0, 2, 1)
-        her, anti = (full._unpack(full.rhs(t, full._pack(h)))
-                     for h in ((mats + adj) / 2, (mats - adj) / 2j))
-        return (her + 1j * anti).reshape(rho.shape)
+    def rhs(self, t: float, x: np.ndarray) -> np.ndarray:
+        """Apply the generator at time t to the real coordinates x of a copy
+        made by ``_on_sectors``: sum_kl c_kl(t) (L_kl x)."""
+        coef = self._coefficients(t)
+        # entrywise, not BLAS: equal rows give equal sums in any position
+        return (coef[:, None] * (self._stack @ x).reshape(coef.size, -1)).sum(axis=0)
 
     # -- observables ----------------------------------------------------------
 

@@ -136,18 +136,6 @@ def render_json(config: RunConfig, columns, rows, extras, timestamp: str) -> str
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
-def parse_metadata_header(text: str) -> RunConfig:
-    """Recover the RunConfig from an emitted file (CSV header or JSON)."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        doc = json.loads(stripped)
-        return parse_config(json.dumps(doc["config"]))
-    for line in text.splitlines():
-        if line.startswith("# config: "):
-            return parse_config(line[len("# config: "):])
-    raise ConfigError("no configuration header found")
-
-
 def run_experiment(config: RunConfig, out_dir: Path) -> Path:
     """Execute a run and write its output file; returns the path."""
     columns, table, extras = RUNNERS[config.experiment](config.parameters)

@@ -191,7 +191,6 @@ class TransferAmplitudes:
     v1: np.ndarray
     v2: np.ndarray
     g1: np.ndarray          # decay envelope of node 1
-    g2: np.ndarray          # decay envelope of node 2
     transfer: np.ndarray    # quadrature transfer amplitude T(t, t0)
 
     @property
@@ -203,20 +202,16 @@ class TransferAmplitudes:
         return np.abs(self.g1**2 + self.transfer**2 - 1.0)
 
 
-def evolve_amplitudes(
-    schedule: PulseSchedule,
-    t_grid: np.ndarray,
-    v0: tuple[float, float] = (1.0, 0.0),
-    rtol: float = 1e-10,
-) -> TransferAmplitudes:
+def evolve_amplitudes(schedule: PulseSchedule, t_grid: np.ndarray) -> TransferAmplitudes:
     """Integrate the amplitude equations and the closed-form envelopes.
 
-    The ODE is solved in one RK45 run sampled on ``t_grid``; g1, g2 and the
-    transfer amplitude come from independent cumulative quadrature on
-    ``t_grid``, so the two routes can be compared.  The transfer's
-    quadrature -e^{-a2(t)} int e^{a2} sqrt(Gamma1 Gamma2) G1 ds restarts
-    wherever a2 = int Gamma2/2 has risen by 300, carrying its running sum
-    over with e^{-rise}, so e^{a2} never overflows.
+    The ODE is solved from (v1, v2) = (1, 0) in one RK45 run (rtol 1e-10)
+    sampled on ``t_grid``; g1 and the transfer amplitude come from
+    independent cumulative quadrature on ``t_grid``, so the two routes can
+    be compared.  The transfer's quadrature
+    -e^{-a2(t)} int e^{a2} sqrt(Gamma1 Gamma2) G1 ds restarts wherever
+    a2 = int Gamma2/2 has risen by 300, carrying its running sum over with
+    e^{-rise}, so e^{a2} never overflows.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 3 or not np.all(np.diff(t_grid) > 0):
@@ -228,8 +223,8 @@ def evolve_amplitudes(
         return [-0.5 * g1 * v[0], -0.5 * g2 * v[1] - math.sqrt(g1 * g2) * v[0]]
 
     sol = solve_ivp(
-        rhs, (t_grid[0], t_grid[-1]), np.asarray(v0, dtype=float), t_eval=t_grid,
-        rtol=rtol, atol=1e-14, method="RK45", max_step=(t_grid[-1] - t_grid[0]) / 16,
+        rhs, (t_grid[0], t_grid[-1]), np.array([1.0, 0.0]), t_eval=t_grid,
+        rtol=1e-10, atol=1e-14, method="RK45", max_step=(t_grid[-1] - t_grid[0]) / 16,
     )
     if not sol.success:
         raise NumericalError(f"amplitude integration failed: {sol.message}")
@@ -240,7 +235,6 @@ def evolve_amplitudes(
     a1 = cumulative_simpson(g1v / 2, x=t_grid, initial=0)
     a2 = cumulative_simpson(g2v / 2, x=t_grid, initial=0)
     env1 = np.exp(-a1)
-    env2 = np.exp(-a2)
     root, transfer, s, carry = np.sqrt(g1v * g2v), np.empty_like(t_grid), 0, 0.0
     while s < t_grid.size - 1:  # one piece from s; the sum is carried scaled by e^{-a2[s]}
         over = np.nonzero(a2[s + 1 :] - a2[s] > 300.0)[0]
@@ -251,7 +245,7 @@ def evolve_amplitudes(
         transfer[piece] = -np.exp(-rise) * run
         s, carry = piece.stop - 1, run[-1] * np.exp(-rise[-1])
 
-    return TransferAmplitudes(t_grid, v1, v2, env1, env2, transfer)
+    return TransferAmplitudes(t_grid, v1, v2, env1, transfer)
 
 
 def dark_state_residual(amplitudes: TransferAmplitudes, schedule: PulseSchedule, t):

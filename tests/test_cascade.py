@@ -86,15 +86,33 @@ def test_generator_is_trace_free():
     model = CascadedModel(sch, n_th=0.5, gamma=10.0, fock_cutoff=4)
     rho = model.initial_state((0.2, 0.98)).matrix
     for t in (-3.0, 0.0, 2.0):
-        drho = model.rhs(t, rho)
+        drho = _full_rhs(model, t, rho)
         assert abs(np.trace(drho)) < 1e-12
 
 
+def _full_rhs(model, t, rho):
+    """The generator applied to rho (a matrix, the copies as a (K, d, d)
+    array, or the row-major vectorisation) through the model's every-sector
+    copy: rho = her + i anti with Hermitian parts, each on real coordinates."""
+    rho = np.asarray(rho)
+    full = model._on_sectors()
+    mats = rho.reshape(model.copies, model.dimension, model.dimension)
+    adj = mats.conj().transpose(0, 2, 1)
+    her, anti = (full._unpack(full.rhs(t, full._pack(h)))
+                 for h in ((mats + adj) / 2, (mats - adj) / 2j))
+    return (her + 1j * anti).reshape(rho.shape)
+
+
 def _dense_rhs(model, t, rho):
-    """The cascade generator written out with dense matrices."""
-    ops = [(model.schedule.gamma1(t), model.s1), (model.schedule.gamma2(t), model.s2)]
+    """The cascade generator written out with dense matrices; the reduced
+    model has a one-level "cavity" factor."""
+    nc = model.fock_cutoff + 1 if model.include_cavity else 1
+    sm, i2, ic = np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2), np.eye(nc)
+    b = np.kron(np.kron(np.diag(np.sqrt(np.arange(1, nc)), 1), i2), i2)
+    s1, s2 = np.kron(np.kron(ic, sm), i2), np.kron(np.kron(ic, i2), sm)
+    ops = [(model.schedule.gamma1(t), s1), (model.schedule.gamma2(t), s2)]
     if model.include_cavity:
-        ops.insert(0, (model.gamma, model.b))
+        ops.insert(0, (model.gamma, b))
     dim = model.dimension
     S = np.zeros((dim, dim), dtype=complex)
     for rate, c in ops:
@@ -112,7 +130,7 @@ def _dense_rhs(model, t, rho):
     drho = -1j * (H @ rho - rho @ H)
     drho += (model.n_th + 1) * dissipator(S) + model.n_th * dissipator(S.conj().T)
     if model.include_cavity:
-        drho += model.gamma_op * dissipator(model.b)
+        drho += model.gamma_op * dissipator(b)
     return drho
 
 
@@ -137,7 +155,7 @@ def test_generator_matches_dense_lindblad_formula(
     a = rng.normal(size=(model.dimension,) * 2) + 1j * rng.normal(size=(model.dimension,) * 2)
     rho = a @ a.conj().T
     rho /= np.trace(rho)
-    drho = model.rhs(t, rho)
+    drho = _full_rhs(model, t, rho)
     ref = _dense_rhs(model, t, rho)
     np.testing.assert_allclose(drho, ref, rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(ref))))
     assert abs(np.trace(drho)) < 1e-12
@@ -152,15 +170,6 @@ def test_subsystem_bookkeeping_matches_index_loops(fock_cutoff):
     nc = fock_cutoff + 1 if cavity else 1
     model = CascadedModel(analytic_schedule(1.0), n_th=0.7, gamma=2.0,
                           fock_cutoff=fock_cutoff, include_cavity=cavity)
-    sm, i2, ic = np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2), np.eye(nc)
-    a = np.diag(np.sqrt(np.arange(1, nc)), 1)
-    np.testing.assert_array_equal(model.s1, np.kron(np.kron(ic, sm), i2))
-    np.testing.assert_array_equal(model.s2, np.kron(np.kron(ic, i2), sm))
-    if cavity:
-        np.testing.assert_array_equal(model.b, np.kron(np.kron(a, i2), i2))
-    else:
-        assert model.b is None
-
     # initial state: cooled thermal cavity x (0.6, 0.8) x ground
     nbar = 0.7 * 2.0 / (2.0 + 2.0) if cavity else 0.0
     p = (nbar / (nbar + 1)) ** np.arange(nc)
@@ -352,12 +361,12 @@ def test_stacked_generator_is_block_diagonal_over_copies():
     rhos /= np.trace(rhos, axis1=1, axis2=2)[:, None, None]
     frame = stacked._on_sectors()  # every sector: 16 real coordinates per copy
     for t in (-14.0, -3.0, 0.0, 2.5, 10.0):
-        drho = stacked.rhs(t, rhos)
+        drho = _full_rhs(stacked, t, rhos)
         assert drho.shape == rhos.shape
-        np.testing.assert_array_equal(stacked.rhs(t, rhos.ravel()), drho.ravel())
+        np.testing.assert_array_equal(_full_rhs(stacked, t, rhos.ravel()), drho.ravel())
         for n, rho, d in zip(ns, rhos, drho):
             solo = CascadedModel(sch, n_th=n, include_cavity=False)
-            np.testing.assert_allclose(d, solo.rhs(t, rho), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(d, _full_rhs(solo, t, rho), rtol=0, atol=1e-15)
             assert abs(np.trace(d)) < 1e-12
             assert np.max(np.abs(d - d.conj().T)) < 1e-12
         jac = frame._generator(t).toarray()
@@ -489,7 +498,7 @@ def test_excitation_sectors_are_exact(
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     # the generator maps one sector into itself, exactly
     sector = k == rng.integers(k.min(), k.max() + 1)
-    assert np.all(model.rhs(t, np.where(sector, a, 0))[~sector] == 0)
+    assert np.all(_full_rhs(model, t, np.where(sector, a, 0))[~sector] == 0)
     # a full-rank state's k = 0 block evolves as its k = 0 projection does
     rho = a @ a.conj().T
     rho /= np.trace(rho)
@@ -551,7 +560,7 @@ def test_real_coordinates_carry_the_generator(
     assert x.dtype == float and x.size == copies * np.count_nonzero(inside)
     assert np.array_equal(sector._unpack(x), part)
     # mapped back, the real generator is the generator on the full rho
-    ref = model.rhs(t, rho)
+    ref = _full_rhs(model, t, rho)
     atol = 1e-12 * np.max(np.abs(ref))
     np.testing.assert_allclose(sector._unpack(sector.rhs(t, x)), np.where(inside, ref, 0),
                                rtol=0, atol=atol)

@@ -14,7 +14,6 @@ from phononet.cli import (
     RunConfig,
     main,
     parse_config,
-    parse_metadata_header,
     run_experiment,
 )
 from phononet.errors import ConfigError
@@ -140,7 +139,8 @@ def test_metadata_header_round_trips(tmp_path):
     raw = {"experiment": "waveguide", "parameters": {"n_sites": 64}, "seed": 7}
     cfg = parse_config(json.dumps(raw))
     text = run_experiment(cfg, tmp_path).read_text()
-    again = parse_metadata_header(text)
+    header = next(line for line in text.splitlines() if line.startswith("# config: "))
+    again = parse_config(header[len("# config: "):])
     assert again == cfg
     assert again.seed == 7
     assert again.parameters["n_sites"] == 64
@@ -154,7 +154,7 @@ def test_json_format_round_trips(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["columns"][0] == "delta_over_omega_m"
     assert len(doc["data"]) > 100
-    assert parse_metadata_header(path.read_text()) == cfg
+    assert parse_config(json.dumps(doc["config"])) == cfg
 
 
 def test_csv_number_format(tmp_path):
