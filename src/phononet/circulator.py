@@ -59,6 +59,9 @@ class CirculatorSpec:
     omega_m: float = 0.0
 
     def __post_init__(self) -> None:
+        for field in ("tunneling", "phase", "gamma", "gamma0", "omega_m"):
+            if not math.isfinite(getattr(self, field)):
+                raise ValidationError(f"circulator {field} must be finite")
         if self.tunneling <= 0 or self.gamma <= 0:
             raise ValidationError("tunneling and gamma must be > 0")
         if self.gamma0 < 0:
@@ -80,6 +83,10 @@ class OpticalDriveDesign:
     phase2: float
 
     def __post_init__(self) -> None:
+        for field in ("delta1", "delta2", "tunnel_J", "kappa", "om_coupling_g",
+                      "drive1", "drive2", "phase1", "phase2"):
+            if not math.isfinite(getattr(self, field)):
+                raise ValidationError(f"optical drive {field} must be finite")
         if self.kappa <= 0:
             raise ValidationError("kappa must be > 0")
         if self.tunnel_J < 0:

@@ -20,7 +20,7 @@ import argparse
 import datetime
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import __version__
@@ -182,10 +182,7 @@ def main(argv=None) -> int:
             text = json.dumps({"experiment": args.experiment})
         config = parse_config(text, args.experiment)
         if args.format is not None:
-            config = RunConfig(
-                config.experiment, config.parameters, config.seed,
-                config.output_path, args.format,
-            )
+            config = replace(config, output_format=args.format)
         path = run_experiment(config, args.out)
     except ConfigError as exc:
         print(f"phononet: configuration error: {exc}", file=sys.stderr)

@@ -1,5 +1,16 @@
 """Exception types used across the package."""
 
+__all__ = [
+    "PhononetError",
+    "ValidationError",
+    "StabilityError",
+    "SingularFrequencyError",
+    "ConfigError",
+    "FitError",
+    "DesignFailureError",
+    "NumericalError",
+]
+
 
 class PhononetError(Exception):
     """Base class for all errors raised by phononet."""

@@ -89,7 +89,7 @@ class ModeSpec:
     """One bosonic mode.
 
     ``frequency`` is the coefficient of a^dag a in the rotating frame used
-    for the whole network: the (sign-flipped) drive detuning -delta for a
+    for the whole network: the (sign-flipped) drive offset -delta for a
     driven optical mode, the mechanical frequency omega_m for a mechanical
     mode.  ``intrinsic_rate`` is the undamped-bath decay rate (gamma_0 for
     mechanics; optical intrinsic loss is conventionally folded into the
@@ -548,17 +548,15 @@ def om_cooling_network(
     g_alpha: complex,
     gamma0: float = 0.0,
     n_th: float = 0.0,
-    detuning: float | None = None,
     rotating_wave: bool = True,
 ) -> LinearNetwork:
     """Driven optical cavity cooling a single mechanical mode (no waveguide).
 
-    ``detuning`` is the drive detuning delta (default -omega_m, the red
-    sideband); the optical mode enters the rotating frame at -delta.
+    The drive sits on the red sideband, delta = -omega_m, so the optical
+    mode enters the rotating frame at -delta = omega_m.
     """
-    delta = -omega_m if detuning is None else detuning
     modes = (
-        ModeSpec("a", ModeKind.OPTICAL, -delta),
+        ModeSpec("a", ModeKind.OPTICAL, omega_m),
         ModeSpec("b", ModeKind.MECHANICAL, omega_m, gamma0, n_th),
     )
     couplings = (CouplingSpec("a", "b", g_alpha, rotating_wave),)
@@ -574,7 +572,6 @@ def om_filter_network(
     g_alpha: complex | None = None,
     gamma0: float = 0.0,
     n_th: float = 0.0,
-    detuning: float | None = None,
     rotating_wave: bool = True,
 ) -> LinearNetwork:
     """Noise-filter configuration: cooled mechanical mode side-coupled to a
@@ -584,7 +581,7 @@ def om_filter_network(
         g_alpha = math.sqrt((gamma + gamma0) * kappa / 2)
     net = om_cooling_network(
         omega_m=omega_m, kappa=kappa, g_alpha=g_alpha, gamma0=gamma0, n_th=n_th,
-        detuning=detuning, rotating_wave=rotating_wave,
+        rotating_wave=rotating_wave,
     )
     return LinearNetwork(net.modes, net.couplings, net.ports + (PortSpec("b", gamma, n_th),))
 
@@ -598,7 +595,6 @@ def multimode_cooling_network(
     g_alpha: complex,
     gamma0: float,
     n_th: float,
-    detuning: float | None = None,
 ) -> LinearNetwork:
     """Open chain of n_modes mechanical resonators, site 1 optically cooled.
 
@@ -607,8 +603,7 @@ def multimode_cooling_network(
     """
     if n_modes < 2:
         raise ValidationError("chain needs at least two modes")
-    delta = -omega_m if detuning is None else detuning
-    modes = [ModeSpec("a", ModeKind.OPTICAL, -delta)]
+    modes = [ModeSpec("a", ModeKind.OPTICAL, omega_m)]
     modes += [
         ModeSpec(f"b{j}", ModeKind.MECHANICAL, omega_m, gamma0, n_th)
         for j in range(1, n_modes + 1)

@@ -43,6 +43,10 @@ class RamanParams:
     gamma_e: float
 
     def __post_init__(self) -> None:
+        for field in ("coupling_lambda", "omega_m", "omega_rabi0", "omega_rabi1", "delta",
+                      "gamma_e"):
+            if not np.all(np.isfinite(getattr(self, field))):
+                raise ValidationError(f"Raman {field} must be finite")
         if self.gamma_e <= 0:
             raise ValidationError("excited-state decay Gamma_e must be > 0")
         if self.omega_m <= 0:

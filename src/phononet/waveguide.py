@@ -50,6 +50,9 @@ class ChainSpec:
     def __post_init__(self) -> None:
         if self.n_sites < 2:
             raise ValidationError("chain needs n_sites >= 2")
+        for field in ("omega0", "coupling_K", "lattice_a", "intrinsic_gamma0", "bath_occupation"):
+            if not math.isfinite(getattr(self, field)):
+                raise ValidationError(f"chain {field} must be finite")
         if self.omega0 <= 0 or self.coupling_K < 0 or self.lattice_a <= 0:
             raise ValidationError("omega0, lattice_a must be > 0 and K >= 0")
         if self.intrinsic_gamma0 < 0 or self.bath_occupation < 0:
@@ -122,8 +125,8 @@ def propagate_spectrum(
     spectrum: NoiseSpectrum, z: float, channel: ContinuumChannel
 ) -> NoiseSpectrum:
     """Rethermalise a noise spectrum over a propagation distance z >= 0."""
-    if z < 0:
-        raise ValidationError("propagation distance must be >= 0")
+    if not (math.isfinite(z) and z >= 0):
+        raise ValidationError("propagation distance z must be finite and >= 0")
     if math.isinf(channel.mean_free_path):
         decay = 1.0
     else:

@@ -390,6 +390,22 @@ def test_config_doc_tables_match_schemas():
         assert sorted(keys) == sorted(schema), experiment
 
 
+@pytest.mark.parametrize("path, quantity", [(p, None) for p in SHIPPED_CONFIGS]
+                         + [(Path(__file__).parents[1] / "configs" / "waveguide.json",
+                             "dispersion")],
+                         ids=lambda v: getattr(v, "stem", v))
+def test_config_doc_columns_match_runners(path, quantity):
+    params = parse_config(path.read_text()).parameters
+    if quantity is not None:
+        params = {**params, "quantity": quantity}
+    doc = (Path(__file__).parents[1] / "docs" / "CONFIG.md").read_text()
+    section = re.search(rf"^## {path.stem}\n(.*?)(?=^## |\Z)", doc, re.M | re.S).group(1)
+    documented = {label or None: re.findall(r"`(\w+)`", names) for label, names in re.findall(
+        r"^Columns(?: \((\w+)\))?: ((?:`\w+`(?:,\s+|\s*))+)", section, re.M)}
+    columns, _, _ = RUNNERS[path.stem](params)
+    assert documented[params.get("quantity")] == list(columns)
+
+
 def test_cli_design_meets_operating_point(tmp_path):
     assert main(["design", "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "design.csv").read_text().splitlines()
