@@ -36,6 +36,10 @@ thermal decay is stiff.  This is the generator's only form: the model
 builds no dense operators, and its ``rhs`` acts on the real coordinates
 of a sector copy.
 
+``scipy.sparse`` and ``scipy.integrate`` are imported by the functions
+that assemble and integrate the generator, when they run, so ``import
+phononet`` and a run that solves no master equation never load them.
+
 A transferred amplitude arrives with a deterministic sign flip
 (the transfer amplitude tends to -1), so the ideal target for
 alpha|0> + beta|1> is alpha|0> - beta|1>; ``transferred_target`` applies
@@ -52,13 +56,15 @@ import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.integrate import solve_ivp
 
 from .errors import NumericalError, ValidationError
 from .transfer import PulseSchedule
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "CascadedModel",
@@ -87,6 +93,22 @@ def default_fock_cutoff(n_th: float) -> int:
     ``CascadedModel`` warns when the cap binds.
     """
     return min(_uncapped_fock_cutoff(n_th), 30)
+
+
+def _qubit_amplitudes(qubit1) -> np.ndarray:
+    """The amplitudes (on |g>, |e>) of a qubit state, normalised; anything
+    but two finite numbers of finite, nonzero norm raises ValidationError."""
+    try:
+        a = np.asarray(qubit1, dtype=complex)
+    except (TypeError, ValueError):
+        a = None
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        norm = np.linalg.norm(a) if a is not None and a.shape == (2,) else math.nan
+    if not (math.isfinite(norm) and norm > 0):
+        raise ValidationError(
+            f"qubit1 must be two amplitudes of finite, nonzero norm, got {qubit1!r}"
+        )
+    return a / norm
 
 
 @dataclass(frozen=True)
@@ -230,8 +252,9 @@ class CascadedModel:
                         RuntimeWarning,
                         stacklevel=2,
                     )
-            if fock_cutoff < 2:
-                raise ValidationError("fock_cutoff must be >= 2")
+            if (isinstance(fock_cutoff, bool) or not isinstance(fock_cutoff, (int, np.integer))
+                    or fock_cutoff < 2):
+                raise ValidationError(f"fock_cutoff must be an integer >= 2, got {fock_cutoff!r}")
             dims = (fock_cutoff + 1, 2, 2)
         else:
             self.gamma = 0.0
@@ -251,8 +274,7 @@ class CascadedModel:
         """Cavity in its cooled thermal state, qubit 1 in the given pure
         state (amplitudes on |g>, |e>), qubit 2 in the ground state, at the
         start of the schedule's window."""
-        a = np.asarray(qubit1, dtype=complex)
-        a = a / np.linalg.norm(a)
+        a = _qubit_amplitudes(qubit1)
         states = [np.outer(a, a.conj()), np.diag([1.0, 0.0]).astype(complex)]
         if self.include_cavity:
             nbar = self.n_th * self.gamma / (self.gamma + self.gamma_op)
@@ -278,6 +300,8 @@ class CascadedModel:
         minus sign on Im rho_pq when p > q.  The pair blocks are assembled
         one at a time and ``_stack`` holds them one above the other, each
         block-diagonal over the model's copies."""
+        import scipy.sparse as sp
+
         labels, d = self._labels, self.dimension
         exc = labels.sum(axis=0)
         ks = np.arange(-exc.max(), exc.max() + 1) if ks is None else np.asarray(ks)
@@ -351,6 +375,8 @@ class CascadedModel:
 
     def _generator(self, t: float) -> sp.csr_matrix:
         """L(t) on the real coordinates of a sector copy: the matrix ``rhs`` applies."""
+        import scipy.sparse as sp
+
         coef = sp.csr_matrix(self._coefficients(t)[None, :])
         n = self._stack.shape[1]
         return (sp.kron(coef, sp.identity(n), format="csr") @ self._stack).tocsr()
@@ -432,6 +458,8 @@ def integrate(
     returned in the trajectory's ``stats`` and logged at DEBUG on
     ``phononet.cascade``.
     """
+    from scipy.integrate import solve_ivp
+
     for key, tol in (("rtol", rtol), ("atol", atol)):
         if not (math.isfinite(tol) and tol > 0):
             raise ValidationError(f"{key} must be a finite number > 0, got {tol!r}")
@@ -505,8 +533,7 @@ def transferred_target(qubit1=(0.0, 1.0)) -> np.ndarray:
 
     The protocol's transfer amplitude approaches -1, so beta acquires a
     sign flip relative to the sent state."""
-    a = np.asarray(qubit1, dtype=complex)
-    a = a / np.linalg.norm(a)
+    a = _qubit_amplitudes(qubit1)
     psi = np.array([a[0], -a[1]])
     return np.outer(psi, psi.conj())
 

@@ -211,6 +211,7 @@ def run_filter(p: dict):
             "floor": fit.floor,
             "n_th": fit.n_th,
             "rms": fit.rms,
+            "nfev": fit.nfev,
         }
     table = np.column_stack([(spec.grid - omega_m) / gamma, spec.values])
     return ["omega_over_gamma", "N_F"], table, extras

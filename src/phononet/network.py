@@ -27,6 +27,10 @@ When every coupling is rotating-wave, B = 0 and M = A (+) A*: the a and
 a^dag sectors never couple, so only A is factorised, and the a^dag rows of
 X at w are the conjugated a rows at -w.
 
+Of scipy the module loads only ``scipy.linalg`` (every response needs
+``schur``); ``fit_lorentzian_dip`` imports ``scipy.optimize`` when it
+runs, so ``import phononet`` and a run that fits no dip never load it.
+
 Conventions
 -----------
 * All frequencies and rates are angular (rad/s).  Inputs in ordinary Hz are
@@ -48,7 +52,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import schur
-from scipy.optimize import least_squares
 
 from .errors import FitError, SingularFrequencyError, StabilityError, ValidationError
 
@@ -367,6 +370,9 @@ class LorentzianDipFit:
     """Parameters of the inverted-Lorentzian model
 
     N(w) = n_th - (n_th - floor) * width^2 / ((w - center)^2 + width^2).
+
+    ``rms`` is the fit's residual and ``nfev`` its number of model
+    evaluations (0 for a model that was not fitted).
     """
 
     center: float
@@ -374,6 +380,7 @@ class LorentzianDipFit:
     floor: float
     n_th: float
     rms: float
+    nfev: int = 0
 
     def evaluate(self, omega: np.ndarray) -> np.ndarray:
         lor = self.width**2 / ((omega - self.center) ** 2 + self.width**2)
@@ -499,8 +506,10 @@ def fit_lorentzian_dip(spectrum: NoiseSpectrum) -> LorentzianDipFit:
 
     Initialised from (argmin, half-width at half depth, min value, edge
     mean); raises FitError when the sampled minimum is not interior to the
-    grid.
+    grid.  ``nfev`` is the number of model evaluations the fit made.
     """
+    from scipy.optimize import least_squares
+
     w = spectrum.grid
     y = spectrum.values
     imin = int(np.argmin(y))
@@ -533,7 +542,8 @@ def fit_lorentzian_dip(spectrum: NoiseSpectrum) -> LorentzianDipFit:
         raise FitError(f"dip fit did not converge: {sol.message}")
     center, width, floor, n_th = sol.x
     rms = float(np.sqrt(np.mean(sol.fun**2)))
-    return LorentzianDipFit(float(center), abs(float(width)), float(floor), float(n_th), rms)
+    return LorentzianDipFit(float(center), abs(float(width)), float(floor), float(n_th), rms,
+                           int(sol.nfev))
 
 
 # --------------------------------------------------------------------------

@@ -40,6 +40,10 @@ F(w) with the channel occupation N(w); for the inverted-Lorentzian dip this
 reduces to N_eff = (2 g N0 + Gamma_max n_th) / (2 g + Gamma_max) with g the
 dip half-width.  The kernel lives on uniform time segments: F(w) is one
 chirp-z transform and the N_eff convolution one IIR filter per segment.
+
+Each function imports the scipy subpackage it computes with
+(``scipy.integrate``, ``scipy.signal``) when it runs, so ``import
+phononet`` and a run that never calls them do not load those subpackages.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson, solve_ivp
 
 from .errors import DesignFailureError, NumericalError, ValidationError
 
@@ -213,6 +216,8 @@ def evolve_amplitudes(schedule: PulseSchedule, t_grid: np.ndarray) -> TransferAm
     a2 = int Gamma2/2 has risen by 300, carrying its running sum over with
     e^{-rise}, so e^{a2} never overflows.
     """
+    from scipy.integrate import cumulative_simpson, solve_ivp
+
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 3 or not np.all(np.diff(t_grid) > 0):
         raise ValidationError("t_grid must be strictly increasing with >= 3 points")
@@ -278,6 +283,8 @@ def design_pulses_iterative(
     is a design failure, as is an emit pulse whose survival amplitude stays
     above 1e-3.
     """
+    from scipy.integrate import cumulative_simpson, simpson
+
     t_grid = np.asarray(t_grid, dtype=float)
     if callable(gamma1):
         g1_of = gamma1
@@ -346,6 +353,8 @@ class FilteredNoise:
 def _absorption_kernel(schedule: PulseSchedule, n_steps: int):
     """f(t) = sqrt(Gamma1) G1(tf, t) on the joined grid ``ts``, with the uniform segments
     (t_start, dt, f) of that grid, views that share their end point t = 0."""
+    from scipy.integrate import cumulative_simpson
+
     if n_steps < 4:  # two segments of at least two samples each
         raise ValidationError(f"n_steps must be >= 4, got {n_steps!r}")
     t0, tf = schedule.window
@@ -376,13 +385,15 @@ def effective_occupation_integral(
     segment, stable for arbitrarily wide dips.  Valid in the linear regime N(w) << 1.
     ``n_steps`` below 4 raises ValidationError.
     """
+    from scipy.integrate import simpson
+
     ts, f, segs = _absorption_kernel(schedule, n_steps)
     w_norm = float(simpson(f**2, x=ts))
     if isinstance(noise, WhiteNoise):
         return noise.n_th * w_norm
     if not isinstance(noise, FilteredNoise):
         raise ValidationError(f"unsupported noise model {noise!r}")
-    from scipy.signal import lfilter  # here, as it would double `import phononet`'s time
+    from scipy.signal import lfilter
 
     lam = noise.width - 1j * noise.center_offset  # correlation e^{-lam |tau|}
     hs = [np.zeros(1, dtype=complex)]  # h(t) = int_t0^t f(s) e^{-lam (t-s)} ds
@@ -439,7 +450,7 @@ def pulse_spectrum(
             f"pulse_spectrum omega_grid reaches |w| = {w_max:.6g}, beyond the Nyquist "
             f"limit pi/dt = {nyquist:.6g} of the kernel's coarsest step; raise n_steps"
         )
-    from scipy.signal import czt  # here, as it would double `import phononet`'s time
+    from scipy.signal import czt
     out = np.zeros(omega.size, dtype=complex)
     for t_start, dt, fs in segments:
         wf = dt * np.r_[fs[0] / 2, fs[1:-1], fs[-1] / 2]  # trapezoid weights

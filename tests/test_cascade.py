@@ -2,6 +2,7 @@
 
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -40,8 +41,12 @@ def test_fock_cutoff_cap_warns():
 
 def test_fock_cutoff_below_two_rejected():
     sch = analytic_schedule(1.0)
-    with pytest.raises(pn.ValidationError, match="fock_cutoff must be >= 2"):
-        CascadedModel(sch, n_th=0.5, gamma=10.0, fock_cutoff=1)
+    # below two, or not an integer (the schema's integer rule: no bool, no 3.0)
+    for cutoff in (1, 2.5, 3.0, "4", True):
+        with pytest.raises(pn.ValidationError,
+                           match=rf"fock_cutoff must be an integer >= 2, got {cutoff!r}"):
+            CascadedModel(sch, n_th=0.5, gamma=10.0, fock_cutoff=cutoff)
+    assert CascadedModel(sch, n_th=0.5, gamma=10.0, fock_cutoff=np.int64(2)).dimension == 12
     assert CascadedModel(sch, n_th=0.5, include_cavity=False).fock_cutoff is None
 
 
@@ -214,6 +219,18 @@ def test_excited_population_names_the_qubit():
     for which in (0, 3, "1"):
         with pytest.raises(pn.ValidationError, match="which must be 1 or 2"):
             model.excited_population(rho, which)
+
+
+@pytest.mark.parametrize("qubit1", [(0, 0), (0.0, math.nan), (math.inf, 0.0), (1e200, 1e200),
+                                    (1, 0, 0), "ab", None],
+                         ids=["zero", "nan", "inf", "huge", "three", "text", "none"])
+def test_qubit_amplitudes_rejected_by_name(qubit1):
+    model = CascadedModel(analytic_schedule(1.0), n_th=0.5, gamma=10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in (model.initial_state, transferred_target):
+            with pytest.raises(pn.ValidationError, match=r"^qubit1 must be two amplitudes"):
+                build(qubit1)
 
 
 def test_thermal_steady_state_of_cavity():

@@ -125,6 +125,12 @@ def test_fidelity_metadata_reports_the_evolved_unknowns(tmp_path):
     assert (meta["distinct_n_eff"], meta["unknowns"]) == (9, 126)
 
 
+def test_filter_metadata_reports_the_fit_evaluations():
+    p = parse_config(json.dumps({"experiment": "filter"}))
+    _, _, meta = RUNNERS["filter"](p.parameters)
+    assert type(meta["fit"]["nfev"]) is int and meta["fit"]["nfev"] > 0
+
+
 def test_fidelity_sweep_is_one_integration(monkeypatch):
     calls = []
     real = cascade.integrate

@@ -540,6 +540,7 @@ def test_fit_recovers_synthesized_dip():
     assert fit.floor == pytest.approx(floor, rel=1e-8)
     assert fit.n_th == pytest.approx(n_th, rel=1e-8)
     assert fit.rms < 1e-10
+    assert fit.nfev > 0 and pn.LorentzianDipFit(center, width, floor, n_th, 0.0).nfev == 0
     np.testing.assert_allclose(fit.evaluate(grid), vals, atol=1e-8)
 
 

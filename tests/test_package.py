@@ -1,8 +1,12 @@
 """Tests of the public package surface: the namespace, the documented
-library sketch and the finite-input checks of the parameter specs."""
+library sketch, the scipy subpackages an import or a run loads, and the
+finite-input checks of the parameter specs."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +16,7 @@ import phononet as pn
 from phononet import cascade, circulator, errors, network, nv, transfer, waveguide
 
 MODULES = [errors, network, waveguide, transfer, cascade, circulator, nv]
+ROOT = Path(__file__).parents[1]
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
@@ -21,9 +26,41 @@ def test_namespace_exports_every_module_all(module):
 
 
 def test_readme_library_sketch_runs():
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     [sketch] = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
     exec(compile(sketch, "README.md", "exec"), {})
+
+
+# imported by the functions that compute with them: loaded with the
+# package, they would add about two thirds to every run's start-up
+DEFERRED = {"scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.signal"}
+
+
+def _loaded_modules(*args):
+    """Run ``python -X importtime *args`` in a fresh interpreter; the module
+    names it imported, read from the import-time log on stderr."""
+    src = str(Path(pn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-X", "importtime", *args], cwd=ROOT, env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_import_loads_no_deferred_scipy_subpackage():
+    loaded = _loaded_modules("-c", "import phononet")
+    assert "phononet.cascade" in loaded and "scipy.linalg" in loaded
+    assert not DEFERRED & loaded
+
+
+@pytest.mark.parametrize("experiment", ["multimode", "circulator", "waveguide", "design", "nv"])
+def test_network_only_runs_load_no_deferred_scipy_subpackage(experiment, tmp_path):
+    config = ROOT / "configs" / f"{experiment}.json"
+    loaded = _loaded_modules("-m", "phononet", experiment, "--config", str(config),
+                             "--out", str(tmp_path))
+    assert (tmp_path / f"{experiment}.csv").is_file()
+    assert not DEFERRED & loaded
 
 
 _NAN = math.nan
