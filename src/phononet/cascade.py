@@ -28,13 +28,17 @@ each transposed pair |m><n|, |n><m| carries it, a diagonal entry as
 Re rho_mm and an off-diagonal one as Re rho_mn and Im rho_mn.  In the
 Fock basis every ladder operator and -iH are real, so the generator has
 real coefficients on the entries and these coordinates evolve under a
-real sparse matrix.  It is assembled directly on the occupied sectors
+real sparse matrix that never mixes Re and Im: a real rho stays real, so
+the Im coordinates are evolved only when some initial state has an
+imaginary part.  The matrix is assembled directly on the occupied sectors
 from the product-basis labels of each entry (a ladder operator moves one
 label by one with a sqrt(n) factor), not sliced from a superoperator on
 the full vec(rho), and integrated with scipy's BDF solver: the channel's
-thermal decay is stiff.  This is the generator's only form: the model
-builds no dense operators, and its ``rhs`` acts on the real coordinates
-of a sector copy.
+thermal decay is stiff.  BDF's Newton matrices are factorised in the
+coordinates' own order, which already gives the fill of SuperLU's COLAMD
+ordering (Li, ACM TOMS 31, 302 (2005)) without its cost.  This is the
+generator's only form: the model builds no dense operators, and its
+``rhs`` acts on the real coordinates of a sector copy.
 
 ``scipy.sparse`` and ``scipy.integrate`` are imported by the functions
 that assemble and integrate the generator, when they run, so ``import
@@ -169,6 +173,26 @@ def _walk(labels: np.ndarray, dims: tuple[int, ...], word: tuple):
     return lab, val
 
 
+def _owners(exc: np.ndarray, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row m and column n >= m of one entry per transposed pair with
+    exc[m] - exc[n] in ks (closed under k -> -k), in row-major order."""
+    order = np.argsort(exc, kind="stable")
+    bounds = np.searchsorted(exc[order], np.arange(exc.max() + 2))
+    rows, cols = [], []
+    for k in ks:  # row m meets the run of ``order`` at level exc[m] - k
+        level = exc - k
+        m = np.flatnonzero((level >= 0) & (level <= exc.max()))
+        lo, count = bounds[level[m]], np.diff(bounds)[level[m]]
+        start = np.repeat(lo - np.cumsum(count) + count, count)
+        rows.append(np.repeat(m, count))
+        cols.append(order[start + np.arange(count.sum())])
+    m, n = np.concatenate(rows), np.concatenate(cols)
+    upper = m <= n
+    m, n = m[upper], n[upper]
+    first = np.lexsort((n, m))
+    return m[first], n[first]
+
+
 def _pair_terms(k: int, l: int, op_rel: float | None) -> list[tuple]:
     """The terms (a, b, A, B) of the pair block L_kl at channel occupation n,
     each adding (a + b n) A rho B^dag with words A, B: the pair's
@@ -288,26 +312,28 @@ class CascadedModel:
 
     # -- generator ----------------------------------------------------------
 
-    def _on_sectors(self, ks: Sequence[int] | None = None) -> CascadedModel:
+    def _on_sectors(self, ks: Sequence[int] | None = None, imag: bool = True) -> CascadedModel:
         """A shallow copy whose generator acts on the real coordinates of the
         excitation sectors ``ks`` (closed under k -> -k; None: every sector).
 
         Per copy, the coordinates are Re rho_mn of the owners m <= n, one per
-        transposed pair of sector entries in row-major order, then Im rho_mn
-        of the owners with m < n.  Each pair block is assembled on them from
-        the terms of ``_pair_terms``: an owner row (m, n) reads entry (p, q)
-        through <m|A|p><n|B|q>, and (p, q) is folded onto its owner, with a
-        minus sign on Im rho_pq when p > q.  The pair blocks are assembled
-        one at a time and ``_stack`` holds them one above the other, each
-        block-diagonal over the model's copies."""
+        transposed pair of sector entries in row-major order, then, if
+        ``imag``, Im rho_mn of the owners with m < n.  Each pair block is
+        assembled on them from the terms of ``_pair_terms``: an owner row
+        (m, n) reads entry (p, q) through <m|A|p><n|B|q>, and (p, q) is
+        folded onto its owner, with a minus sign on Im rho_pq when p > q.
+        The coefficients are real, so Re rows read only Re coordinates and Im
+        rows only Im ones: a real rho stays real, and without ``imag`` its Im
+        coordinates, which stay exactly 0, are left out.  The pair blocks are
+        assembled one at a time and ``_stack`` holds them one above the
+        other, each block-diagonal over the model's copies."""
         import scipy.sparse as sp
 
         labels, d = self._labels, self.dimension
         exc = labels.sum(axis=0)
         ks = np.arange(-exc.max(), exc.max() + 1) if ks is None else np.asarray(ks)
-        # the owners m <= n of the sector's transposed pairs, in row-major order
-        m, n = np.nonzero(np.triu(np.isin(exc[:, None] - exc[None, :], ks)))
-        off = np.flatnonzero(m != n)
+        m, n = _owners(exc, ks)
+        off = np.flatnonzero(m != n) if imag else np.zeros(0, dtype=np.intp)
         width = m.size + off.size  # coordinates per copy
         im = np.zeros(m.size, dtype=np.intp)
         im[off] = m.size + np.arange(off.size)
@@ -328,7 +354,7 @@ class CascadedModel:
                 pk, pb = strides @ ket[:, hit], strides @ bra[:, hit]
                 col = np.searchsorted(keys, np.minimum(pk, pb) * d + np.maximum(pk, pb))
                 sign = np.sign(pb - pk)
-                both = np.flatnonzero((m[hit] != n[hit]) & (sign != 0))
+                both = np.flatnonzero((m[hit] != n[hit]) & (sign != 0) & imag)
                 r = np.concatenate([hit, im[hit[both]]])
                 c = np.concatenate([col, im[col[both]]])
                 v = np.concatenate([v, sign[both] * v[both]])
@@ -411,12 +437,34 @@ class CascadedModel:
         return np.einsum("xaxb->ab", rho.reshape(m, 2, m, 2))
 
 
+def _min_eigenvalue(rho: np.ndarray, exc: np.ndarray) -> float:
+    """The smallest eigenvalue of a Hermitian rho from its band in the order
+    of the basis states' excitation numbers ``exc``.  A state on the sectors
+    |k| <= K couples only levels at most K apart, so the band is narrow (8
+    diagonals at |k| <= 1 with cavity and two qubits): at dimension 804 a
+    band solver takes 40 ms where a dense one takes 1.5 s (one core of a
+    2-vCPU Xeon VM)."""
+    from scipy.linalg import eigvals_banded
+
+    pos = np.empty(exc.size, dtype=np.intp)
+    pos[np.argsort(exc, kind="stable")] = np.arange(exc.size)
+    i, j = np.nonzero(rho)
+    lower = pos[i] >= pos[j]
+    i, j = i[lower], j[lower]
+    vals = rho[i, j] if np.any(rho.imag) else rho.real[i, j]  # a real band is cheaper
+    band = np.zeros((np.max(pos[i] - pos[j]) + 1, exc.size), dtype=vals.dtype)
+    band[pos[i] - pos[j], pos[j]] = vals
+    return float(eigvals_banded(band, lower=True)[0])
+
+
 class Trajectory(list):
     """The samples of one ``integrate`` run, with the solver's work counts
-    (``rhs_calls``, ``jacobians``, ``lu_factorisations``) and the number of
-    evolved ``unknowns`` in ``stats``."""
+    (``rhs_calls``, ``jacobians``, ``lu_factorisations``), the number of
+    evolved ``unknowns`` and, over the last sample of every copy, the
+    largest ``trace_defect`` |Tr rho - 1| and the smallest eigenvalue
+    ``min_eigenvalue`` in ``stats``."""
 
-    def __init__(self, samples, stats: dict[str, int]):
+    def __init__(self, samples, stats: dict[str, float]):
         super().__init__(samples)
         self.stats = stats
 
@@ -438,11 +486,14 @@ def integrate(
     for a diagonal state; a state with weight in every sector evolves the
     full space.  The sector is evolved on its real coordinates (see
     ``CascadedModel._on_sectors``): Re rho_mn of one entry of each
-    transposed pair and Im rho_mn of the off-diagonal ones, as many real
-    unknowns as the sector has complex entries.
-    ``scipy.integrate.solve_ivp(method="BDF")`` runs on them in real
+    transposed pair and, when some rho0 has an imaginary part, Im rho_mn
+    of the off-diagonal ones: as many real unknowns as the sector has
+    complex entries.  A real rho0 stays real, so its Im coordinates, exactly
+    0 throughout, are not evolved: (entries + diagonal) / 2 unknowns.
+    ``scipy.integrate.solve_ivp`` runs scipy's BDF on them in real
     arithmetic with ``rhs`` and ``_generator`` of a copy of the model
-    restricted to them as the right-hand side and Jacobian.  The solver's
+    restricted to them as the right-hand side and Jacobian, and factorises
+    each Newton matrix with SuperLU in natural column order.  The solver's
     error test is the RMS over the evolved real coordinates of
     err / (atol + rtol |x_i|), not a maximum norm; for a model with several
     copies it spans the coordinates of every copy.
@@ -454,11 +505,26 @@ def integrate(
     or a sequence of ``model.copies`` states, and then each sample is a
     list of them.  A non-finite or non-positive ``rtol`` or ``atol``
     raises ``ValidationError``; solver failure raises ``NumericalError``.
-    The solver statistics and the number of evolved ``unknowns`` are
-    returned in the trajectory's ``stats`` and logged at DEBUG on
+    The solver statistics, the number of evolved ``unknowns`` and the last
+    sample's trace and positivity defects are returned in the trajectory's
+    ``stats`` (see ``Trajectory``) and logged at DEBUG on
     ``phononet.cascade``.
     """
-    from scipy.integrate import solve_ivp
+    from scipy.integrate import BDF, solve_ivp
+    from scipy.sparse.linalg import splu
+
+    class NaturalOrderBDF(BDF):
+        """BDF that factorises its Newton matrix I - c J in the coordinates'
+        own order: the row-major owner order already gives COLAMD's fill."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+
+            def lu(a):
+                self.nlu += 1
+                return splu(a, permc_spec="NATURAL")
+
+            self.lu = lu
 
     for key, tol in (("rtol", rtol), ("atol", atol)):
         if not (math.isfinite(tol) and tol > 0):
@@ -484,7 +550,8 @@ def integrate(
     rhos0 = np.stack([r.matrix for r in states])
     exc = model._labels.sum(axis=0)
     _, i, j = np.nonzero(rhos0)
-    sector = model._on_sectors(np.union1d(exc[i] - exc[j], exc[j] - exc[i]))
+    sector = model._on_sectors(np.union1d(exc[i] - exc[j], exc[j] - exc[i]),
+                               imag=bool(np.any(rhos0.imag)))
     y0 = sector._pack(rhos0)
     # a sample at t0 is the initial state; the rest come from one solver run
     out = [[DensityMatrix(r.matrix.copy(), t) for r in states]
@@ -495,7 +562,7 @@ def integrate(
         failed = f"BDF integration failed between t = {float(t0)!r} and {float(later[-1])!r}"
         try:  # t_eval: keep the samples only, not every step's state
             sol = solve_ivp(
-                sector.rhs, (t0, later[-1]), y0, method="BDF", t_eval=later,
+                sector.rhs, (t0, later[-1]), y0, method=NaturalOrderBDF, t_eval=later,
                 rtol=rtol, atol=atol, jac=lambda s, _: sector._generator(s),
             )
         except RuntimeError as exc:  # singular Newton matrix, from SuperLU
@@ -508,9 +575,12 @@ def integrate(
             raise NumericalError(f"{failed}: {sol.message}")
         out += [[DensityMatrix(r, t) for r in sample]
                 for sample, t in zip(sector._unpack(sol.y.T), later.tolist())]
+    last, levels = [r.matrix for r in out[-1]], model._labels.sum(axis=0)
+    stats.update(trace_defect=max(float(abs(np.trace(r) - 1)) for r in last),
+                 min_eigenvalue=min(_min_eigenvalue(r, levels) for r in last))
     _log.debug("integrate: dim %d, %d copies, %d samples, %d RHS calls, %d Jacobians, "
-               "%d LU factorisations, %d unknowns", model.dimension, model.copies, len(out),
-               *stats.values())
+               "%d LU factorisations, %d unknowns, trace defect %.3g, min eigenvalue %.3g",
+               model.dimension, model.copies, len(out), *stats.values())
     if single:
         out = [sample[0] for sample in out]
     return Trajectory(out, stats)

@@ -1,5 +1,6 @@
 """Tests for the cascaded master equation and the reduced qubit model."""
 
+import cmath
 import logging
 import math
 import warnings
@@ -18,6 +19,7 @@ from phononet.cascade import (
     integrate,
     reduced_two_qubit_model,
     transferred_target,
+    _owners,
 )
 from phononet.transfer import analytic_schedule, tabulated_schedule
 
@@ -479,9 +481,11 @@ def _excitation_difference(model):
     return n[:, None] - n[None, :]
 
 
-@pytest.mark.parametrize("psi, unknowns", [((1.0, 1.0), 384), ((0.0, 1.0), 132)])
+@pytest.mark.parametrize("psi, unknowns", [((1.0, 1.0), 210), ((0.0, 1.0), 84)])
 def test_integrate_evolves_only_the_occupied_sectors(caplog, psi, unknowns):
-    # cutoff 8: |k| <= 1 keeps 384 of 1296 entries, the diagonal k = 0 state 132
+    # cutoff 8: |k| <= 1 keeps 384 of 1296 entries, the diagonal k = 0 state 132;
+    # a real state evolves Re rho_mn of one entry per transposed pair alone,
+    # (entries + 36 diagonal) / 2 of them
     sch = analytic_schedule(1.0, cutoff_floor=1e-4)
     model = CascadedModel(sch, n_th=0.5, gamma=10.0, fock_cutoff=8)
     with caplog.at_level(logging.DEBUG, logger="phononet.cascade"):
@@ -489,8 +493,23 @@ def test_integrate_evolves_only_the_occupied_sectors(caplog, psi, unknowns):
     assert traj.stats["unknowns"] == unknowns
     assert f"{unknowns} unknowns" in caplog.text
     k = _excitation_difference(model)
-    assert np.count_nonzero(np.abs(k) <= (1 if psi[0] else 0)) == unknowns
+    entries = np.count_nonzero(np.abs(k) <= (1 if psi[0] else 0))
+    assert (entries + model.dimension) // 2 == unknowns
     assert np.all(traj[-1].matrix[np.abs(k) > 1] == 0)
+    assert np.all(traj[-1].matrix.imag == 0)
+
+
+@pytest.mark.parametrize("fock_cutoff", [2, 8, 30, None])
+def test_owners_are_the_row_major_upper_entries_of_the_sectors(fock_cutoff):
+    # the per-sector enumeration against the dense d x d mask it replaces
+    model = CascadedModel(analytic_schedule(1.0), n_th=0.5, gamma=1.0, fock_cutoff=fock_cutoff,
+                          include_cavity=fock_cutoff is not None)
+    k = _excitation_difference(model)
+    exc = model._labels.sum(axis=0)
+    for ks in ([0], [-1, 0, 1], [-3, 0, 3], range(k.min(), k.max() + 1)):
+        m, n = _owners(exc, np.asarray(ks))
+        dense = np.nonzero(np.triu(np.isin(k, ks)))
+        assert np.array_equal(m, dense[0]) and np.array_equal(n, dense[1])
 
 
 @settings(max_examples=12, deadline=None)
@@ -589,3 +608,99 @@ def test_real_coordinates_carry_the_generator(
     for sample in traj:
         for snap in [sample] if copies == 1 else sample:
             assert np.array_equal(snap.matrix, snap.matrix.conj().T)
+
+
+def _im_coordinates(sector):
+    """True at the Im rho_mn coordinates of a sector copy, over every copy."""
+    m, _ = sector._owner
+    return np.tile(np.arange(m.size + sector._off.size) >= m.size, sector.copies)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    fock_cutoff=st.integers(2, 4),
+    include_cavity=st.booleans(),
+    copies=st.sampled_from([1, 3]),
+    n_th=st.floats(0.0, 2.0),
+    gamma=st.floats(0.5, 20.0),
+    theta=st.floats(0.1, 1.5),
+    phi=st.floats(0.1, 6.2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_real_and_imaginary_coordinates_never_mix(
+    fock_cutoff, include_cavity, copies, n_th, gamma, theta, phi, seed
+):
+    copies = 1 if include_cavity else copies  # copies need the two-qubit model
+    sch = analytic_schedule(1.0, cutoff_floor=1e-4)
+    ns = n_th if copies == 1 else [n_th, 2.0 * n_th + 0.1, 0.0]
+    model = CascadedModel(sch, ns, gamma=gamma, fock_cutoff=fock_cutoff,
+                          include_cavity=include_cavity)
+    k = _excitation_difference(model)
+    picked = np.random.default_rng(seed).integers(1, k.max() + 1, size=2)
+    sector = model._on_sectors(np.unique(np.r_[0, picked, -picked]))
+    im = _im_coordinates(sector)
+    assert sector._stack.shape == (len(model._pairs) * im.size, im.size)
+    for p in range(len(model._pairs)):  # every pair block, exactly
+        block = sector._stack[p * im.size:(p + 1) * im.size].toarray()
+        assert np.count_nonzero(block[~im][:, im]) == 0
+        assert np.count_nonzero(block[im][:, ~im]) == 0
+
+    def run(psi):
+        rho0 = model.initial_state(psi)
+        traj = integrate(model, rho0 if copies == 1 else [rho0] * copies, (-2.0, 2.0),
+                         np.array([-2.0, 0.0, 2.0]))
+        return traj, [snap for sample in traj for snap in ([sample] if copies == 1 else sample)]
+
+    entries = copies * np.count_nonzero(np.abs(k) <= 1)
+    psi = (math.cos(theta), math.sin(theta))
+    real, real_snaps = run(psi)
+    on_sectors = CascadedModel._on_sectors
+    with pytest.MonkeyPatch.context() as mp:  # evolve the Im coordinates all the same
+        mp.setattr(CascadedModel, "_on_sectors",
+                   lambda self, ks=None, imag=True: on_sectors(self, ks, True))
+        forced, forced_snaps = run(psi)
+    assert real.stats["unknowns"] == (entries + copies * model.dimension) // 2
+    assert forced.stats["unknowns"] == entries
+    for a, b in zip(real_snaps, forced_snaps, strict=True):
+        assert np.all(a.matrix.imag == 0) and np.all(b.matrix.imag == 0)
+        assert np.max(np.abs(a.matrix - b.matrix)) < 1e-7
+    # a complex state evolves both halves
+    twisted, _ = run((math.cos(theta), math.sin(theta) * cmath.exp(1j * phi)))
+    assert twisted.stats["unknowns"] == entries
+
+
+def test_newton_matrices_are_factorised_in_natural_order(monkeypatch):
+    # the row-major owner order already gives COLAMD's fill; if scipy's BDF
+    # stops factorising through its ``lu`` attribute, no call is seen here
+    import scipy.sparse.linalg
+
+    splu, orders = scipy.sparse.linalg.splu, []
+
+    def spy(a, *args, **kwargs):
+        orders.append(kwargs.get("permc_spec"))
+        return splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+    sch = analytic_schedule(1.0, cutoff_floor=1e-4)
+    model = CascadedModel(sch, n_th=0.5, gamma=10.0, fock_cutoff=4)
+    traj = integrate(model, model.initial_state((1.0, 1.0)), (-2.0, 2.0))
+    assert traj.stats["lu_factorisations"] > 0
+    assert orders == ["NATURAL"] * traj.stats["lu_factorisations"]
+
+
+def test_integrate_reports_the_final_trace_and_positivity_defects(caplog):
+    sch = analytic_schedule(1.0, cutoff_floor=1e-4)
+    ns = [0.0, 0.5, 5.0]
+    model = CascadedModel(sch, n_th=ns, include_cavity=False)
+    with caplog.at_level(logging.DEBUG, logger="phononet.cascade"):
+        traj = integrate(model, [model.initial_state((1.0, 1.0))] * 3, sch.window,
+                         np.array([0.0, 14.0]))
+    # the band solver against the dense one
+    assert traj.stats["trace_defect"] == max(abs(np.trace(s.matrix) - 1) for s in traj[-1])
+    assert traj.stats["min_eigenvalue"] == pytest.approx(
+        min(s.min_eigenvalue() for s in traj[-1]), rel=0, abs=1e-14)
+    assert traj.stats["trace_defect"] < 1e-8 and traj.stats["min_eigenvalue"] > -1e-8
+    assert "trace defect" in caplog.text and "min eigenvalue" in caplog.text
+    # the initial state alone is the last sample
+    start = integrate(model, [model.initial_state()] * 3, sch.window, np.array([sch.window[0]]))
+    assert start.stats["trace_defect"] == 0 and start.stats["min_eigenvalue"] == 0

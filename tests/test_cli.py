@@ -117,12 +117,16 @@ def test_fidelity_sweep_matches_solo_runs(tmp_path, state):
 
 
 def test_fidelity_metadata_reports_the_evolved_unknowns(tmp_path):
-    # 9 copies of the two-qubit model; the superposition occupies k in {-1, 0, +1},
-    # 14 of each copy's 16 entries
+    # 9 copies of the two-qubit model; the real superposition occupies k in
+    # {-1, 0, +1}, 14 of each copy's 16 entries, and evolves Re rho_mn of one
+    # entry per transposed pair: (14 + 4 diagonal) / 2 = 9 per copy
     raw = (Path(__file__).parents[1] / "configs" / "fidelity.json").read_text()
     text = run_experiment(parse_config(raw), tmp_path).read_text()
     meta = json.loads(next(l for l in text.splitlines() if l.startswith("# metadata: "))[12:])
-    assert (meta["distinct_n_eff"], meta["unknowns"]) == (9, 126)
+    assert (meta["distinct_n_eff"], meta["unknowns"]) == (9, 81)
+    # the final states' trace and positivity defects, over the copies
+    assert 0 <= meta["trace_defect"] < 1e-8
+    assert -1e-8 < meta["min_eigenvalue"] <= 0.25  # the smallest of four eigenvalues
 
 
 def test_filter_metadata_reports_the_fit_evaluations():
