@@ -247,6 +247,7 @@ def run_transfer(p: dict):
     extras = {
         "final_transfer": abs(amps.final_transfer),
         "max_norm_defect": float(np.max(np.abs(amps.v1**2 + amps.v2**2 - 1))),
+        **amps.stats,
     }
     cols = [
         "t_gamma_max", "gamma1_over_max", "gamma2_over_max",

@@ -49,6 +49,7 @@ phononet`` and a run that never calls them do not load those subpackages.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,6 +196,7 @@ class TransferAmplitudes:
     v2: np.ndarray
     g1: np.ndarray          # decay envelope of node 1
     transfer: np.ndarray    # quadrature transfer amplitude T(t, t0)
+    stats: dict[str, int]   # the ODE solver's "rhs_calls" and "steps"
 
     @property
     def final_transfer(self) -> float:
@@ -208,15 +210,18 @@ class TransferAmplitudes:
 def evolve_amplitudes(schedule: PulseSchedule, t_grid: np.ndarray) -> TransferAmplitudes:
     """Integrate the amplitude equations and the closed-form envelopes.
 
-    The ODE is solved from (v1, v2) = (1, 0) in one RK45 run (rtol 1e-10)
-    sampled on ``t_grid``; g1 and the transfer amplitude come from
-    independent cumulative quadrature on ``t_grid``, so the two routes can
-    be compared.  The transfer's quadrature
+    The ODE is solved from (v1, v2) = (1, 0) in one run of ODEPACK's LSODA
+    (``scipy.integrate.odeint``: Adams steps, BDF where the rates make it
+    stiff; rtol 1e-10, steps of at most a sixteenth of the window) sampled
+    on ``t_grid``; its RHS calls and steps go into ``stats``, and a failed
+    run raises NumericalError with the solver's message.  g1 and the
+    transfer amplitude come from independent cumulative quadrature on
+    ``t_grid``, so the two routes can be compared.  The transfer's quadrature
     -e^{-a2(t)} int e^{a2} sqrt(Gamma1 Gamma2) G1 ds restarts wherever
     a2 = int Gamma2/2 has risen by 300, carrying its running sum over with
     e^{-rise}, so e^{a2} never overflows.
     """
-    from scipy.integrate import cumulative_simpson, solve_ivp
+    from scipy.integrate import ODEintWarning, cumulative_simpson, odeint
 
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 3 or not np.all(np.diff(t_grid) > 0):
@@ -227,13 +232,17 @@ def evolve_amplitudes(schedule: PulseSchedule, t_grid: np.ndarray) -> TransferAm
         g2 = schedule.gamma2(t)
         return [-0.5 * g1 * v[0], -0.5 * g2 * v[1] - math.sqrt(g1 * g2) * v[0]]
 
-    sol = solve_ivp(
-        rhs, (t_grid[0], t_grid[-1]), np.array([1.0, 0.0]), t_eval=t_grid,
-        rtol=1e-10, atol=1e-14, method="RK45", max_step=(t_grid[-1] - t_grid[0]) / 16,
-    )
-    if not sol.success:
-        raise NumericalError(f"amplitude integration failed: {sol.message}")
-    v1, v2 = sol.y
+    with warnings.catch_warnings():  # odeint warns on failure even with full_output
+        warnings.simplefilter("ignore", ODEintWarning)
+        # mxstep bounds the steps between two output times, not in the whole run
+        v, info = odeint(
+            rhs, [1.0, 0.0], t_grid, tfirst=True, full_output=True, rtol=1e-10, atol=1e-14,
+            hmax=(t_grid[-1] - t_grid[0]) / 16, mxstep=10**8,
+        )
+    if info["message"] != "Integration successful.":
+        raise NumericalError(f"amplitude integration failed: {info['message']}")
+    v1, v2 = v.T
+    stats = {"rhs_calls": int(info["nfe"][-1]), "steps": int(info["nst"][-1])}
 
     g1v = schedule.gamma1(t_grid)
     g2v = schedule.gamma2(t_grid)
@@ -250,7 +259,7 @@ def evolve_amplitudes(schedule: PulseSchedule, t_grid: np.ndarray) -> TransferAm
         transfer[piece] = -np.exp(-rise) * run
         s, carry = piece.stop - 1, run[-1] * np.exp(-rise[-1])
 
-    return TransferAmplitudes(t_grid, v1, v2, env1, transfer)
+    return TransferAmplitudes(t_grid, v1, v2, env1, transfer, stats)
 
 
 def dark_state_residual(amplitudes: TransferAmplitudes, schedule: PulseSchedule, t):
@@ -302,10 +311,10 @@ def design_pulses_iterative(
 
     dt = 1e-3 / gmax
     n = int(np.ceil((t_grid[-1] - t_grid[0]) / dt)) + 1
-    ts = np.linspace(t_grid[0], t_grid[-1], n)
+    ts, dt = np.linspace(t_grid[0], t_grid[-1], n, retstep=True)
     g1s = np.asarray(g1_of(ts), dtype=float)
 
-    area = cumulative_simpson(g1s, x=ts, initial=0)  # A(t) = int Gamma1
+    area = cumulative_simpson(g1s, dx=dt, initial=0)  # A(t) = int Gamma1
     survival = math.exp(-area[-1] / 2)
     if survival >= 1e-3:
         raise DesignFailureError(
@@ -316,8 +325,8 @@ def design_pulses_iterative(
         requested = np.where(g1s > 0, g1s / np.expm1(area), 0.0)
     g2s = np.minimum(requested, gamma_ceiling)
 
-    a2 = cumulative_simpson(g2s / 2, x=ts, initial=0)
-    transfer = simpson(np.exp(a2 - a2[-1]) * np.sqrt(g1s * g2s) * np.exp(-area / 2), x=ts)
+    a2 = cumulative_simpson(g2s / 2, dx=dt, initial=0)
+    transfer = simpson(np.exp(a2 - a2[-1]) * np.sqrt(g1s * g2s) * np.exp(-area / 2), dx=dt)
     if not transfer >= 1 - 1e-3:
         max_requested = float(np.max(requested[area > 0], initial=0.0))
         raise DesignFailureError(
@@ -365,10 +374,13 @@ def _absorption_kernel(schedule: PulseSchedule, n_steps: int):
     else:
         ts = np.linspace(t0, tf, n_steps)
         ends = [0, ts.size - 1]
+    segments = [(i, j, (ts[j] - ts[i]) / (j - i)) for i, j in zip(ends, ends[1:])]
     g1 = schedule.gamma1(ts)
-    a1 = cumulative_simpson(g1 / 2, x=ts, initial=0)
+    a1 = np.zeros(ts.size)
+    for i, j, dt in segments:  # equal-step Simpson per segment, the sum carried over t = 0
+        a1[i : j + 1] = cumulative_simpson(g1[i : j + 1] / 2, dx=dt, initial=a1[i])
     f = np.sqrt(g1) * np.exp(-(a1[-1] - a1))  # G1(tf, t)
-    return ts, f, [(ts[i], (ts[j] - ts[i]) / (j - i), f[i : j + 1]) for i, j in zip(ends, ends[1:])]
+    return ts, f, [(ts[i], dt, f[i : j + 1]) for i, j, dt in segments]
 
 
 def effective_occupation_integral(

@@ -135,6 +135,13 @@ def test_filter_metadata_reports_the_fit_evaluations():
     assert type(meta["fit"]["nfev"]) is int and meta["fit"]["nfev"] > 0
 
 
+def test_transfer_metadata_reports_the_solver_counts():
+    p = parse_config(json.dumps({"experiment": "transfer"}))
+    _, _, meta = RUNNERS["transfer"](p.parameters)
+    assert type(meta["rhs_calls"]) is int and type(meta["steps"]) is int
+    assert 0 < meta["steps"] < meta["rhs_calls"] <= 1000  # explicit RK45 needs 2264
+
+
 def test_fidelity_sweep_is_one_integration(monkeypatch):
     calls = []
     real = cascade.integrate
