@@ -33,12 +33,14 @@ the Im coordinates are evolved only when some initial state has an
 imaginary part.  The matrix is assembled directly on the occupied sectors
 from the product-basis labels of each entry (a ladder operator moves one
 label by one with a sqrt(n) factor), not sliced from a superoperator on
-the full vec(rho), and integrated with scipy's BDF solver: the channel's
-thermal decay is stiff.  BDF's Newton matrices are factorised in the
-coordinates' own order, which already gives the fill of SuperLU's COLAMD
-ordering (Li, ACM TOMS 31, 302 (2005)) without its cost.  This is the
+the full vec(rho), and integrated with ODEPACK's LSODA (Petzold, SIAM J.
+Sci. Stat. Comput. 4, 136 (1983)), which switches to BDF steps where the
+channel's thermal decay makes the equation stiff.  In the coordinates'
+own order the matrix is banded, with half-bandwidths that do not grow
+with the Fock cutoff (26 for the states built here), so LSODA receives
+it as a band and factorises it in compiled code.  This is the
 generator's only form: the model builds no dense operators, and its
-``rhs`` acts on the real coordinates of a sector copy.
+``rhs`` and ``_band`` act on the real coordinates of a sector copy.
 
 ``scipy.sparse`` and ``scipy.integrate`` are imported by the functions
 that assemble and integrate the generator, when they run, so ``import
@@ -54,21 +56,16 @@ from __future__ import annotations
 
 import copy
 import functools
-import gc
 import logging
 import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .transfer import PulseSchedule
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 __all__ = [
     "CascadedModel",
@@ -326,7 +323,9 @@ class CascadedModel:
         rows only Im ones: a real rho stays real, and without ``imag`` its Im
         coordinates, which stay exactly 0, are left out.  The pair blocks are
         assembled one at a time and ``_stack`` holds them one above the
-        other, each block-diagonal over the model's copies."""
+        other, each block-diagonal over the model's copies.  The copy also
+        holds what ``_band`` needs: the half-bandwidths ``_lower`` and
+        ``_upper`` of the blocks and each stored entry's place in the band."""
         import scipy.sparse as sp
 
         labels, d = self._labels, self.dimension
@@ -370,7 +369,12 @@ class CascadedModel:
             blocks.append(sp.csr_matrix((data, np.divmod(key, size)), shape=(size, size)))
         sub = copy.copy(self)
         sub._owner, sub._off = (m, n), off
-        sub._stack = sp.vstack(blocks, format="csr")
+        sub._stack = stack = sp.vstack(blocks, format="csr")
+        # entry (r, c) of a block sits at [r - c + upper, c] of the band, flattened
+        r, c = np.repeat(np.arange(stack.shape[0]) % size, np.diff(stack.indptr)), stack.indices
+        sub._lower, sub._upper = (int(np.max(s, initial=0)) for s in (r - c, c - r))
+        sub._band_at = (r - c + sub._upper) * size + c
+        sub._block_nnz = np.diff(stack.indptr[::size])
         return sub
 
     def _pack(self, rho: np.ndarray) -> np.ndarray:
@@ -399,13 +403,15 @@ class CascadedModel:
             rates.insert(0, self.gamma)
         return np.array([math.sqrt(rates[k] * rates[l]) for k, l in self._pairs])
 
-    def _generator(self, t: float) -> sp.csr_matrix:
-        """L(t) on the real coordinates of a sector copy: the matrix ``rhs`` applies."""
-        import scipy.sparse as sp
-
-        coef = sp.csr_matrix(self._coefficients(t)[None, :])
+    def _band(self, t: float) -> np.ndarray:
+        """L(t) on the real coordinates of a sector copy in LSODA's band
+        layout: entry (r, c) at [r - c + ``_upper``, c] of a
+        (``_lower`` + ``_upper`` + 1, n) array, every pair block's entries
+        weighted by its coefficient and summed into place in one pass."""
         n = self._stack.shape[1]
-        return (sp.kron(coef, sp.identity(n), format="csr") @ self._stack).tocsr()
+        weights = np.repeat(self._coefficients(t), self._block_nnz) * self._stack.data
+        size = (self._lower + self._upper + 1) * n
+        return np.bincount(self._band_at, weights, minlength=size).reshape(-1, n)
 
     def rhs(self, t: float, x: np.ndarray) -> np.ndarray:
         """Apply the generator at time t to the real coordinates x of a copy
@@ -458,11 +464,12 @@ def _min_eigenvalue(rho: np.ndarray, exc: np.ndarray) -> float:
 
 
 class Trajectory(list):
-    """The samples of one ``integrate`` run, with the solver's work counts
-    (``rhs_calls``, ``jacobians``, ``lu_factorisations``), the number of
-    evolved ``unknowns`` and, over the last sample of every copy, the
-    largest ``trace_defect`` |Tr rho - 1| and the smallest eigenvalue
-    ``min_eigenvalue`` in ``stats``."""
+    """The samples of one ``integrate`` run, with LSODA's work counts
+    (``rhs_calls``, ``steps``, and ``jacobians`` and ``lu_factorisations``,
+    which are equal because LSODA factorises its iteration matrix after
+    every Jacobian), the number of evolved ``unknowns`` and, over the last
+    sample of every copy, the largest ``trace_defect`` |Tr rho - 1| and the
+    smallest eigenvalue ``min_eigenvalue`` in ``stats``."""
 
     def __init__(self, samples, stats: dict[str, float]):
         super().__init__(samples)
@@ -477,7 +484,7 @@ def integrate(
     rtol: float = 1e-8,
     atol: float = 1e-10,
 ) -> Trajectory:
-    """Integrate the cascaded master equation with a stiff BDF solver.
+    """Integrate the cascaded master equation with ODEPACK's LSODA.
 
     The generator conserves the ket-minus-bra excitation number k of every
     entry of rho, so only the k-sectors that the initial state(s) occupy are
@@ -490,15 +497,18 @@ def integrate(
     of the off-diagonal ones: as many real unknowns as the sector has
     complex entries.  A real rho0 stays real, so its Im coordinates, exactly
     0 throughout, are not evolved: (entries + diagonal) / 2 unknowns.
-    ``scipy.integrate.solve_ivp`` runs scipy's BDF on them in real
-    arithmetic with ``rhs`` and ``_generator`` of a copy of the model
-    restricted to them as the right-hand side and Jacobian, and factorises
-    each Newton matrix with SuperLU in natural column order.  The solver's
-    error test is the RMS over the evolved real coordinates of
-    err / (atol + rtol |x_i|), not a maximum norm; for a model with several
-    copies it spans the coordinates of every copy.
+    ``scipy.integrate.odeint`` runs LSODA on them (Adams steps, switching
+    to BDF where the equation is stiff) with ``rhs`` of a copy of the model
+    restricted to them as the right-hand side and its ``_band`` as the
+    Jacobian, in LSODA's band layout with the lower and upper half-bandwidths
+    read off the pair blocks once per run.  Steps are at most a sixteenth
+    of the span, so a pulse that starts late in a stationary window is not
+    stepped over.  LSODA's error test is a weighted maximum norm,
+    max_i |err_i| / (atol + rtol |x_i|) over the evolved real coordinates
+    (ODEPACK's LSODE uses the RMS); for a model with several copies it
+    spans the coordinates of every copy.
     One solver run covers t0 to the last sample time; the samples are read
-    from its dense output at exactly the requested times and rebuilt from
+    from its interpolant at exactly the requested times and rebuilt from
     the coordinates, so each is Hermitian to the last bit, with exact zeros
     outside the sector.  A sample at t0 is a copy of the initial state.
     ``rho0`` is one state, and then each sample is one ``DensityMatrix``,
@@ -510,21 +520,7 @@ def integrate(
     ``stats`` (see ``Trajectory``) and logged at DEBUG on
     ``phononet.cascade``.
     """
-    from scipy.integrate import BDF, solve_ivp
-    from scipy.sparse.linalg import splu
-
-    class NaturalOrderBDF(BDF):
-        """BDF that factorises its Newton matrix I - c J in the coordinates'
-        own order: the row-major owner order already gives COLAMD's fill."""
-
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-
-            def lu(a):
-                self.nlu += 1
-                return splu(a, permc_spec="NATURAL")
-
-            self.lu = lu
+    from scipy.integrate import ODEintWarning, odeint
 
     for key, tol in (("rtol", rtol), ("atol", atol)):
         if not (math.isfinite(tol) and tol > 0):
@@ -557,29 +553,33 @@ def integrate(
     out = [[DensityMatrix(r.matrix.copy(), t) for r in states]
            for t in t_eval[t_eval == t0].tolist()]
     later = t_eval[t_eval > t0]
-    stats = {"rhs_calls": 0, "jacobians": 0, "lu_factorisations": 0, "unknowns": y0.size}
+    stats = {"rhs_calls": 0, "steps": 0, "jacobians": 0, "lu_factorisations": 0,
+             "unknowns": y0.size}
     if later.size:
-        failed = f"BDF integration failed between t = {float(t0)!r} and {float(later[-1])!r}"
-        try:  # t_eval: keep the samples only, not every step's state
-            sol = solve_ivp(
-                sector.rhs, (t0, later[-1]), y0, method=NaturalOrderBDF, t_eval=later,
-                rtol=rtol, atol=atol, jac=lambda s, _: sector._generator(s),
+        with warnings.catch_warnings():  # odeint warns on failure even with full_output
+            warnings.simplefilter("ignore", ODEintWarning)
+            # mxstep bounds the steps between two output times, not in the whole run
+            y, info = odeint(
+                sector.rhs, y0, np.r_[t0, later], Dfun=lambda s, _: sector._band(s),
+                ml=sector._lower, mu=sector._upper, tfirst=True, full_output=True,
+                rtol=rtol, atol=atol, hmax=(later[-1] - t0) / 16, mxstep=10**8,
             )
-        except RuntimeError as exc:  # singular Newton matrix, from SuperLU
-            raise NumericalError(f"{failed}: {exc}") from exc
-        # BDF is a reference cycle holding SuperLU factors (~1.2 kB per nonzero): free it
-        gc.collect(1)
-        stats.update(rhs_calls=int(sol.nfev), jacobians=int(sol.njev),
-                     lu_factorisations=int(sol.nlu))
-        if sol.status != 0 or not np.all(np.isfinite(sol.y)):
-            raise NumericalError(f"{failed}: {sol.message}")
+        jacobians = int(info["nje"][-1])  # LSODA factorises after every Jacobian
+        stats.update(rhs_calls=int(info["nfe"][-1]), steps=int(info["nst"][-1]),
+                     jacobians=jacobians, lu_factorisations=jacobians)
+        ran = info["message"] == "Integration successful."
+        if not (ran and np.all(np.isfinite(y))):
+            raise NumericalError(f"LSODA integration failed between t = {float(t0)!r} and "
+                                 f"{float(later[-1])!r}: "
+                                 + ("the state is not finite" if ran else info["message"]))
         out += [[DensityMatrix(r, t) for r in sample]
-                for sample, t in zip(sector._unpack(sol.y.T), later.tolist())]
+                for sample, t in zip(sector._unpack(y[1:]), later.tolist())]
     last, levels = [r.matrix for r in out[-1]], model._labels.sum(axis=0)
     stats.update(trace_defect=max(float(abs(np.trace(r) - 1)) for r in last),
                  min_eigenvalue=min(_min_eigenvalue(r, levels) for r in last))
-    _log.debug("integrate: dim %d, %d copies, %d samples, %d RHS calls, %d Jacobians, "
-               "%d LU factorisations, %d unknowns, trace defect %.3g, min eigenvalue %.3g",
+    _log.debug("integrate: dim %d, %d copies, %d samples, %d RHS calls, %d steps, "
+               "%d Jacobians, %d LU factorisations, %d unknowns, trace defect %.3g, "
+               "min eigenvalue %.3g",
                model.dimension, model.copies, len(out), *stats.values())
     if single:
         out = [sample[0] for sample in out]

@@ -219,7 +219,11 @@ def evolve_amplitudes(schedule: PulseSchedule, t_grid: np.ndarray) -> TransferAm
     ``t_grid``, so the two routes can be compared.  The transfer's quadrature
     -e^{-a2(t)} int e^{a2} sqrt(Gamma1 Gamma2) G1 ds restarts wherever
     a2 = int Gamma2/2 has risen by 300, carrying its running sum over with
-    e^{-rise}, so e^{a2} never overflows.
+    e^{-rise}, so e^{a2} does not overflow as long as no single grid
+    interval raises a2 by more than 300.  A grid too coarse for the rates
+    (or so non-uniform that Simpson weights turn negative and a2 falls)
+    can still overflow; a quadrature route that is not finite raises
+    NumericalError naming the grid.
     """
     from scipy.integrate import ODEintWarning, cumulative_simpson, odeint
 
@@ -248,16 +252,23 @@ def evolve_amplitudes(schedule: PulseSchedule, t_grid: np.ndarray) -> TransferAm
     g2v = schedule.gamma2(t_grid)
     a1 = cumulative_simpson(g1v / 2, x=t_grid, initial=0)
     a2 = cumulative_simpson(g2v / 2, x=t_grid, initial=0)
-    env1 = np.exp(-a1)
     root, transfer, s, carry = np.sqrt(g1v * g2v), np.empty_like(t_grid), 0, 0.0
-    while s < t_grid.size - 1:  # one piece from s; the sum is carried scaled by e^{-a2[s]}
-        over = np.nonzero(a2[s + 1 :] - a2[s] > 300.0)[0]
-        piece = slice(s, s + max(int(over[0]), 1) + 1 if over.size else t_grid.size)
-        rise = a2[piece] - a2[s]
-        integrand = np.exp(rise) * root[piece] * env1[piece]
-        run = carry + cumulative_simpson(integrand, x=t_grid[piece], initial=0)
-        transfer[piece] = -np.exp(-rise) * run
-        s, carry = piece.stop - 1, run[-1] * np.exp(-rise[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite route is refused below
+        env1 = np.exp(-a1)
+        while s < t_grid.size - 1:  # one piece from s; the sum is carried scaled by e^{-a2[s]}
+            over = np.nonzero(a2[s + 1 :] - a2[s] > 300.0)[0]
+            piece = slice(s, s + max(int(over[0]), 1) + 1 if over.size else t_grid.size)
+            rise = a2[piece] - a2[s]
+            integrand = np.exp(rise) * root[piece] * env1[piece]
+            run = carry + cumulative_simpson(integrand, x=t_grid[piece], initial=0)
+            transfer[piece] = -np.exp(-rise) * run
+            s, carry = piece.stop - 1, run[-1] * np.exp(-rise[-1])
+    if not (np.all(np.isfinite(env1)) and np.all(np.isfinite(transfer))):
+        raise NumericalError(
+            f"quadrature route is not finite on t_grid ({t_grid.size} points on "
+            f"[{float(t_grid[0])!r}, {float(t_grid[-1])!r}]); refine the grid where the rates "
+            "are large"
+        )
 
     return TransferAmplitudes(t_grid, v1, v2, env1, transfer, stats)
 

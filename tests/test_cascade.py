@@ -110,6 +110,17 @@ def _full_rhs(model, t, rho):
     return (her + 1j * anti).reshape(rho.shape)
 
 
+def _dense_generator(sector, t):
+    """L(t) of a sector copy as a dense matrix, read off the band it hands LSODA."""
+    band, mu = sector._band(t), sector._upper
+    n = band.shape[1]
+    out = np.zeros((n, n))
+    for k, diagonal in enumerate(band):  # band[k, c] is L[c + k - mu, c]
+        c = np.arange(max(mu - k, 0), min(n + mu - k, n))
+        out[c + k - mu, c] = diagonal[c]
+    return out
+
+
 def _dense_rhs(model, t, rho):
     """The cascade generator written out with dense matrices; the reduced
     model has a one-level "cavity" factor."""
@@ -267,6 +278,19 @@ def test_populations_match_amplitude_oracle_at_zero_temperature():
     assert np.max(np.abs(p2 - v2**2)) < 1e-3
 
 
+def test_late_pulse_is_not_stepped_over():
+    # the rates are zero until t = 6, so the state is stationary there; without a
+    # step bound LSODA takes 5 RHS calls, steps past the pulse and returns 0
+    ts = np.linspace(-14.0, 14.0, 5601)
+    on = ts >= 6.0
+    sch = tabulated_schedule(ts, np.where(on, pn.pulse_eq_analytic(ts - 10.0, 1.0), 0.0),
+                             np.where(on, pn.pulse_eq_analytic(10.0 - ts, 1.0), 0.0))
+    model, traj = reduced_two_qubit_model(0.0, sch, (0.0, 1.0))
+    v2 = pn.evolve_amplitudes(sch, ts).v2[-1]
+    assert v2**2 > 0.98
+    assert abs(model.excited_population(traj[-1].matrix, 2) - v2**2) < 1e-6
+
+
 def test_trace_positivity_and_cutoff_convergence():
     sch = analytic_schedule(1.0, cutoff_floor=1e-4)
     model = CascadedModel(sch, n_th=0.5, gamma=10.0)  # default cutoff rule
@@ -351,7 +375,7 @@ class _NonFiniteModel(CascadedModel):
 
 def test_integrate_reports_non_finite_generator():
     model = _NonFiniteModel(_zero_schedule(), n_th=0.0, include_cavity=False)
-    with pytest.raises(pn.NumericalError):
+    with pytest.raises(pn.NumericalError, match="the state is not finite$"):
         integrate(model, model.initial_state(), (-1.0, 1.0))
 
 
@@ -360,7 +384,7 @@ def test_integrate_logs_solver_statistics(caplog):
     with caplog.at_level(logging.DEBUG, logger="phononet.cascade"):
         integrate(model, model.initial_state(), (-1.0, 1.0), np.array([0.0, 1.0]))
     assert "2 samples" in caplog.text
-    for counter in ("RHS calls", "Jacobians", "LU factorisations"):
+    for counter in ("RHS calls", "steps", "Jacobians", "LU factorisations"):
         assert counter in caplog.text
 
 
@@ -388,7 +412,7 @@ def test_stacked_generator_is_block_diagonal_over_copies():
             np.testing.assert_allclose(d, _full_rhs(solo, t, rho), rtol=0, atol=1e-15)
             assert abs(np.trace(d)) < 1e-12
             assert np.max(np.abs(d - d.conj().T)) < 1e-12
-        jac = frame._generator(t).toarray()
+        jac = _dense_generator(frame, t)
         np.testing.assert_allclose(jac @ frame._pack(rhos), frame._pack(drho), rtol=0, atol=1e-14)
         assert np.count_nonzero(jac[:16, 16:]) == 0 and np.count_nonzero(jac[16:, :16]) == 0
 
@@ -400,11 +424,10 @@ def test_one_copy_list_is_the_scalar_model_bit_for_bit():
     listed, ltraj = reduced_two_qubit_model([0.7], sch, (0.6, 0.8), ts)
     # the pair blocks on the sectors the state occupies, and L(t) formed from them
     sector, lsector = model._on_sectors([-1, 0, 1]), listed._on_sectors([-1, 0, 1])
-    pairs = [(sector._stack, lsector._stack)]
-    pairs += [(sector._generator(t), lsector._generator(t)) for t in (-14.0, -2.0, 0.0, 3.5)]
-    for a, b in pairs:
-        for part in ("indptr", "indices", "data"):
-            np.testing.assert_array_equal(getattr(a, part), getattr(b, part))
+    for part in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(sector._stack, part), getattr(lsector._stack, part))
+    for t in (-14.0, -2.0, 0.0, 3.5):
+        np.testing.assert_array_equal(sector._band(t), lsector._band(t))
     assert [len(s) for s in ltraj] == [1, 1]
     for snap, (lsnap,) in zip(traj, ltraj):
         assert snap.time == lsnap.time
@@ -600,7 +623,8 @@ def test_real_coordinates_carry_the_generator(
     atol = 1e-12 * np.max(np.abs(ref))
     np.testing.assert_allclose(sector._unpack(sector.rhs(t, x)), np.where(inside, ref, 0),
                                rtol=0, atol=atol)
-    np.testing.assert_allclose(sector._generator(t) @ x, sector.rhs(t, x), rtol=0, atol=atol)
+    np.testing.assert_allclose(_dense_generator(sector, t) @ x, sector.rhs(t, x), rtol=0,
+                               atol=atol)
     states = [DensityMatrix(r, -1.0) for r in part]
     traj = integrate(model, states[0] if copies == 1 else states, (-1.0, 1.0),
                      np.array([-1.0, 0.0, 1.0]))
@@ -649,8 +673,8 @@ def test_real_and_imaginary_coordinates_never_mix(
 
     def run(psi):
         rho0 = model.initial_state(psi)
-        # tight tolerances: BDF's RMS error norm runs over different coordinates in the
-        # two runs, so their gap is integrator error, not mixing (checked exactly above)
+        # tight tolerances: the two runs evolve different coordinates, so LSODA's
+        # steps differ and their gap is integrator error, not mixing (checked exactly above)
         traj = integrate(model, rho0 if copies == 1 else [rho0] * copies, (-2.0, 2.0),
                          np.array([-2.0, 0.0, 2.0]), rtol=1e-10, atol=1e-12)
         return traj, [snap for sample in traj for snap in ([sample] if copies == 1 else sample)]
@@ -673,23 +697,36 @@ def test_real_and_imaginary_coordinates_never_mix(
     assert twisted.stats["unknowns"] == entries
 
 
-def test_newton_matrices_are_factorised_in_natural_order(monkeypatch):
-    # the row-major owner order already gives COLAMD's fill; if scipy's BDF
-    # stops factorising through its ``lu`` attribute, no call is seen here
-    import scipy.sparse.linalg
+@pytest.mark.parametrize("fock_cutoff", [4, 40])
+def test_lsoda_receives_the_generator_as_a_cutoff_independent_band(monkeypatch, fock_cutoff):
+    # in the coordinates' own order the generator is banded, and its
+    # half-bandwidths do not grow with the cutoff: LSODA factorises a band
+    import scipy.integrate
 
-    splu, orders = scipy.sparse.linalg.splu, []
+    odeint, seen = scipy.integrate.odeint, {}
 
-    def spy(a, *args, **kwargs):
-        orders.append(kwargs.get("permc_spec"))
-        return splu(a, *args, **kwargs)
+    def spy(func, y0, t, *args, **kwargs):
+        seen.update(kwargs, band=kwargs["Dfun"](0.5, y0))
+        return odeint(func, y0, t, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+    monkeypatch.setattr(scipy.integrate, "odeint", spy)
     sch = analytic_schedule(1.0, cutoff_floor=1e-4)
-    model = CascadedModel(sch, n_th=0.5, gamma=10.0, fock_cutoff=4)
-    traj = integrate(model, model.initial_state((1.0, 1.0)), (-2.0, 2.0))
-    assert traj.stats["lu_factorisations"] > 0
-    assert orders == ["NATURAL"] * traj.stats["lu_factorisations"]
+    model = CascadedModel(sch, n_th=0.5, gamma=10.0, fock_cutoff=fock_cutoff)
+    rho0 = model.initial_state((1.0, 1.0))
+    traj = integrate(model, rho0, (-2.0, 2.0))
+    assert seen["ml"] == seen["mu"] == 26
+    assert seen["hmax"] == 4.0 / 16
+    assert traj.stats["jacobians"] == traj.stats["lu_factorisations"] > 0
+    assert 0 < traj.stats["steps"] < traj.stats["rhs_calls"]
+    sector = model._on_sectors([-1, 0, 1], imag=False)
+    assert (sector._lower, sector._upper) == (26, 26)
+    n = sector._stack.shape[1]
+    dense = sum(c * sector._stack[p * n:(p + 1) * n].toarray()
+                for p, c in enumerate(sector._coefficients(0.5)))
+    rows, cols = np.nonzero(dense)
+    assert np.max(rows - cols) == 26 and np.max(cols - rows) == 26  # nothing outside
+    np.testing.assert_array_equal(_dense_generator(sector, 0.5), dense)
+    np.testing.assert_array_equal(seen["band"], sector._band(0.5))
 
 
 def test_integrate_reports_the_final_trace_and_positivity_defects(caplog):

@@ -102,7 +102,8 @@ def test_fidelity_sweep_matches_solo_runs(tmp_path, state):
     rows = np.array(_data_rows(tmp_path / "fidelity.csv"))
     meta = json.loads(next(l for l in text.splitlines() if l.startswith("# metadata: "))[12:])
     assert (meta["sweep_points"], meta["distinct_n_eff"]) == (12, 9)
-    assert all(meta[k] > 0 for k in ("rhs_calls", "jacobians", "lu_factorisations"))
+    assert all(meta[k] > 0 for k in ("rhs_calls", "steps", "jacobians", "lu_factorisations"))
+    assert meta["jacobians"] == meta["lu_factorisations"]
     psi = (1.0, 1.0) if state == "superposition" else (0.0, 1.0)
     sch = analytic_schedule(1.0, cutoff_floor=1e-4)
     solo = {}

@@ -178,16 +178,32 @@ def test_coarse_output_grid_keeps_the_solver_run():
     coarse = evolve_amplitudes(sch, np.array([-14.0, 0.0, 14.0]))
     assert abs(coarse.final_transfer - fine.final_transfer) < 1e-9
     assert 0 < coarse.stats["steps"] < coarse.stats["rhs_calls"]
-    # the stiff step-emitter pair takes over 1000 steps before its midpoint,
-    # more than the solver's default cap of 500 between two output times;
-    # only the ODE is compared, the quadrature route needs a fine grid
+    # the stiff step-emitter pair takes over 900 steps before t = 0.5, more
+    # than the solver's default cap of 500 between two output times; only the
+    # ODE is compared, the quadrature route needs a fine grid (a grid of 3
+    # points makes it overflow, see the next test)
     ts = np.linspace(0.0, 28.0, 5601)
     designed = design_pulses_iterative(np.full_like(ts, 1.0), ts)
     fine = evolve_amplitudes(designed, designed.table_t)
-    with np.errstate(over="ignore", invalid="ignore"):
-        coarse = evolve_amplitudes(designed, np.array([0.0, 14.0, 28.0]))
+    coarse = evolve_amplitudes(designed, np.linspace(0.0, 28.0, 15))
     assert coarse.stats["steps"] > 1000
     assert abs(coarse.final_transfer - fine.final_transfer) < 1e-9
+
+
+@pytest.mark.parametrize("head, tail", [(1, [14.0, 28.0]), (3, [28.0])])
+def test_overflowing_quadrature_raises_numerical_error(head, tail):
+    # [0, 14, 28]: a2 rises past 709 within the first interval, so e^{rise}
+    # overflows; the first three table times and 28: non-uniform Simpson
+    # weights turn negative, a2 falls and e^{-rise} overflows
+    ts = np.linspace(0.0, 28.0, 5601)
+    designed = design_pulses_iterative(np.full_like(ts, 1.0), ts)
+    grid = np.r_[ts[:head], tail]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no warning escapes
+        with pytest.raises(pn.NumericalError,
+                           match=rf"^quadrature route is not finite on t_grid \({grid.size} "
+                                 r"points on \[0\.0, 28\.0\]\)"):
+            evolve_amplitudes(designed, grid)
 
 
 def test_amplitude_solver_failure_raises_numerical_error():
