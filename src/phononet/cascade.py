@@ -16,8 +16,8 @@ damped at gamma into the channel and at gamma_op (matched to gamma by
 default) into the cold optical bath, emulates the noise dip of the
 upstream filter; the channel's white occupation n_th enters through the
 collective jump operators.  Restricting to the two qubits with a white
-occupation N_eff gives the reduced model used for fidelity sweeps; a
-sweep integrates one copy of it per N_eff, block-diagonally, in one solve.
+occupation N_eff gives the reduced model used for fidelity sweeps;
+``qubit_channel`` integrates two copies of it per N_eff in one solve.
 
 Every term conserves the ket-minus-bra excitation number k of an entry
 |m><n| of rho (Buca & Prosen, NJP 14, 073007 (2012)), so the solver
@@ -74,6 +74,7 @@ __all__ = [
     "integrate",
     "Trajectory",
     "fidelity",
+    "qubit_channel",
     "transferred_target",
     "reduced_two_qubit_model",
 ]
@@ -624,6 +625,25 @@ def reduced_two_qubit_model(
     rho0 = model.initial_state(qubit1)
     if np.ndim(n_eff):
         rho0 = [rho0] * model.copies
-    t0, t1 = schedule.window
-    traj = integrate(model, rho0, (t0, t1), t_eval, rtol=rtol)
-    return model, traj
+    return model, integrate(model, rho0, schedule.window, t_eval, rtol=rtol)
+
+
+def qubit_channel(n_eff: Sequence[float], schedule: PulseSchedule,
+                  rtol: float = 1e-8) -> tuple[np.ndarray, CascadedModel, Trajectory]:
+    """The two-qubit transfer at each white occupation of ``n_eff`` as a qubit
+    channel, from one solver run.  Every term conserves the ket-minus-bra
+    excitation number, so the channel is phase covariant: (p_g, p_e), qubit
+    2's excited population after |g> and |e> are sent, and c, rho2_ge =
+    c rho1_ge (ideally -1), give alpha|g> + beta|e> the fidelity
+    |alpha|^2 (1 - P) + |beta|^2 P - 2 |alpha|^2 |beta|^2 c against
+    ``transferred_target``, P = |alpha|^2 p_g + |beta|^2 p_e.  Returns the
+    (3, K) array of p_g, p_e and c, the model and the trajectory, whose K
+    copies sending (|g> + |e>)/sqrt(2) (rho2_ge = c/2, population
+    (p_g + p_e)/2) come before the K sending |e>."""
+    ns = np.ravel(n_eff).tolist()
+    model = CascadedModel(schedule, ns * 2, include_cavity=False)
+    rho0 = [model.initial_state((1.0, 1.0))] * len(ns) + [model.initial_state()] * len(ns)
+    traj = integrate(model, rho0, schedule.window, rtol=rtol)
+    sup, exc = np.split(np.array([model.reduce_to_qubit2(r.matrix) for r in traj[-1]]), 2)
+    p_e = exc[:, 1, 1].real
+    return np.array([2 * sup[:, 1, 1].real - p_e, p_e, 2 * sup[:, 0, 1].real]), model, traj

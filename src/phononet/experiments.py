@@ -65,7 +65,6 @@ SCHEMAS: dict[str, dict[str, tuple[object, str]]] = {
         "gamma_max_over_gamma": ([0.01, 0.1], "pulse rate(s) / channel rate"),
         "n_th": ([0.5, 5.0, 20.0], "channel occupation(s)"),
         "gamma0_over_gamma": (1.6e-4, "intrinsic loss setting the dip floor"),
-        "state": (("superposition", "excited"), "transferred qubit state"),
         "include_no_filter": (True, "add unfiltered reference rows"),
         "cutoff_floor_rel": (1e-4, "pulse floor clamp (fraction of Gamma_max)"),
         "rtol": (1e-8, "master-equation tolerance"),
@@ -262,17 +261,18 @@ def run_fidelity(p: dict):
               for gm_rel in _aslist(p, "gamma_max_over_gamma") for n_th in _aslist(p, "n_th")]
     n_effs = [transfer.effective_occupation_closed(n_th, p["gamma0_over_gamma"] * n_th, 1.0, gm)
               if filtered else n_th for gm, n_th, filtered in points]
-    distinct = list(dict.fromkeys(n_effs))  # one copy per distinct n_eff, in one solver run
+    distinct = list(dict.fromkeys(n_effs))  # two copies per distinct n_eff, in one solver run
     sch = transfer.analytic_schedule(1.0, cutoff_floor=p["cutoff_floor_rel"])  # units of Gamma_max
-    psi = (1.0, 1.0) if p["state"] == "superposition" else (0.0, 1.0)
-    model, traj = cascade.reduced_two_qubit_model(distinct, sch, psi, rtol=p["rtol"])
-    target = cascade.transferred_target(psi)
-    f = np.array([cascade.fidelity(model.reduce_to_qubit2(rho.matrix), target) for rho in traj[-1]])
+    (p_g, p_e, c), model, traj = cascade.qubit_channel(distinct, sch, rtol=p["rtol"])
+    target = cascade.transferred_target((1.0, 1.0))
+    f = [cascade.fidelity(model.reduce_to_qubit2(rho.matrix), target)
+         for rho in traj[-1][:len(distinct)]]
+    channel = np.array([f, p_g, p_e, c, 0.5 + (p_e - p_g) / 6 - c / 3]).T
+    channel = channel[[distinct.index(n) for n in n_effs]]
     sweep = np.array(points, dtype=float)  # gamma_max_over_gamma, n_th, filtered
-    table = np.column_stack(
-        [sweep[:, :2], n_effs, f[[distinct.index(n) for n in n_effs]], sweep[:, 2]]
-    )
-    cols = ["gamma_max_over_gamma", "n_th", "n_eff", "fidelity", "filtered"]
+    table = np.column_stack([sweep[:, :2], n_effs, channel[:, 0], sweep[:, 2], channel[:, 1:]])
+    cols = ["gamma_max_over_gamma", "n_th", "n_eff", "fidelity", "filtered",
+            "p_g", "p_e", "coherence", "fidelity_avg"]
     return cols, table, {"sweep_points": len(table), "distinct_n_eff": len(distinct), **traj.stats}
 
 

@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["RamanParams", "RamanRates", "dispersive_marginal", "effective_spin_phonon",
-           "figure_of_merit_sweep"]
+__all__ = ["RamanParams", "RamanRates", "dispersive_marginal", "effective_spin_phonon"]
 
 
 @dataclass(frozen=True)
@@ -102,13 +101,3 @@ def effective_spin_phonon(params: RamanParams) -> RamanRates:
     g0 = params.gamma_e * params.omega_rabi0**2 / d0**2
     g1 = params.gamma_e * params.omega_rabi1**2 / d1**2
     return RamanRates(lam_eff, g0, g1)
-
-
-def figure_of_merit_sweep(params: RamanParams, delta_grid: np.ndarray) -> np.ndarray:
-    """|lambda_eff|/mean(Gamma_eff) over a grid of overall detunings."""
-    delta_grid = np.asarray(delta_grid, dtype=float)
-    if np.any(np.isclose(np.abs(delta_grid), params.omega_m / 2, rtol=0, atol=1e-12)):
-        raise ValidationError("grid touches the Raman resonance ±omega_m/2")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return effective_spin_phonon(replace(params, delta=delta_grid)).figure_of_merit

@@ -17,6 +17,7 @@ from phononet.cascade import (
     default_fock_cutoff,
     fidelity,
     integrate,
+    qubit_channel,
     reduced_two_qubit_model,
     transferred_target,
     _owners,
@@ -465,6 +466,60 @@ def test_copies_need_the_two_qubit_model_and_one_state_each():
         integrate(model, rho0, sch.window)
     with pytest.raises(pn.ValidationError, match="3 initial states for 2 model copies"):
         integrate(model, [rho0] * 3, sch.window)
+
+
+# ------------------------------------------------------- the qubit channel
+
+_CHANNEL_SCHEDULE = analytic_schedule(1.0, cutoff_floor=1e-4)
+
+
+def _direct_fidelity(n_eff, psi):
+    model, traj = reduced_two_qubit_model(n_eff, _CHANNEL_SCHEDULE, psi, rtol=1e-10)
+    return fidelity(model.reduce_to_qubit2(traj[-1].matrix), transferred_target(psi))
+
+
+@settings(max_examples=12, deadline=None)
+@given(n_eff=st.floats(0.0, 20.0),
+       amps=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda a: max(map(abs, a)) > 0.1))
+def test_channel_triple_gives_the_fidelity_of_any_state(n_eff, amps):
+    (p_g, p_e, c), _, _ = qubit_channel([n_eff], _CHANNEL_SCHEDULE, rtol=1e-10)
+    psi = np.array([complex(*amps[:2]), complex(*amps[2:])])
+    a2, b2 = np.abs(psi / np.linalg.norm(psi)) ** 2
+    p = a2 * p_g[0] + b2 * p_e[0]
+    expected = a2 * (1 - p) + b2 * p - 2 * a2 * b2 * c[0]
+    assert _direct_fidelity(n_eff, psi) == pytest.approx(expected, abs=1e-7)
+
+
+@settings(max_examples=5, deadline=None)
+@given(n_eff=st.floats(0.0, 20.0))
+def test_channel_average_fidelity_is_the_pauli_eigenstate_mean(n_eff):
+    (p_g, p_e, c), _, _ = qubit_channel([n_eff], _CHANNEL_SCHEDULE, rtol=1e-10)
+    f_avg = 0.5 + (p_e[0] - p_g[0]) / 6 - c[0] / 3
+    paulis = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 1j), (1, -1j)]  # a 2-design
+    assert np.mean([_direct_fidelity(n_eff, psi) for psi in paulis]) == pytest.approx(
+        f_avg, abs=1e-7)
+
+
+@settings(max_examples=10, deadline=None)
+@given(n_eff=st.floats(0.0, 20.0), theta=st.floats(0.0, 2 * math.pi))
+def test_channel_output_keeps_the_phase_covariant_pattern(n_eff, theta):
+    # real inputs stay real, so Im rho2_ge is exactly 0; |e> and |g> keep rho2_ge = 0
+    (_, _, c), model, traj = qubit_channel([n_eff], _CHANNEL_SCHEDULE)
+    sup, exc = (model.reduce_to_qubit2(r.matrix) for r in traj[-1])
+    assert sup[0, 1].imag == 0 and exc[0, 1] == 0 and 2 * sup[0, 1].real == c[0]
+    for psi in ((math.cos(theta), math.sin(theta)), (1.0, 0.0)):
+        red, rtraj = reduced_two_qubit_model(n_eff, _CHANNEL_SCHEDULE, psi)
+        rho2 = red.reduce_to_qubit2(rtraj[-1].matrix)
+        assert rho2[0, 1].imag == 0 and (psi[1] != 0 or rho2[0, 1] == 0)
+
+
+def test_channel_copies_are_listed_superposition_first():
+    ns = [0.0, 0.5, 5.0]
+    (p_g, p_e, c), model, traj = qubit_channel(ns, _CHANNEL_SCHEDULE)
+    assert model.n_th == tuple(ns * 2) and traj.stats["unknowns"] == 6 * 9
+    assert p_g[0] == pytest.approx(0.0, abs=1e-8)  # no noise, no thermal excitation
+    for j in range(3):
+        assert model.excited_population(traj[-1][3 + j].matrix, 2) == p_e[j]
 
 
 # ------------------------------------------------------- non-finite inputs

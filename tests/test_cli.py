@@ -92,39 +92,41 @@ def test_fidelity_rows_filtered_block_first_then_gamma_max_major(tmp_path):
     assert np.array_equal(rows[4:, 2], rows[4:, 1])  # unfiltered: n_eff == n_th
 
 
-@pytest.mark.parametrize("state", ["superposition", "excited"])
-def test_fidelity_sweep_matches_solo_runs(tmp_path, state):
+def test_fidelity_sweep_matches_solo_runs(tmp_path):
     # the shipped sweep runs every distinct n_eff in one stacked solve; each
-    # row must agree with a run of that n_eff alone
-    raw = json.loads((Path(__file__).parents[1] / "configs" / "fidelity.json").read_text())
-    raw["parameters"]["state"] = state
-    text = run_experiment(parse_config(json.dumps(raw)), tmp_path).read_text()
+    # row's superposition fidelity and p_e must agree with a superposition
+    # and an excited-state run of that n_eff alone
+    raw = (Path(__file__).parents[1] / "configs" / "fidelity.json").read_text()
+    text = run_experiment(parse_config(raw), tmp_path).read_text()
     rows = np.array(_data_rows(tmp_path / "fidelity.csv"))
     meta = json.loads(next(l for l in text.splitlines() if l.startswith("# metadata: "))[12:])
     assert (meta["sweep_points"], meta["distinct_n_eff"]) == (12, 9)
     assert all(meta[k] > 0 for k in ("rhs_calls", "steps", "jacobians", "lu_factorisations"))
     assert meta["jacobians"] == meta["lu_factorisations"]
-    psi = (1.0, 1.0) if state == "superposition" else (0.0, 1.0)
     sch = analytic_schedule(1.0, cutoff_floor=1e-4)
     solo = {}
     for n_eff in np.unique(rows[:, 2]).tolist():
-        model, traj = cascade.reduced_two_qubit_model(n_eff, sch, psi)
-        solo[n_eff] = cascade.fidelity(model.reduce_to_qubit2(traj[-1].matrix),
-                                       cascade.transferred_target(psi))
+        solo[n_eff] = []
+        for psi in ((1.0, 1.0), (0.0, 1.0)):
+            model, traj = cascade.reduced_two_qubit_model(n_eff, sch, psi)
+            solo[n_eff].append(cascade.fidelity(model.reduce_to_qubit2(traj[-1].matrix),
+                                                cascade.transferred_target(psi)))
     assert len(solo) == 9
-    assert max(abs(row[3] - solo[row[2]]) for row in rows.tolist()) <= 1e-6
+    assert max(abs(row[3] - solo[row[2]][0]) for row in rows.tolist()) <= 1e-6
+    assert max(abs(row[6] - solo[row[2]][1]) for row in rows.tolist()) <= 1e-6
     unfiltered = rows[rows[:, 4] == 0]  # n_eff = n_th repeats for each gamma_max
     assert np.array_equal(unfiltered[:3, 1:], unfiltered[3:, 1:])
 
 
 def test_fidelity_metadata_reports_the_evolved_unknowns(tmp_path):
-    # 9 copies of the two-qubit model; the real superposition occupies k in
-    # {-1, 0, +1}, 14 of each copy's 16 entries, and evolves Re rho_mn of one
+    # 9 distinct n_eff, two copies of the two-qubit model each; the real
+    # superposition occupies k in {-1, 0, +1}, 14 of each copy's 16 entries,
+    # the |e> copies share its sectors, and each copy evolves Re rho_mn of one
     # entry per transposed pair: (14 + 4 diagonal) / 2 = 9 per copy
     raw = (Path(__file__).parents[1] / "configs" / "fidelity.json").read_text()
     text = run_experiment(parse_config(raw), tmp_path).read_text()
     meta = json.loads(next(l for l in text.splitlines() if l.startswith("# metadata: "))[12:])
-    assert (meta["distinct_n_eff"], meta["unknowns"]) == (9, 81)
+    assert (meta["distinct_n_eff"], meta["unknowns"]) == (9, 162)
     # the final states' trace and positivity defects, over the copies
     assert 0 <= meta["trace_defect"] < 1e-8
     assert -1e-8 < meta["min_eigenvalue"] <= 0.25  # the smallest of four eigenvalues
@@ -149,7 +151,7 @@ def test_fidelity_sweep_is_one_integration(monkeypatch):
     monkeypatch.setattr(cascade, "integrate", lambda *a, **k: calls.append(a) or real(*a, **k))
     p = parse_config(json.dumps({"experiment": "fidelity", "parameters": {"rtol": 1e-5}}))
     _, rows, meta = RUNNERS["fidelity"](p.parameters)
-    assert len(calls) == 1 and calls[0][0].copies == meta["distinct_n_eff"] == 9
+    assert len(calls) == 1 and calls[0][0].copies == 2 * meta["distinct_n_eff"] == 18
     assert len(rows) == meta["sweep_points"] == 12
 
 
@@ -336,13 +338,23 @@ def test_cli_value_of_wrong_kind_exits_2(tmp_path, capsys, experiment, params, k
     "experiment, params",
     [
         ("filter", {"model": "rwa"}),
-        ("fidelity", {"state": 1}),
+        ("filter", {"model": 1}),
         ("waveguide", {"quantity": "Dispersion"}),
     ],
 )
 def test_choice_keys_checked_when_parsed(experiment, params):
     with pytest.raises(ConfigError, match=f"parameters.{next(iter(params))} must be one of"):
         parse_config(json.dumps({"experiment": experiment, "parameters": params}))
+
+
+def test_cli_fidelity_state_key_exits_2(tmp_path, capsys):
+    # every state's fidelity now comes from one solve, so the key is gone
+    cfg = tmp_path / "old.json"
+    cfg.write_text(json.dumps({"experiment": "fidelity", "parameters": {"state": "excited"}}))
+    out = tmp_path / "out"
+    assert main(["fidelity", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "parameters.state" in capsys.readouterr().err
+    assert not out.exists()
 
 
 SHIPPED_CONFIGS = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))

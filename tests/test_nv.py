@@ -16,12 +16,18 @@ from phononet.nv import (
     RamanParams,
     dispersive_marginal,
     effective_spin_phonon,
-    figure_of_merit_sweep,
 )
 
 
 def _params(delta=0.0, om0=0.02, om1=0.02, lam=0.01, wm=1.0, ge=0.1):
     return RamanParams(lam, wm, om0, om1, delta, ge)
+
+
+def _fom(params, grid):
+    """The figure of merit over a detuning grid, from one array call."""
+    with warnings.catch_warnings():  # rows near the Raman resonances are marginal
+        warnings.simplefilter("ignore")
+        return effective_spin_phonon(replace(params, delta=np.asarray(grid))).figure_of_merit
 
 
 def test_single_leg_off_kills_coupling():
@@ -71,7 +77,7 @@ def test_sweep_peaks_at_zero_detuning():
     p = _params()
     grid = np.linspace(-2.0, 2.0, 801)
     grid = grid[np.abs(np.abs(grid) - 0.5) > 1e-6]
-    fom = figure_of_merit_sweep(p, grid)
+    fom = _fom(p, grid)
     peak = grid[np.argmax(fom)]
     assert abs(peak) == pytest.approx(abs(grid[np.argmin(np.abs(grid))]), abs=1e-12)
     assert fom.max() <= p.coupling_lambda / p.gamma_e + 1e-12
@@ -79,7 +85,7 @@ def test_sweep_peaks_at_zero_detuning():
 
 def test_large_detuning_asymptote():
     p = _params()
-    fom = figure_of_merit_sweep(p, np.array([50.0, 100.0, 200.0]))
+    fom = _fom(p, np.array([50.0, 100.0, 200.0]))
     assert fom[-1] == pytest.approx(p.coupling_lambda / p.gamma_e, rel=1e-3)
     assert np.all(fom < p.coupling_lambda / p.gamma_e)
 
@@ -87,7 +93,7 @@ def test_large_detuning_asymptote():
 def test_unequal_rabi_peak_found_by_independent_minimizer():
     p = _params(om0=0.02, om1=0.05)
     grid = np.linspace(0.6, 3.0, 4001)  # stay clear of the resonances
-    fom = figure_of_merit_sweep(p, grid)
+    fom = _fom(p, grid)
     grid_peak = grid[np.argmax(fom)]
 
     def neg(d):
@@ -101,7 +107,7 @@ def test_unequal_rabi_peak_found_by_independent_minimizer():
 
 def test_sweep_rejects_resonant_grid():
     with pytest.raises(pn.ValidationError, match="resonance"):
-        figure_of_merit_sweep(_params(), np.array([0.0, 0.5, 1.0]))
+        _fom(_params(), np.array([0.0, 0.5, 1.0]))
 
 
 def test_array_call_matches_scalar_calls_on_shipped_grid():
