@@ -92,28 +92,33 @@ def test_fidelity_rows_filtered_block_first_then_gamma_max_major(tmp_path):
     assert np.array_equal(rows[4:, 2], rows[4:, 1])  # unfiltered: n_eff == n_th
 
 
-def test_fidelity_sweep_matches_solo_runs(tmp_path):
-    # the shipped sweep runs every distinct n_eff in one stacked solve; each
-    # row's superposition fidelity and p_e must agree with a superposition
-    # and an excited-state run of that n_eff alone
+@pytest.fixture(scope="module")
+def shipped_fidelity_sweep(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fidelity")
     raw = (Path(__file__).parents[1] / "configs" / "fidelity.json").read_text()
-    text = run_experiment(parse_config(raw), tmp_path).read_text()
-    rows = np.array(_data_rows(tmp_path / "fidelity.csv"))
+    text = run_experiment(parse_config(raw), out).read_text()
     meta = json.loads(next(l for l in text.splitlines() if l.startswith("# metadata: "))[12:])
+    return np.array(_data_rows(out / "fidelity.csv")), meta
+
+
+@pytest.mark.parametrize("state", ["superposition", "excited"])
+def test_fidelity_sweep_matches_solo_runs(shipped_fidelity_sweep, state):
+    # the shipped sweep runs every distinct n_eff in one stacked solve; the
+    # superposition's fidelity column and the excited state's p_e column must
+    # each agree with a run of that input state and n_eff alone
+    rows, meta = shipped_fidelity_sweep
     assert (meta["sweep_points"], meta["distinct_n_eff"]) == (12, 9)
     assert all(meta[k] > 0 for k in ("rhs_calls", "steps", "jacobians", "lu_factorisations"))
     assert meta["jacobians"] == meta["lu_factorisations"]
+    psi, column = ((1.0, 1.0), 3) if state == "superposition" else ((0.0, 1.0), 6)
     sch = analytic_schedule(1.0, cutoff_floor=1e-4)
     solo = {}
     for n_eff in np.unique(rows[:, 2]).tolist():
-        solo[n_eff] = []
-        for psi in ((1.0, 1.0), (0.0, 1.0)):
-            model, traj = cascade.reduced_two_qubit_model(n_eff, sch, psi)
-            solo[n_eff].append(cascade.fidelity(model.reduce_to_qubit2(traj[-1].matrix),
-                                                cascade.transferred_target(psi)))
+        model, traj = cascade.reduced_two_qubit_model(n_eff, sch, psi)
+        solo[n_eff] = cascade.fidelity(model.reduce_to_qubit2(traj[-1].matrix),
+                                       cascade.transferred_target(psi))
     assert len(solo) == 9
-    assert max(abs(row[3] - solo[row[2]][0]) for row in rows.tolist()) <= 1e-6
-    assert max(abs(row[6] - solo[row[2]][1]) for row in rows.tolist()) <= 1e-6
+    assert max(abs(row[column] - solo[row[2]]) for row in rows.tolist()) <= 1e-6
     unfiltered = rows[rows[:, 4] == 0]  # n_eff = n_th repeats for each gamma_max
     assert np.array_equal(unfiltered[:3, 1:], unfiltered[3:, 1:])
 
