@@ -1,23 +1,24 @@
 """Cascaded Lindblad master equation for the noisy state transfer.
 
 The unidirectional chain {cooled phonon cavity} -> {qubit 1} -> {qubit 2}
-shares one output channel.  With c_0 = b, c_1 = sigma-_1, c_2 = sigma-_2
-and rates Gamma_0 = gamma (constant), Gamma_1(t), Gamma_2(t) from a pulse
-schedule, the equation of motion is
+is driven by independent white input channels.  With c_0 = b, c_1 =
+sigma-_1, c_2 = sigma-_2, rates Gamma_0 = gamma (constant), Gamma_1(t),
+Gamma_2(t) from a pulse schedule, and channel j at occupation N_j with
+static weights w_jk, the equation of motion is
 
-    drho/dt = -i[H, rho] + (n_th + 1) D[S] rho + n_th D[S^dag] rho
-              + gamma_op D[b] rho,
+    drho/dt = sum_j [(N_j + 1) D[L_j] rho + N_j D[L_j^dag] rho] - i[H, rho],
+    L_j = sum_k w_jk sqrt(Gamma_k) c_k,
+    H = -(i/2) sum_j sum_{k>l} w_jk w_jl sqrt(Gamma_k Gamma_l) (c_k^dag c_l - h.c.),
 
-    S = sum_k sqrt(Gamma_k) c_k,
-    H = -(i/2) sum_{k>l} sqrt(Gamma_k Gamma_l) (c_k^dag c_l - c_l^dag c_k),
-
-where D[c]rho = c rho c^dag - (c^dag c rho + rho c^dag c)/2.  The cavity,
-damped at gamma into the channel and at gamma_op (matched to gamma by
-default) into the cold optical bath, emulates the noise dip of the
-upstream filter; the channel's white occupation n_th enters through the
-collective jump operators.  Restricting to the two qubits with a white
-occupation N_eff gives the reduced model used for fidelity sweeps;
-``qubit_channel`` integrates two copies of it per N_eff in one solve.
+where D[c]rho = c rho c^dag - (c^dag c rho + rho c^dag c)/2 and H is the
+series product in cascade order (Gardiner, PRL 70, 2269 (1993); Gough &
+James, IEEE TAC 54, 2530 (2009)).  The cavity model's channels are the
+waveguide, w = (1, 1, 1) at n_th, and the cold optical bath, w =
+(sqrt(gamma_op / gamma), 0, 0) at 0: the cavity, damped at gamma and
+gamma_op (matched by default), emulates the upstream filter's noise dip.
+The reduced model of fidelity sweeps keeps the qubits and one channel,
+(1, 1) at a white occupation N_eff; ``qubit_channel`` integrates two
+copies of it per N_eff in one solve.
 
 Every term conserves the ket-minus-bra excitation number k of an entry
 |m><n| of rho (Buca & Prosen, NJP 14, 073007 (2012)), so the solver
@@ -191,19 +192,18 @@ def _owners(exc: np.ndarray, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m[first], n[first]
 
 
-def _pair_terms(k: int, l: int, op_rel: float | None) -> list[tuple]:
-    """The terms (a, b, A, B) of the pair block L_kl at channel occupation n,
-    each adding (a + b n) A rho B^dag with words A, B: the pair's
-    (n + 1) D[S] and n D[S^dag] parts and -i[H_kl, .]; ``op_rel`` =
-    gamma_op / gamma adds D[b] to the (0, 0) block of a cavity model."""
-    # jumps (a, b, A, B) contribute (a + b n) (A rho B - {B A, rho}/2)
+def _pair_terms(k: int, l: int) -> list[tuple]:
+    """The terms (a, b, A, B) of the pair block L_kl, each adding
+    (a W_kl + b V_kl) A rho B^dag with words A, B, where W = sum_j w_j w_j^T
+    and V = sum_j N_j w_j w_j^T over the channels: the (k, l) parts of
+    every channel's (N_j + 1) D[L_j], N_j D[L_j^dag] and -i[H_j, .], which
+    all scale by w_jk w_jl."""
+    # jumps (a, b, A, B) contribute (a W + b V) (A rho B - {B A, rho}/2)
     if k == l:
         jumps = [(1.0, 1.0, _low(k), _up(k)), (0.0, 1.0, _up(k), _low(k))]
     else:
         jumps = [(1.0, 1.0, _low(k), _up(l)), (1.0, 1.0, _low(l), _up(k)),
                  (0.0, 1.0, _up(k), _low(l)), (0.0, 1.0, _up(l), _low(k))]
-    if k == l == 0 and op_rel is not None:
-        jumps.append((op_rel, 0.0, _low(0), _up(0)))
     terms = []
     for a, b, A, B in jumps:
         terms += [(a, b, A, _adj(B)),
@@ -216,18 +216,20 @@ def _pair_terms(k: int, l: int, op_rel: float | None) -> list[tuple]:
 
 
 class CascadedModel:
-    """Dimensions and rates of the cascaded chain.
+    """Dimensions, rates and input channels of the cascaded chain.
 
     ``include_cavity=False`` gives the two-qubit reduction; then ``n_th``
     plays the role of the effective channel occupation and ``fock_cutoff``
     is None.  Both are built from one list of subsystem dimensions,
     (fock_cutoff + 1, 2, 2) or (2, 2); each jump operator lowers its own
-    factor.  The model holds the dimensions and rates only: the generator
-    L(t) = sum_{k>=l} sqrt(Gamma_k(t) Gamma_l(t)) L_kl, each L_kl holding the
-    pair's (n_th + 1) D[S], n_th D[S^dag] and -i[H_kl, .] terms and
-    gamma_op D[b] joining the constant (b, b) block, exists only on the
-    real coordinates of the excitation sectors that a state occupies, in a
-    copy of the model made by ``_on_sectors`` (see ``integrate``).
+    factor.  Only the constructor knows the baths; it lists them in
+    ``_channels`` as (weights per factor, occupation per copy):
+    ((1, 1, 1), n_th) and ((sqrt(gamma_op / gamma), 0, 0), 0), or
+    ((1, 1), n_th) without the cavity.  The generator L(t) = sum_{k>=l}
+    sqrt(Gamma_k(t) Gamma_l(t)) L_kl, L_kl the (k, l) terms of every
+    channel, exists only on the real coordinates of the excitation sectors
+    that a state occupies, in a copy of the model made by ``_on_sectors``
+    (see ``integrate``).
 
     For the two-qubit reduction ``n_th`` may also be a list of K
     occupations: the model then holds K copies side by side, the state is
@@ -278,11 +280,15 @@ class CascadedModel:
                     or fock_cutoff < 2):
                 raise ValidationError(f"fock_cutoff must be an integer >= 2, got {fock_cutoff!r}")
             dims = (fock_cutoff + 1, 2, 2)
+            # the waveguide, then the optical bath, which damps the cavity alone
+            optical = (math.sqrt(self.gamma_op / self.gamma), 0.0, 0.0)
+            self._channels = (((1.0, 1.0, 1.0), tuple(ns)), (optical, (0.0,) * len(ns)))
         else:
             self.gamma = 0.0
             self.gamma_op = 0.0
             fock_cutoff = None
             dims = (2, 2)
+            self._channels = (((1.0, 1.0), tuple(ns)),)
         self.fock_cutoff = fock_cutoff
         self.dimension = math.prod(dims)
         self._dims = dims
@@ -293,18 +299,15 @@ class CascadedModel:
     # -- state constructors -------------------------------------------------
 
     def initial_state(self, qubit1=(0.0, 1.0)) -> DensityMatrix:
-        """Cavity in its cooled thermal state, qubit 1 in the given pure
-        state (amplitudes on |g>, |e>), qubit 2 in the ground state, at the
-        start of the schedule's window."""
+        """Cavity in its cooled thermal state, at sum_j w_j0^2 N_j / sum_j w_j0^2
+        of its channels, qubit 1 in the given pure state (amplitudes on |g>,
+        |e>), qubit 2 in the ground state, at the start of the schedule's window."""
         a = _qubit_amplitudes(qubit1)
         states = [np.outer(a, a.conj()), np.diag([1.0, 0.0]).astype(complex)]
-        if self.include_cavity:
-            nbar = self.n_th * self.gamma / (self.gamma + self.gamma_op)
-            nc = self.fock_cutoff + 1
-            if nbar > 0:
-                p = (nbar / (nbar + 1)) ** np.arange(nc)
-            else:
-                p = np.r_[1.0, np.zeros(nc - 1)]
+        if len(self._dims) == 3:  # the cavity
+            rate, occ = np.array([(w[0] ** 2, n[0]) for w, n in self._channels]).T
+            nbar = rate @ occ / rate.sum()
+            p = (nbar / (nbar + 1)) ** np.arange(self._dims[0])
             states.insert(0, np.diag(p / p.sum()).astype(complex))
         return DensityMatrix(functools.reduce(np.kron, states), self.schedule.window[0])
 
@@ -322,11 +325,12 @@ class CascadedModel:
         folded onto its owner, with a minus sign on Im rho_pq when p > q.
         The coefficients are real, so Re rows read only Re coordinates and Im
         rows only Im ones: a real rho stays real, and without ``imag`` its Im
-        coordinates, which stay exactly 0, are left out.  The pair blocks are
-        assembled one at a time and ``_stack`` holds them one above the
-        other, each block-diagonal over the model's copies.  The copy also
-        holds what ``_band`` needs: the half-bandwidths ``_lower`` and
-        ``_upper`` of the blocks and each stored entry's place in the band."""
+        coordinates, which stay exactly 0, are left out.  The terms are
+        weighted from ``_channels`` alone (see ``_pair_terms``).  The pair
+        blocks are assembled one at a time and ``_stack`` holds them one
+        above the other, each block-diagonal over the model's copies.  The
+        copy also holds what ``_band`` needs: the half-bandwidths ``_lower``
+        and ``_upper`` of the blocks and each stored entry's place in the band."""
         import scipy.sparse as sp
 
         labels, d = self._labels, self.dimension
@@ -339,13 +343,13 @@ class CascadedModel:
         im[off] = m.size + np.arange(off.size)
         keys = m * d + n
         strides = np.array([math.prod(self._dims[f + 1:]) for f in range(len(self._dims))])
-        ns = np.ravel(self.n_th)
-        op_rel = self.gamma_op / self.gamma if self.include_cavity else None
-        size = width * ns.size
+        W = sum(np.outer(w, w) for w, _ in self._channels)
+        V = sum(np.multiply.outer(n, np.outer(w, w)) for w, n in self._channels)  # per copy
+        size = width * len(V)
         blocks = []
         for k, l in self._pairs:
             rows, cols, vals = [], [], []
-            for a, b, A, B in _pair_terms(k, l, op_rel):
+            for a, b, A, B in _pair_terms(k, l):
                 ket, va = _walk(labels[:, m], self._dims, A)
                 bra, vb = _walk(labels[:, n], self._dims, B)
                 v = va * vb
@@ -358,10 +362,10 @@ class CascadedModel:
                 r = np.concatenate([hit, im[hit[both]]])
                 c = np.concatenate([col, im[col[both]]])
                 v = np.concatenate([v, sign[both] * v[both]])
-                for j, nj in enumerate(ns):  # block-diagonal over the copies
+                for j, vj in enumerate(V[:, k, l]):  # block-diagonal over the copies
                     rows.append(j * width + r)
                     cols.append(j * width + c)
-                    vals.append((a + b * nj) * v)
+                    vals.append((a * W[k, l] + b * vj) * v)
             # sum repeated entries in term order: a row and its Im partner add
             # up the same numbers in the same order, so they agree to the last bit
             key, pos = np.unique(np.concatenate(rows) * size + np.concatenate(cols),
@@ -399,9 +403,7 @@ class CascadedModel:
 
     def _coefficients(self, t: float) -> np.ndarray:
         """sqrt(Gamma_k Gamma_l) for every pair block, in ``_pairs`` order."""
-        rates = [self.schedule.gamma1(t), self.schedule.gamma2(t)]
-        if self.include_cavity:
-            rates.insert(0, self.gamma)
+        rates = [self.gamma, self.schedule.gamma1(t), self.schedule.gamma2(t)][-len(self._dims):]
         return np.array([math.sqrt(rates[k] * rates[l]) for k, l in self._pairs])
 
     def _band(self, t: float) -> np.ndarray:
@@ -610,22 +612,16 @@ def transferred_target(qubit1=(0.0, 1.0)) -> np.ndarray:
 
 
 def reduced_two_qubit_model(
-    n_eff: float | Sequence[float],
+    n_eff: float,
     schedule: PulseSchedule,
     qubit1=(0.0, 1.0),
     t_eval: np.ndarray | None = None,
     rtol: float = 1e-8,
 ) -> tuple[CascadedModel, Trajectory]:
-    """Run the two-qubit cascade with white channel occupation n_eff.
-
-    A list of occupations runs one copy per entry, all from the same
-    initial state, in one solver run; each sample is then a list of
-    states in the order of ``n_eff``."""
+    """Run the two-qubit cascade with white channel occupation n_eff."""
     model = CascadedModel(schedule, n_eff, include_cavity=False)
-    rho0 = model.initial_state(qubit1)
-    if np.ndim(n_eff):
-        rho0 = [rho0] * model.copies
-    return model, integrate(model, rho0, schedule.window, t_eval, rtol=rtol)
+    return model, integrate(model, model.initial_state(qubit1), schedule.window, t_eval,
+                            rtol=rtol)
 
 
 def qubit_channel(n_eff: Sequence[float], schedule: PulseSchedule,

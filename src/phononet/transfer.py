@@ -222,8 +222,11 @@ def evolve_amplitudes(schedule: PulseSchedule, t_grid: np.ndarray) -> TransferAm
     e^{-rise}, so e^{a2} does not overflow as long as no single grid
     interval raises a2 by more than 300.  A grid too coarse for the rates
     (or so non-uniform that Simpson weights turn negative and a2 falls)
-    can still overflow; a quadrature route that is not finite raises
-    NumericalError naming the grid.
+    can still overflow, or stay finite but wrong by orders of magnitude.
+    A quadrature route that is not finite, or whose a1 or a2 falls by more
+    than 1 over an interval (Simpson's error at a rate switched on between
+    samples is smaller: 0.042 where a designed Gamma2 jumps to its
+    ceiling), raises NumericalError naming the grid.
     """
     from scipy.integrate import ODEintWarning, cumulative_simpson, odeint
 
@@ -263,12 +266,12 @@ def evolve_amplitudes(schedule: PulseSchedule, t_grid: np.ndarray) -> TransferAm
             run = carry + cumulative_simpson(integrand, x=t_grid[piece], initial=0)
             transfer[piece] = -np.exp(-rise) * run
             s, carry = piece.stop - 1, run[-1] * np.exp(-rise[-1])
+    where = (f"on t_grid ({t_grid.size} points on [{float(t_grid[0])!r}, "
+             f"{float(t_grid[-1])!r}]); refine the grid where the rates are large")
     if not (np.all(np.isfinite(env1)) and np.all(np.isfinite(transfer))):
-        raise NumericalError(
-            f"quadrature route is not finite on t_grid ({t_grid.size} points on "
-            f"[{float(t_grid[0])!r}, {float(t_grid[-1])!r}]); refine the grid where the rates "
-            "are large"
-        )
+        raise NumericalError(f"quadrature route is not finite {where}")
+    if min(np.min(np.diff(a1)), np.min(np.diff(a2))) < -1.0:
+        raise NumericalError(f"quadrature route integrates a rate to a falling sum {where}")
 
     return TransferAmplitudes(t_grid, v1, v2, env1, transfer, stats)
 

@@ -122,35 +122,45 @@ def _dense_generator(sector, t):
     return out
 
 
-def _dense_rhs(model, t, rho):
-    """The cascade generator written out with dense matrices; the reduced
-    model has a one-level "cavity" factor."""
-    nc = model.fock_cutoff + 1 if model.include_cavity else 1
+def _dense_rhs(model, t, rho, channels):
+    """The cascade generator written out with dense matrices for input
+    channels (weights per factor, occupation):
+    sum_j [(N_j + 1) D[L_j] + N_j D[L_j^dag]] - i[H, .] with
+    L_j = sum_k w_jk sqrt(Gamma_k) c_k and H the series product's
+    -(i/2) sum_j sum_{k>l} (L_jk^dag L_jl - L_jl^dag L_jk), L_jk the k-th
+    term of L_j.  The reduced model has a one-level "cavity" factor, whose
+    weight is 0."""
+    nc = model.dimension // 4
     sm, i2, ic = np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2), np.eye(nc)
     b = np.kron(np.kron(np.diag(np.sqrt(np.arange(1, nc)), 1), i2), i2)
-    s1, s2 = np.kron(np.kron(ic, sm), i2), np.kron(np.kron(ic, i2), sm)
-    ops = [(model.schedule.gamma1(t), s1), (model.schedule.gamma2(t), s2)]
-    if model.include_cavity:
-        ops.insert(0, (model.gamma, b))
-    dim = model.dimension
-    S = np.zeros((dim, dim), dtype=complex)
-    for rate, c in ops:
-        S += math.sqrt(rate) * c
-    H = np.zeros((dim, dim), dtype=complex)
-    for k in range(len(ops)):
-        for l in range(k):
-            (gk, ck), (gl, cl) = ops[k], ops[l]
-            H += (-0.5j * math.sqrt(gk * gl)) * (ck.conj().T @ cl - cl.conj().T @ ck)
+    ops = [b, np.kron(np.kron(ic, sm), i2), np.kron(np.kron(ic, i2), sm)]
+    rates = [model.gamma, model.schedule.gamma1(t), model.schedule.gamma2(t)]
 
     def dissipator(c):
         cd = c.conj().T
         return c @ rho @ cd - 0.5 * (cd @ c @ rho + rho @ cd @ c)
 
-    drho = -1j * (H @ rho - rho @ H)
-    drho += (model.n_th + 1) * dissipator(S) + model.n_th * dissipator(S.conj().T)
-    if model.include_cavity:
-        drho += model.gamma_op * dissipator(b)
+    drho = np.zeros_like(rho, dtype=complex)
+    for w, n in channels:
+        w = np.r_[np.zeros(3 - len(w)), w]
+        parts = [wk * math.sqrt(g) * c for wk, g, c in zip(w, rates, ops)]
+        L = sum(parts)
+        H = sum(-0.5j * (parts[k].conj().T @ parts[l] - parts[l].conj().T @ parts[k])
+                for k in range(3) for l in range(k))
+        drho += (n + 1) * dissipator(L) + n * dissipator(L.conj().T) - 1j * (H @ rho - rho @ H)
     return drho
+
+
+def _random_state(rng, d):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho)
+
+
+def _assert_matches_dense_formula(drho, ref):
+    np.testing.assert_allclose(drho, ref, rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(ref))))
+    assert abs(np.trace(drho)) < 1e-12
+    assert np.max(np.abs(drho - drho.conj().T)) < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -170,15 +180,41 @@ def test_generator_matches_dense_lindblad_formula(
     sch = analytic_schedule(1.0, cutoff_floor=1e-4)
     model = CascadedModel(sch, n_th, gamma=gamma, gamma_op=gamma_op_rel * gamma,
                           fock_cutoff=fock_cutoff, include_cavity=include_cavity)
+    # the waveguide through every factor and the cavity's optical bath
+    channels = ([((1, 1, 1), n_th), ((math.sqrt(gamma_op_rel), 0, 0), 0.0)] if include_cavity
+                else [((1, 1), n_th)])
+    rho = _random_state(np.random.default_rng(seed), model.dimension)
+    _assert_matches_dense_formula(_full_rhs(model, t, rho), _dense_rhs(model, t, rho, channels))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    include_cavity=st.booleans(),
+    copies=st.sampled_from([1, 3]),
+    weights=st.lists(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+                     min_size=1, max_size=3),
+    occupations=st.lists(st.lists(st.floats(0.0, 2.0), min_size=3, max_size=3),
+                         min_size=3, max_size=3),
+    t=st.floats(-14.0, 14.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_generator_matches_dense_lindblad_formula_for_any_channels(
+    include_cavity, copies, weights, occupations, t, seed
+):
+    # 1-3 channels of random static weights and occupations per copy, set
+    # in place of the model's own
+    copies = 1 if include_cavity else copies  # copies need the two-qubit model
+    sch = analytic_schedule(1.0, cutoff_floor=1e-4)
+    model = CascadedModel(sch, 0.0 if copies == 1 else [0.0] * copies, gamma=3.0,
+                          fock_cutoff=3, include_cavity=include_cavity)
+    model._channels = tuple((tuple(w[-len(model._dims):]), tuple(n[:copies]))
+                            for w, n in zip(weights, occupations))
     rng = np.random.default_rng(seed)
-    a = rng.normal(size=(model.dimension,) * 2) + 1j * rng.normal(size=(model.dimension,) * 2)
-    rho = a @ a.conj().T
-    rho /= np.trace(rho)
-    drho = _full_rhs(model, t, rho)
-    ref = _dense_rhs(model, t, rho)
-    np.testing.assert_allclose(drho, ref, rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(ref))))
-    assert abs(np.trace(drho)) < 1e-12
-    assert np.max(np.abs(drho - drho.conj().T)) < 1e-12
+    rhos = np.array([_random_state(rng, model.dimension) for _ in range(copies)])
+    drho = _full_rhs(model, t, rhos)
+    for c in range(copies):
+        channels = [(w, n[c]) for w, n in model._channels]
+        _assert_matches_dense_formula(drho[c], _dense_rhs(model, t, rhos[c], channels))
 
 
 @pytest.mark.parametrize("fock_cutoff", [2, 3, 4, None])
@@ -421,8 +457,9 @@ def test_stacked_generator_is_block_diagonal_over_copies():
 def test_one_copy_list_is_the_scalar_model_bit_for_bit():
     sch = analytic_schedule(1.0, cutoff_floor=1e-4)
     ts = np.array([-2.0, 14.0])
-    model, traj = reduced_two_qubit_model(0.7, sch, (0.6, 0.8), ts)
-    listed, ltraj = reduced_two_qubit_model([0.7], sch, (0.6, 0.8), ts)
+    model, listed = (CascadedModel(sch, n, include_cavity=False) for n in (0.7, [0.7]))
+    rho0 = model.initial_state((0.6, 0.8))
+    traj, ltraj = integrate(model, rho0, sch.window, ts), integrate(listed, [rho0], sch.window, ts)
     # the pair blocks on the sectors the state occupies, and L(t) formed from them
     sector, lsector = model._on_sectors([-1, 0, 1]), listed._on_sectors([-1, 0, 1])
     for part in ("indptr", "indices", "data"):
@@ -440,7 +477,8 @@ def test_stacked_copies_stay_density_matrices():
     sch = analytic_schedule(1.0, cutoff_floor=1e-4)
     ns = [0.0026, 0.1, 0.96, 5.0, 20.0]
     ts = np.linspace(-14.0, 14.0, 8)
-    model, traj = reduced_two_qubit_model(ns, sch, (1.0, 1.0), ts)
+    model = CascadedModel(sch, ns, include_cavity=False)
+    traj = integrate(model, [model.initial_state((1.0, 1.0))] * len(ns), sch.window, ts)
     assert len(traj) == ts.size and all(len(sample) == len(ns) for sample in traj)
     for sample, t in zip(traj, ts):
         for snap in sample:  # DensityMatrix checked trace (1e-8) and Hermiticity (1e-10)

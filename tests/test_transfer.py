@@ -179,13 +179,16 @@ def test_coarse_output_grid_keeps_the_solver_run():
     assert abs(coarse.final_transfer - fine.final_transfer) < 1e-9
     assert 0 < coarse.stats["steps"] < coarse.stats["rhs_calls"]
     # the stiff step-emitter pair takes over 900 steps before t = 0.5, more
-    # than the solver's default cap of 500 between two output times; only the
-    # ODE is compared, the quadrature route needs a fine grid (a grid of 3
-    # points makes it overflow, see the next test)
+    # than the solver's default cap of 500 between two output times: on 15
+    # points the solver runs through, and only the quadrature route, which
+    # needs Gamma2's early spike resolved, refuses the grid (see the next
+    # tests); a geometric grid resolves the spike and keeps the solver's steps
     ts = np.linspace(0.0, 28.0, 5601)
     designed = design_pulses_iterative(np.full_like(ts, 1.0), ts)
+    with pytest.raises(pn.NumericalError, match="^quadrature route integrates a rate to a"):
+        evolve_amplitudes(designed, np.linspace(0.0, 28.0, 15))
     fine = evolve_amplitudes(designed, designed.table_t)
-    coarse = evolve_amplitudes(designed, np.linspace(0.0, 28.0, 15))
+    coarse = evolve_amplitudes(designed, np.r_[0.0, np.geomspace(1e-3, 28.0, 50)])
     assert coarse.stats["steps"] > 1000
     assert abs(coarse.final_transfer - fine.final_transfer) < 1e-9
 
@@ -203,6 +206,21 @@ def test_overflowing_quadrature_raises_numerical_error(head, tail):
         with pytest.raises(pn.NumericalError,
                            match=rf"^quadrature route is not finite on t_grid \({grid.size} "
                                  r"points on \[0\.0, 28\.0\]\)"):
+            evolve_amplitudes(designed, grid)
+
+
+def test_falling_quadrature_integral_raises_numerical_error():
+    # the first 2001 table times and 28: the last interval's non-uniform
+    # Simpson weights take a2 from 3.95 to -4.90, which left the transfer
+    # finite but 9.0e4 where the ODE gives -0.99979
+    ts = np.linspace(0.0, 28.0, 5601)
+    designed = design_pulses_iterative(np.full_like(ts, 1.0), ts)
+    grid = np.r_[designed.table_t[:2001], 28.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no warning escapes
+        with pytest.raises(pn.NumericalError,
+                           match=r"^quadrature route integrates a rate to a falling sum on "
+                                 r"t_grid \(2002 points on \[0\.0, 28\.0\]\)"):
             evolve_amplitudes(designed, grid)
 
 
