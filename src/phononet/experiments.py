@@ -246,6 +246,7 @@ def run_transfer(p: dict):
     extras = {
         "final_transfer": abs(amps.final_transfer),
         "max_norm_defect": float(np.max(np.abs(amps.v1**2 + amps.v2**2 - 1))),
+        "max_quadrature_gap": float(np.max(np.abs(amps.v2 - amps.transfer))),
         **amps.stats,
     }
     cols = [

@@ -20,9 +20,9 @@ noise into the ports.  This normalisation makes S unitary for lossless
 excitation-conserving networks and conserves flux row-wise,
 sum_j |S_ij|^2 + sum_j |S'_ij|^2 = 1 (Gardiner & Collett, PRA 31, 3761
 (1985)).  Every response, from X itself to the spectra and the circulator's
-probabilities, comes from the rows of X it needs on the whole frequency
-grid, from one Schur factorisation that also checks stability, and a
-residual check per point; the rows of S and S' come from one function.
+probabilities, comes from the rows of X it needs, solved over blocks of
+the frequency grid after one Schur factorisation that also checks stability,
+and a residual check per point; the rows of S and S' come from one function.
 When every coupling is rotating-wave, B = 0 and M = A (+) A*: the a and
 a^dag sectors never couple, so only A is factorised, and the a^dag rows of
 X at w are the conjugated a rows at -w.
@@ -47,6 +47,7 @@ Conventions
 from __future__ import annotations
 
 import enum
+import logging
 import math
 from dataclasses import dataclass
 
@@ -80,6 +81,8 @@ __all__ = [
 ]
 
 _STABILITY_TOL = 1e-12
+_BLOCK_ENTRIES = 2**16  # complex entries of a frequency block: its Y, X and E stay in cache
+_log = logging.getLogger(__name__)
 
 
 class ModeKind(enum.Enum):
@@ -259,8 +262,9 @@ def build_drift_matrix(network: LinearNetwork) -> DriftMatrix:
     return DriftMatrix(M, np.repeat(R, 2), np.repeat(G0, 2), N_in, N0)
 
 
-def _response_rows(drift: DriftMatrix, omegas, rows) -> np.ndarray:
-    """Rows ``rows`` of X(w) = [M - i w]^-1, shape (len(omegas), len(rows), dim).
+def _response_rows(drift: DriftMatrix, omegas, rows, contract=None) -> np.ndarray:
+    """Rows ``rows`` of X(w) = [M - i w]^-1, shape (len(omegas), len(rows), dim),
+    or the concatenated ``contract(X, cols)`` of its frequency blocks.
 
     The solve runs on K = M, or, when the anomalous block B is zero, on
     K = A: an a row of X(w) is then a row of [A - i w]^-1, an a^dag row the
@@ -268,16 +272,18 @@ def _response_rows(drift: DriftMatrix, omegas, rows) -> np.ndarray:
     are exact zeros.  One complex Schur factorisation K - i w0 = Q T Q^H,
     w0 the grid's centre (backward stable at exceptional points too; its
     error scales with |K - i w0|, not |K|), then x Q (T - i (v - w0)) = Q[r]
-    by forward substitution over T's columns, each step vectorised over the
-    grid, with v = -w for an a^dag row of A and v = w otherwise.  The
-    residual max|x (K - i v) - e_r| is the full row's, as the off-block part
-    is zero; it shifts K's diagonal before the product, as X @ K - i v X
-    would cancel eps |v X| (1e-8 at Q ~ 1e8).  Raises ValidationError for an
-    empty grid; StabilityError naming the eigenvalue (diag T + i w0) of most
-    negative real part when one lies below -1e-12 max(|M|, 1); and
-    SingularFrequencyError naming an omega that is not finite, where M - i w
-    is singular (A - i w or A + i w when B = 0), or where the residual
-    exceeds 1e-8 or is NaN.  Both checks cover every eigenvalue of M.
+    by forward substitution over T's columns (v = -w for an a^dag row of A,
+    else w) on blocks of _BLOCK_ENTRIES // (len(rows) dim K) frequencies.
+    ``contract`` may overwrite X, a block's rows on their sector, shape
+    (block, len(rows), dim K), at full-width columns ``cols`` (a^dag rows
+    conjugated).  The residual max|x (K - i v) - e_r| is the full row's; it
+    shifts K's diagonal before the product, as X @ K - i v X would cancel
+    eps |v X| (1e-8 at Q ~ 1e8).  Raises ValidationError for an empty grid;
+    StabilityError naming the eigenvalue (diag T + i w0) of most negative
+    real part below -1e-12 max(|M|, 1); SingularFrequencyError naming an
+    omega that is not finite or where M - i w is singular (A -/+ i w when
+    B = 0), or, after the last block, the largest residual's if above 1e-8
+    (the first NaN).  Both checks cover every eigenvalue of M.  Logs at DEBUG.
     """
     omegas = np.asarray(omegas, dtype=float)
     if omegas.ndim != 1 or omegas.size == 0:
@@ -285,10 +291,12 @@ def _response_rows(drift: DriftMatrix, omegas, rows) -> np.ndarray:
     M, d, rows = drift.matrix, drift.dimension, np.asarray(rows)
     split = not np.any(M[0::2, 1::2])  # B = 0: M = A (+) A*, X(w)'s a^dag block is X_A(-w)*
     K, krows = (drift.annihilation_block(), rows // 2) if split else (M, rows)
-    sign = np.where(rows % 2, -1.0, 1.0) if split else np.ones(len(rows))
+    odd = split & (rows % 2 == 1)  # a^dag rows solved on A at -w
+    n, k, dk = omegas.size, len(rows), len(K)
+    cols = (2 if split else 1) * np.arange(dk) + odd[:, None]
     finite = omegas[np.isfinite(omegas)]
     w0 = 0.5 * (finite.min() + finite.max()) if finite.size else 0.0
-    T, Q = schur(K - 1j * w0 * np.eye(len(K)), output="complex")
+    T, Q = schur(K - 1j * w0 * np.eye(dk), output="complex")
     tol = _STABILITY_TOL * max(np.max(np.abs(M)), 1.0)
     eigs = T.diagonal()  # with the split, M's are these and their conjugates
     worst = complex(eigs[np.argmin(eigs.real)] + 1j * w0)
@@ -296,35 +304,41 @@ def _response_rows(drift: DriftMatrix, omegas, rows) -> np.ndarray:
         raise StabilityError(
             f"drift matrix is unstable: eigenvalue {worst!r} has negative real part"
         )
+    axis = eigs[np.abs(eigs.real) <= tol][:, None]  # |lam - i x| >= |Re lam| for the rest
     signs = (1.0, -1.0) if split else (1.0,)  # A*'s eigenvalues at w are A's at -w
-    gap = np.min([np.abs(eigs[:, None] - 1j * (s * omegas - w0)) for s in signs], axis=(0, 1))
+    gap = np.min([np.abs(axis - 1j * (s * omegas - w0)) for s in signs], (0, 1), initial=np.inf)
     singular = ~np.isfinite(omegas) | (gap <= tol)
     if np.any(singular):
         w = omegas[np.argmax(singular)]
         raise SingularFrequencyError(f"response singular at omega={float(w)!r}")
-    n, k, dk = omegas.size, len(rows), len(K)
-    freqs = omegas[:, None] * sign  # (n_w, k): the frequency at which K solves each row
-    shift = 1j * (freqs - w0)
-    Y = np.empty((dk, n * k), dtype=complex)  # Y[j] = (x Q)_j; column w k + row
-    for j in range(dk):
-        Y[j] = ((Q[krows, j] - (T[:j, j] @ Y[:j]).reshape(n, k)) / (eigs[j] - shift)).ravel()
-    X = Y.T @ Q.conj().T  # (n * k, dk)
-    D = K.diagonal()
-    E = X @ (K - np.diag(D)) + X * (D - 1j * freqs.reshape(-1, 1))
-    E[np.arange(n * k), np.tile(krows, n)] -= 1.0
-    resid = np.max(np.abs(E).reshape(n, k * dk), axis=1)
+    D, block, resid, parts = K.diagonal(), max(1, _BLOCK_ENTRIES // (k * dk)), np.empty(n), []
+    for start in range(0, n, block):  # Y and E are dropped once read: few arrays live at once
+        freqs = np.where(odd, -1.0, 1.0) * omegas[start : start + block, None]  # K solves at v
+        m, shift = len(freqs), 1j * (freqs - w0)
+        Y = np.empty((dk, m * k), dtype=complex)  # Y[j] = (x Q)_j; column w k + row
+        for j in range(dk):
+            Y[j] = ((Q[krows, j] - (T[:j, j] @ Y[:j]).reshape(m, k)) / (eigs[j] - shift)).ravel()
+        X, Y = Y.T @ Q.conj().T, None  # (m * k, dk)
+        E = X @ (K - np.diag(D))
+        E += X * (D - 1j * freqs.reshape(-1, 1))
+        E[np.arange(m * k), np.tile(krows, m)] -= 1.0
+        resid[start : start + m] = np.max(np.abs(E).reshape(m, k * dk), axis=1)
+        X, E = X.reshape(m, k, dk), None
+        X[:, odd] = X[:, odd].conj()
+        if contract is None:  # full-width rows
+            parts.append(np.zeros((m, k, d), dtype=complex))
+            np.put_along_axis(parts[-1], np.broadcast_to(cols, X.shape), X, axis=2)
+        else:
+            parts.append(contract(X, cols))
     i = int(np.argmax(resid))  # the first NaN, if any
+    _log.debug("response: %d grid points, %d rows, %d blocks, max residual %.2e at omega=%r",
+               n, k, -(-n // block), resid[i], float(omegas[i]))
     if not resid[i] <= 1e-8:
         raise SingularFrequencyError(
             f"response singular or ill-conditioned at omega={float(omegas[i])!r} "
             f"(residual {resid[i]:.2e})"
         )
-    if not split:
-        return X.reshape(n, k, d)
-    X, odd = X.reshape(n, k, dk), rows % 2 == 1
-    out = np.zeros((n, k, d), dtype=complex)
-    out[:, ~odd, 0::2], out[:, odd, 1::2] = X[:, ~odd], X[:, odd].conj()
-    return out
+    return np.concatenate(parts)
 
 
 def _scattering_rows(drift: DriftMatrix, omegas, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -408,19 +422,24 @@ class NoiseSpectrum:
 
 
 def _spectrum(network: LinearNetwork, omega_grid, mode: str, output: bool) -> NoiseSpectrum:
-    """Occupation-weighted power of ``mode``'s row over every bath channel:
+    """Occupation-weighted power of ``mode``'s row r over every bath channel:
     |S_r|^2 N_in + |S'_r|^2 N0 for the out-field, |X_r|^2 (R N_in + G0 N0)
-    inside."""
-    drift = build_drift_matrix(network)
-    rows = [2 * network.mode_index(mode)]
-    if output:
-        S, Sp = _scattering_rows(drift, omega_grid, rows)
-        vals = (np.abs(S[:, 0]) ** 2 @ drift.input_occupations
-                + np.abs(Sp[:, 0]) ** 2 @ drift.intrinsic_occupations)
-    else:
-        weights = (drift.input_rates * drift.input_occupations
-                   + drift.intrinsic_rates * drift.intrinsic_occupations)
-        vals = np.abs(_response_rows(drift, omega_grid, rows)[:, 0]) ** 2 @ weights
+    inside, contracted block by block on r's sector, in place."""
+    drift, r = build_drift_matrix(network), 2 * network.mode_index(mode)
+    N_in, N0 = drift.input_occupations, drift.intrinsic_occupations
+    sR, sG = np.sqrt(drift.input_rates), np.sqrt(drift.intrinsic_rates)
+
+    def contract(X, cols):
+        x, c = X[:, 0], cols[0]
+        if not output:
+            return np.abs(x) ** 2 @ (drift.input_rates * N_in + drift.intrinsic_rates * N0)[c]
+        x *= sR[r]
+        S = x * sR[c]
+        S -= c == r  # -S_r, as only |S_r| is read
+        x *= sG[c]
+        return np.abs(S) ** 2 @ N_in[c] + np.abs(x) ** 2 @ N0[c]
+
+    vals = _response_rows(drift, omega_grid, [r], contract)
     return NoiseSpectrum(omega_grid, np.maximum(vals, 0.0))
 
 
@@ -429,8 +448,8 @@ def internal_spectrum(
 ) -> NoiseSpectrum:
     """Stationary fluctuation spectrum <a^dag(w) a(w')> of an internal mode.
 
-    Sums rate * occupation * |X_row,col|^2 over every bath channel; for a
-    rotating-wave network only the annihilation block is factorised.
+    Sums rate * occupation * |X_row,col|^2 over every bath channel, block by
+    block over the grid; rotating-wave networks solve on the a sector alone.
     Raises ValidationError for an unknown mode or an empty grid, and, from
     the response core's one Schur factorisation, StabilityError naming the
     unstable eigenvalue and SingularFrequencyError naming the omega where
@@ -446,8 +465,8 @@ def output_spectrum(
     """Occupation spectrum of the out-field at the port attached to ``port_mode``.
 
     Sums occupation * |S_row,col|^2 over the ports and |S'_row,col|^2 over
-    the intrinsic baths.  Raises ValidationError when ``port_mode`` has no
-    port, otherwise as ``internal_spectrum``.
+    the intrinsic baths, in blocks as ``internal_spectrum``.  Raises
+    ValidationError when ``port_mode`` has no port, otherwise as that.
     """
     if network.port_for(port_mode) is None:
         raise ValidationError(f"mode {port_mode!r} has no port")

@@ -151,7 +151,11 @@ def simulate_lossy_chain(
     reflections produce ripple.  The tridiagonal solve is the Thomas
     algorithm, each site's step one operation over the whole grid; its
     pivots p_l = b_l + (K^2/4)/p_{l-1} all have Re p_l > 0 (Re b_l >= 0,
-    Re b_0 > 0), so none vanishes.
+    Re b_0 > 0), so none vanishes.  Back substitution for M x = e_out gives
+    |x_l|^2 = q_l |x_{l+1}|^2 with q_l = |K/2|^2/|p_l|^2, so the forward
+    sweep carries s_l = 1 + q_{l-1} s_{l-1} (s_0 = 1) and P = prod q_l:
+    sum_l |x_l|^2 = |x_{n-1}|^2 s_{n-1} and |x_0|^2 = |x_{n-1}|^2 P.  Both
+    add only positive terms, and memory is O(len(grid)) at any site.
     """
     if not (1 <= site <= chain.n_sites - 1):
         raise ValidationError("site must lie in [1, n_sites-1]")
@@ -162,16 +166,12 @@ def simulate_lossy_chain(
     # rotating-wave site equations: d b_l/dt = -(i wc + g0/2) b_l
     #   + i (K/2)(b_{l-1} + b_{l+1}) - noise;  M is symmetric tridiagonal.
     diag = 1j * (chain.band_center - omegas) + g0 / 2
-    piv = np.empty((n, omegas.size), dtype=complex)
-    piv[0] = diag + gp / 2
-    for l in range(1, n):
-        piv[l] = diag + (K * K / 4) / piv[l - 1]
-    piv[-1] += gp / 2
-    # back substitution for M x = e_out; x is the row of X (M symmetric)
-    x = 1.0 / piv[-1]
-    norm2 = np.abs(x) ** 2
-    for l in range(n - 2, -1, -1):
-        x = (0.5j * K) * x / piv[l]
-        norm2 += np.abs(x) ** 2
-    out = drive_spectrum.values * np.abs(gp * x) ** 2 + chain.bath_occupation * gp * g0 * norm2
+    p, s, P = diag + gp / 2, 1.0, 1.0
+    for _ in range(1, n):
+        q = (K * K / 4) / (p.real**2 + p.imag**2)
+        s, P = 1.0 + q * s, P * q
+        p = diag + q * p.conj()  # (K^2/4) / p
+    p += gp / 2
+    x2 = 1.0 / (p.real**2 + p.imag**2)  # |x_{n-1}|^2
+    out = drive_spectrum.values * gp**2 * P * x2 + chain.bath_occupation * gp * g0 * s * x2
     return NoiseSpectrum(omegas, np.maximum(out, 0.0))

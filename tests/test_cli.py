@@ -148,6 +148,7 @@ def test_transfer_metadata_reports_the_solver_counts():
     _, _, meta = RUNNERS["transfer"](p.parameters)
     assert type(meta["rhs_calls"]) is int and type(meta["steps"]) is int
     assert 0 < meta["steps"] < meta["rhs_calls"] <= 1000  # explicit RK45 needs 2264
+    assert 0 < meta["max_quadrature_gap"] < 1e-8  # 2.3e-9 against the ODE route
 
 
 def test_fidelity_sweep_is_one_integration(monkeypatch):

@@ -1,7 +1,9 @@
 """Tests for the doubled-basis network solver and noise spectra."""
 
+import logging
 import math
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import phononet as pn
+from phononet import network
 from phononet.network import (
     CouplingSpec,
     LinearNetwork,
@@ -412,6 +415,80 @@ def test_response_at_exceptional_point_matches_dense_inverse():
     for w, X in zip(grid, got):
         ref = np.linalg.inv(d.matrix - 1j * w * np.eye(d.dimension))
         assert np.max(np.abs(X - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _cooled_chain(n_modes):
+    return multimode_cooling_network(
+        n_modes=n_modes, omega_m=100.0, coupling=1.0, kappa=0.5, g_alpha=0.5, gamma0=0.05,
+        n_th=10.0,
+    )
+
+
+_FULL_FILTER = om_filter_network(
+    omega_m=100.0, gamma=1.0, kappa=4.0, gamma0=0.01, n_th=5.0, rotating_wave=False
+)
+
+
+@pytest.mark.parametrize(
+    "net, mode, port, dk",
+    [(_cooled_chain(5), "b5", "a", 6), (_FULL_FILTER, "b", "b", 4)],
+    ids=["rwa_chain", "non_rwa_filter"],
+)
+def test_blocked_solve_matches_one_block(net, mode, port, dk, monkeypatch, caplog):
+    grid = np.linspace(97.0, 103.0, 101)
+    d = build_drift_matrix(net)
+
+    def solve(entries):
+        monkeypatch.setattr(network, "_BLOCK_ENTRIES", entries)
+        return (internal_spectrum(net, grid, mode).values, output_spectrum(net, grid, port).values,
+                _response_rows(d, grid, range(d.dimension)))
+
+    one = solve(10**9)
+    with caplog.at_level(logging.DEBUG, logger="phononet.network"):
+        blocked = solve(30 * dk)  # a spectrum's one row: blocks of 30, 30, 30 and 11 points
+    assert "101 grid points, 1 rows, 4 blocks" in caplog.text
+    for got, ref in zip(blocked[:2], one[:2]):
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(blocked[2], one[2], rtol=0, atol=1e-12 * np.max(np.abs(one[2])))
+
+
+def test_residual_refusal_in_a_later_block_names_the_one_block_omega(monkeypatch):
+    # full model at Q ~ 4e8: the Schur factors' backward error puts the
+    # residual above 1e-8 near the grid's centre
+    wm, gamma = 2 * math.pi * 4e9, 2 * math.pi * 10
+    net = om_filter_network(omega_m=wm, gamma=gamma, kappa=100 * gamma, rotating_wave=False)
+    grid = default_filter_grid(wm, gamma, 401)
+    named = []
+    for entries in (10**9, 4 * 50):  # one block; blocks of 50 points (M is 4 x 4)
+        monkeypatch.setattr(network, "_BLOCK_ENTRIES", entries)
+        with pytest.raises(pn.SingularFrequencyError, match="ill-conditioned") as err:
+            output_spectrum(net, grid, "b")
+        named.append(float(re.search(r"omega=(\S+) ", str(err.value))[1]))
+    assert named[0] == named[1]
+    assert np.flatnonzero(grid == named[0])[0] >= 50
+
+
+def test_response_rows_log_grid_rows_blocks_and_worst_residual(caplog):
+    grid = np.linspace(97.0, 103.0, 101)
+    with caplog.at_level(logging.DEBUG, logger="phononet.network"):
+        internal_spectrum(_cooled_chain(5), grid, "b5")
+    [line] = [r.getMessage() for r in caplog.records if r.name == "phononet.network"]
+    m = re.fullmatch(
+        r"response: 101 grid points, 1 rows, 1 blocks, max residual (\S+) at omega=(\S+)", line
+    )
+    assert m and 0 < float(m[1]) <= 1e-8 and float(m[2]) in grid
+
+
+def test_chain_output_spectrum_peaks_below_8_mb():
+    net, grid = _cooled_chain(50), np.linspace(97.0, 103.0, 4001)
+    output_spectrum(net, grid, "a")  # lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        output_spectrum(net, grid, "a")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6  # full-width rows and S, S' on the whole grid took 19 MB
 
 
 # ---------------------------------------------------------------- spectra

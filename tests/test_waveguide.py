@@ -1,6 +1,7 @@
 """Tests for the resonator-chain channel and propagation losses."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,3 +268,19 @@ def test_lossy_chain_matches_banded_reference(n_sites, site_frac, K, g0_rel, n_t
     drive = pn.NoiseSpectrum(grid, np.random.default_rng(seed).uniform(0.0, 20.0, grid.size))
     got = simulate_lossy_chain(ch, drive, site).values
     np.testing.assert_allclose(got, _banded_oracle(ch, drive, site), rtol=1e-10, atol=0)
+
+
+def test_lossy_chain_memory_does_not_grow_with_sites():
+    K, site = 2 * math.pi * 5.0e7, 399
+    ch = ChainSpec(400, 2 * math.pi * 4.0e9, K, 1.0e-6, 0.2 * K / site, 20.0)
+    width = 0.005 * K
+    drive = _dip_spectrum(n_th=20.0, floor=1.0, width=width, center=ch.band_center,
+                          span=20 * width, n=4001)
+    simulate_lossy_chain(ch, drive, site)  # lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        simulate_lossy_chain(ch, drive, site)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6  # a (sites, points) pivot array took 25.6 MB
