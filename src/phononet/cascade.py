@@ -18,7 +18,10 @@ waveguide, w = (1, 1, 1) at n_th, and the cold optical bath, w =
 gamma_op (matched by default), emulates the upstream filter's noise dip.
 The reduced model of fidelity sweeps keeps the qubits and one channel,
 (1, 1) at a white occupation N_eff; ``qubit_channel`` integrates two
-copies of it per N_eff in one solve.
+copies of it per N_eff in one solve.  That white closure is exact for
+harmonic nodes; two-level qubits also need (Gamma_max / gamma) n_th^2 << 1,
+as their nonlinearity lets the hot noise outside the cold window back in:
+the full cascade matches N* = 1.3 N_eff at 0.0025, 3.3-10.3 N_eff at 0.25-4.
 
 Every term conserves the ket-minus-bra excitation number k of an entry
 |m><n| of rho (Buca & Prosen, NJP 14, 073007 (2012)), so the solver

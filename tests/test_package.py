@@ -63,6 +63,17 @@ def test_network_only_runs_load_no_deferred_scipy_subpackage(experiment, tmp_pat
     assert not DEFERRED & loaded
 
 
+def test_transfer_quadratures_load_neither_scipy_signal_nor_stats():
+    # both kernels run on scipy.fft and numpy; scipy.signal would pull in scipy.stats
+    loaded = _loaded_modules("-c", (
+        "import numpy as np, phononet as pn\n"
+        "sch = pn.analytic_schedule(1.0)\n"
+        "pn.pulse_spectrum(sch, np.linspace(-3.0, 3.0, 201), 2001)\n"
+        "pn.effective_occupation_integral(sch, pn.FilteredNoise(1.0, 0.05, 1.0, 0.2), 2001)"))
+    assert "phononet.transfer" in loaded and "scipy.fft" in loaded
+    assert not {"scipy.signal", "scipy.stats"} & loaded
+
+
 _NAN = math.nan
 _DRIVE = dict(delta1=-1.0, delta2=-1.0, tunnel_J=1.0, kappa=0.1, om_coupling_g=1e-3,
               drive1=1.0, drive2=1.0, phase1=0.0, phase2=0.0)

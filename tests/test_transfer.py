@@ -46,6 +46,15 @@ def _kernel_on_one_grid(schedule, n_steps):
     return np.concatenate(ts), np.concatenate(fs), len(segments)
 
 
+def _trapezoid_weights(ts):
+    """Trapezoid weights on the (non-uniform) joined grid."""
+    weights = np.empty_like(ts)
+    weights[1:-1] = 0.5 * (ts[2:] - ts[:-2])
+    weights[0] = 0.5 * (ts[1] - ts[0])
+    weights[-1] = 0.5 * (ts[-1] - ts[-2])
+    return weights
+
+
 # ------------------------------------------------------------------ pulses
 
 
@@ -446,6 +455,10 @@ def _neff_per_step_loop(schedule, noise, n_steps):
         (_asymmetric_schedule(), FilteredNoise(2.0, 0.1, 0.7, -1.3), False),
         # a tiny width on a wide window: the small-exponent series
         (analytic_schedule(1.0), FilteredNoise(1.0, 0.0, 1e-4, 5e-5), True),
+        # a dip so wide that e^{-lam dt} underflows to 0 (lam dt = 1400)
+        (analytic_schedule(1.0), FilteredNoise(1.0, 0.05, 2e5), False),
+        # a narrow dip far off centre: |e^{-z}| = 1 - 7e-6, the scan's powers run longest
+        (analytic_schedule(1.0), FilteredNoise(1.0, 0.05, 1e-3, 50.0), False),
     ],
 )
 def test_filtered_integral_matches_per_step_recursion(schedule, noise, series):
@@ -453,6 +466,8 @@ def test_filtered_integral_matches_per_step_recursion(schedule, noise, series):
     lam = abs(complex(noise.width, noise.center_offset))
     steps = [dt for _, dt, _ in _absorption_kernel(schedule, n_steps)[2]]
     assert all(lam * dt <= 1e-6 for dt in steps) == series
+    if noise.width * min(steps) > 745:
+        assert np.exp(-noise.width * min(steps)) == 0.0
     quad = effective_occupation_integral(schedule, noise, n_steps)
     assert quad == pytest.approx(_neff_per_step_loop(schedule, noise, n_steps), rel=1e-12)
 
@@ -509,12 +524,22 @@ def test_pulse_spectrum_matches_direct_sum(schedule, omega, n_steps, n_segments)
     kernel_ts, kernel_f, _ = _absorption_kernel(schedule, n_steps)  # the N_eff quadrature's grid
     np.testing.assert_array_equal(kernel_f, f)
     np.testing.assert_allclose(kernel_ts, ts, rtol=0, atol=1e-14 * np.max(np.abs(ts)))
-    weights = np.empty_like(ts)
-    weights[1:-1] = 0.5 * (ts[2:] - ts[:-2])
-    weights[0] = 0.5 * (ts[1] - ts[0])
-    weights[-1] = 0.5 * (ts[-1] - ts[-2])
-    direct = np.exp(1j * np.outer(omega, ts)) @ (weights * f) / math.sqrt(2 * math.pi)
+    weighted = _trapezoid_weights(ts) * f
+    direct = np.exp(1j * np.outer(omega, ts)) @ weighted / math.sqrt(2 * math.pi)
     np.testing.assert_allclose(pulse_spectrum(schedule, omega, n_steps), direct, rtol=1e-9)
+
+
+def test_pulse_spectrum_matches_direct_sum_at_full_size():
+    # 8001 frequencies x 20001 times: a chirp raised from a rounded ratio to
+    # the power k^2/2 would miss the direct sum by ~1e-9 max|F| here
+    schedule, omega, n_steps = analytic_schedule(0.1), np.linspace(-20.0, 20.0, 8001), 20001
+    ts, f, _ = _kernel_on_one_grid(schedule, n_steps)
+    at = np.unique(np.r_[np.linspace(0, omega.size - 1, 40).astype(int), omega.size // 2])
+    weighted = _trapezoid_weights(ts) * f
+    direct = np.exp(1j * np.outer(omega[at], ts)) @ weighted / math.sqrt(2 * math.pi)
+    spectrum = pulse_spectrum(schedule, omega, n_steps)
+    assert omega[omega.size // 2] == 0.0
+    assert np.max(np.abs(spectrum[at] - direct)) <= 1e-11 * np.max(np.abs(spectrum))
 
 
 def test_pulse_spectrum_grid_must_be_uniform():
