@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import sys
 from dataclasses import dataclass, field, replace
@@ -152,6 +153,7 @@ def run_experiment(config: RunConfig, out_dir: Path) -> Path:
     return path
 
 
+@functools.cache  # built once per process; parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="phononet",

@@ -38,9 +38,14 @@ its callers).
 Channel noise enters through the spectral overlap of the absorption kernel
 F(w) with the channel occupation N(w); for the inverted-Lorentzian dip this
 reduces to N_eff = (2 g N0 + Gamma_max n_th) / (2 g + Gamma_max) with g the
-dip half-width.  The kernel lives on uniform time segments: F(w) is one
-exact-phase Bluestein chirp-z sum (Rabiner, Schafer & Rader, IEEE Trans. Audio
-Electroacoust. 17, 86 (1969)) and the N_eff convolution one doubling scan per segment.
+dip half-width.  The kernel lives on uniform time segments, split at the
+analytic pulse's kink t = 0 inside the window: F(w) is one exact-phase
+Bluestein chirp-z sum (Rabiner, Schafer & Rader, IEEE Trans. Audio
+Electroacoust. 17, 86 (1969)), the N_eff convolution one doubling scan, and
+each N_eff integral an equal-step Simpson sum per segment, so no Simpson
+parabola spans the kink.  The amplitude route's cumulative Simpson integrals
+take equal steps on a ``np.linspace`` grid and scipy's unequal-interval rule
+on any other grid.
 
 Each function imports the scipy subpackage it computes with
 (``scipy.integrate``, ``scipy.fft``) when it runs, so ``import phononet``
@@ -216,8 +221,10 @@ def evolve_amplitudes(schedule: PulseSchedule, t_grid: np.ndarray) -> TransferAm
     stiff; rtol 1e-10, steps of at most a sixteenth of the window) sampled
     on ``t_grid``; its RHS calls and steps go into ``stats``, and a failed
     run raises NumericalError with the solver's message.  g1 and the
-    transfer amplitude come from independent cumulative quadrature on
-    ``t_grid``, so the two routes can be compared.  The transfer's quadrature
+    transfer amplitude come from independent cumulative Simpson quadrature on
+    ``t_grid``, so the two routes can be compared: the equal-step rule when
+    ``t_grid`` is bit for bit ``np.linspace(t_grid[0], t_grid[-1], t_grid.size)``,
+    scipy's unequal-interval rule otherwise.  The transfer's quadrature
     -e^{-a2(t)} int e^{a2} sqrt(Gamma1 Gamma2) G1 ds restarts wherever
     a2 = int Gamma2/2 has risen by 300, carrying its running sum over with
     e^{-rise}, so e^{a2} does not overflow as long as no single grid
@@ -252,10 +259,18 @@ def evolve_amplitudes(schedule: PulseSchedule, t_grid: np.ndarray) -> TransferAm
     v1, v2 = v.T
     stats = {"rhs_calls": int(info["nfe"][-1]), "steps": int(info["nst"][-1])}
 
+    lin, dt = np.linspace(t_grid[0], t_grid[-1], t_grid.size, retstep=True)
+    uniform = np.array_equal(lin, t_grid)
+
+    def integral(y, piece=slice(None)):  # cumulative Simpson from the piece's first time
+        if uniform:
+            return cumulative_simpson(y, dx=dt, initial=0)
+        return cumulative_simpson(y, x=t_grid[piece], initial=0)
+
     g1v = schedule.gamma1(t_grid)
     g2v = schedule.gamma2(t_grid)
-    a1 = cumulative_simpson(g1v / 2, x=t_grid, initial=0)
-    a2 = cumulative_simpson(g2v / 2, x=t_grid, initial=0)
+    a1 = integral(g1v / 2)
+    a2 = integral(g2v / 2)
     root, transfer, s, carry = np.sqrt(g1v * g2v), np.empty_like(t_grid), 0, 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite route is refused below
         env1 = np.exp(-a1)
@@ -264,7 +279,7 @@ def evolve_amplitudes(schedule: PulseSchedule, t_grid: np.ndarray) -> TransferAm
             piece = slice(s, s + max(int(over[0]), 1) + 1 if over.size else t_grid.size)
             rise = a2[piece] - a2[s]
             integrand = np.exp(rise) * root[piece] * env1[piece]
-            run = carry + cumulative_simpson(integrand, x=t_grid[piece], initial=0)
+            run = carry + integral(integrand, piece)
             transfer[piece] = -np.exp(-rise) * run
             s, carry = piece.stop - 1, run[-1] * np.exp(-rise[-1])
     where = (f"on t_grid ({t_grid.size} points on [{float(t_grid[0])!r}, "
@@ -356,22 +371,41 @@ def design_pulses_iterative(
 # --------------------------------------------------------------------------
 
 
+def _check_noise_fields(noise) -> None:
+    """ValidationError naming the first field that is not finite, or that is
+    negative (every field but ``center_offset`` must be >= 0)."""
+    for name, value in vars(noise).items():
+        signed = name == "center_offset"
+        if not (math.isfinite(value) and (signed or value >= 0)):
+            rule = "must be finite" if signed else "must be finite and >= 0"
+            raise ValidationError(f"{name} {rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class WhiteNoise:
-    """Flat channel noise of occupation n_th."""
+    """Flat channel noise of occupation n_th (finite, >= 0, else
+    ValidationError naming the field)."""
 
     n_th: float
+
+    def __post_init__(self) -> None:
+        _check_noise_fields(self)
 
 
 @dataclass(frozen=True)
 class FilteredNoise:
     """Inverted-Lorentzian noise dip: floor ``n_0``, half-width ``width``,
-    centred ``center_offset`` away from the qubit resonance."""
+    centred ``center_offset`` away from the qubit resonance.  Every field
+    must be finite and all but ``center_offset`` >= 0, else ValidationError
+    naming the field."""
 
     n_th: float
     n_0: float
     width: float
     center_offset: float = 0.0
+
+    def __post_init__(self) -> None:
+        _check_noise_fields(self)
 
 
 def _absorption_kernel(schedule: PulseSchedule, n_steps: int):
@@ -410,21 +444,24 @@ def effective_occupation_integral(
     exactly; the Lorentzian dip part uses an exponentially weighted running
     convolution, one first-order recurrence per uniform kernel segment summed
     by a log2(N) doubling scan in powers of e^{-z}, |e^{-z}| <= 1, stable for
-    arbitrarily wide dips.  Valid in the linear regime N(w) << 1, exact for
+    arbitrarily wide dips, its value carried over the segments' junction at
+    t = 0.  The outer integrals (the kernel's norm and its overlap with the
+    convolution) are equal-step Simpson sums per segment, so no parabola spans
+    the pulse's kink at t = 0.  Valid in the linear regime N(w) << 1, exact for
     harmonic nodes; two-level qubits also need (Gamma_max / gamma) n_th^2 << 1
     (the full cascade matches N* = 1.3 N_eff at 0.0025, 3.3-10.3 N_eff at 0.25-4).
     ``n_steps`` below 4 raises ValidationError.
     """
     from scipy.integrate import simpson
 
-    ts, f, segs = _absorption_kernel(schedule, n_steps)
-    w_norm = float(simpson(f**2, x=ts))
+    segs = _absorption_kernel(schedule, n_steps)[2]
+    w_norm = sum(float(simpson(fs**2, dx=dt)) for _, dt, fs in segs)
     if isinstance(noise, WhiteNoise):
         return noise.n_th * w_norm
     if not isinstance(noise, FilteredNoise):
         raise ValidationError(f"unsupported noise model {noise!r}")
     lam = noise.width - 1j * noise.center_offset  # correlation e^{-lam |tau|}
-    hs = [np.zeros(1, dtype=complex)]  # h(t) = int_t0^t f(s) e^{-lam (t-s)} ds
+    dip_overlap, h0 = 0.0, 0.0  # h(t) = int_t0^t f(s) e^{-lam (t-s)} ds; h0 at a segment's start
     for _, dt, fs in segs:
         z = lam * dt
         if abs(z) > 1e-6:
@@ -433,15 +470,15 @@ def effective_occupation_integral(
         else:  # series for small exponents
             i1 = dt * (1 - z / 2 + z * z / 6)
             i2 = dt * (0.5 - z / 3 + z * z / 8)
-        # h[k+1] = e^{-z} h[k] + (i1 - i2) f[k] + i2 f[k+1], h carried across segments;
+        # h[k+1] = e^{-z} h[k] + (i1 - i2) f[k] + i2 f[k+1] from h[0] = h0;
         # after the pass at shift s, h[k] holds the terms of lags < 2s
-        h, d, s = (i1 - i2) * fs[:-1] + i2 * fs[1:], np.exp(-z), 1
-        h[0] += d * hs[-1][-1]
+        h, d, s = np.empty(fs.size, dtype=complex), np.exp(-z), 1
+        h[0], h[1:] = h0, (i1 - i2) * fs[:-1] + i2 * fs[1:]
         while s < h.size:
             h[s:] += d * h[:-s]
             d, s = d * d, 2 * s
-        hs.append(h)
-    dip_overlap = 2.0 * float(np.real(simpson(f * np.concatenate(hs), x=ts)))
+        dip_overlap += 2.0 * float(np.real(simpson(fs * h, dx=dt)))
+        h0 = h[-1]
     n_eff = noise.n_th * w_norm - (noise.n_th - noise.n_0) * (noise.width / 2) * dip_overlap
     if n_eff < -1e-10:
         raise NumericalError(f"quadrature produced negative N_eff = {n_eff!r}")
@@ -452,7 +489,11 @@ def effective_occupation_closed(
     n_th: float, n_0: float, gamma: float, gamma_max: float
 ) -> float:
     """Closed-form spectral overlap for the analytic pulse and a centred dip
-    of half-width gamma: (2 gamma n_0 + Gamma_max n_th)/(2 gamma + Gamma_max)."""
+    of half-width gamma: (2 gamma n_0 + Gamma_max n_th)/(2 gamma + Gamma_max).
+    A non-finite argument or a negative rate raises ValidationError."""
+    for name, value in (("n_th", n_th), ("n_0", n_0), ("gamma", gamma), ("gamma_max", gamma_max)):
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value!r}")
     if gamma < 0 or gamma_max < 0:
         raise ValidationError("rates must be >= 0")
     return (2 * gamma * n_0 + gamma_max * n_th) / (2 * gamma + gamma_max)

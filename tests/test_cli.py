@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phononet import cascade
+from phononet import __version__, cascade
 from phononet.cli import (
     RunConfig,
+    build_parser,
     main,
     parse_config,
     run_experiment,
@@ -216,6 +217,23 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["design", "--config", str(ok), "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out.strip().splitlines()[-1]
     assert out.endswith("design.csv")
+
+
+def test_parser_built_once_and_reused_unchanged(capsys):
+    # help, version and usage errors read the same from the one cached parser,
+    # on every call, as from a freshly built one
+    assert build_parser() is build_parser()
+    assert build_parser().format_help() == build_parser.__wrapped__().format_help()
+    outputs = []
+    for _ in range(2):
+        for argv in (["--help"], ["filter", "--help"], ["--version"],
+                     ["filter", "--format", "xml"], []):
+            with pytest.raises(SystemExit) as stop:
+                main(argv)
+            outputs.append((stop.value.code, *capsys.readouterr()))
+    assert outputs[:5] == outputs[5:]
+    assert outputs[2] == (0, f"phononet {__version__}\n", "")
+    assert [code for code, _, _ in outputs[:5]] == [0, 0, 0, 2, 2]
 
 
 def test_cli_singular_grid_point_exits_3(tmp_path, capsys):

@@ -233,6 +233,30 @@ def test_falling_quadrature_integral_raises_numerical_error():
             evolve_amplitudes(designed, grid)
 
 
+def test_equal_step_and_general_quadrature_routes_agree(monkeypatch):
+    # a linspace grid takes the equal-step rule (dx); the same grid with one
+    # interior time moved by an ulp is no linspace and takes the general rule (x)
+    import scipy.integrate
+
+    calls, cumulative_simpson = [], scipy.integrate.cumulative_simpson
+
+    def spy(y, **kwargs):
+        calls.append("dx" if "dx" in kwargs else "x")
+        return cumulative_simpson(y, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "cumulative_simpson", spy)
+    sch, ts = analytic_schedule(1.0), _grid(n=2801)
+    nudged = ts.copy()
+    nudged[1000] = np.nextafter(ts[1000], np.inf)
+    equal = evolve_amplitudes(sch, ts)
+    assert calls == ["dx"] * 3
+    general = evolve_amplitudes(sch, nudged)
+    assert calls[3:] == ["x"] * 3
+    for name in ("g1", "transfer", "v1", "v2"):
+        np.testing.assert_allclose(getattr(general, name), getattr(equal, name),
+                                   rtol=0, atol=1e-12)
+
+
 def test_amplitude_solver_failure_raises_numerical_error():
     ts = np.linspace(-1.0, 1.0, 11)
     sch = tabulated_schedule(ts, np.full_like(ts, 1e300), np.full_like(ts, 1e300))
@@ -443,8 +467,13 @@ def _neff_per_step_loop(schedule, noise, n_steps):
             i1 = d * (1 - z / 2 + z * z / 6)
             i2 = d * (0.5 - z / 3 + z * z / 8)
         h[k + 1] = h[k] * np.exp(-z) + f[k] * (i1 - i2) + f[k + 1] * i2
-    w_norm = simpson(f**2, x=ts)
-    dip_overlap = 2.0 * np.real(simpson(f * h, x=ts))
+    # the outer Simpson rule per uniform segment, as in the program, so that
+    # only the recursion is compared
+    segments = _absorption_kernel(schedule, n_steps)[2]
+    ends = np.cumsum([0] + [fs.size - 1 for _, _, fs in segments])
+    pieces = [(slice(i, j + 1), dt) for i, j, (_, dt, _) in zip(ends, ends[1:], segments)]
+    w_norm = sum(simpson(f[p] ** 2, dx=dt) for p, dt in pieces)
+    dip_overlap = 2.0 * sum(np.real(simpson(f[p] * h[p], dx=dt)) for p, dt in pieces)
     return noise.n_th * w_norm - (noise.n_th - noise.n_0) * (noise.width / 2) * dip_overlap
 
 
@@ -470,6 +499,29 @@ def test_filtered_integral_matches_per_step_recursion(schedule, noise, series):
         assert np.exp(-noise.width * min(steps)) == 0.0
     quad = effective_occupation_integral(schedule, noise, n_steps)
     assert quad == pytest.approx(_neff_per_step_loop(schedule, noise, n_steps), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: WhiteNoise(math.nan), "n_th"),
+        (lambda: WhiteNoise(-0.5), "n_th"),
+        (lambda: FilteredNoise(math.nan, 0.0, 1.0), "n_th"),
+        (lambda: FilteredNoise(math.inf, 0.0, 1.0), "n_th"),
+        (lambda: FilteredNoise(1.0, -0.1, 1.0), "n_0"),
+        (lambda: FilteredNoise(1.0, 0.0, -1.0), "width"),
+        (lambda: FilteredNoise(1.0, 0.0, math.nan), "width"),
+        (lambda: FilteredNoise(1.0, 0.0, 1.0, math.inf), "center_offset"),
+        (lambda: effective_occupation_closed(math.nan, 0.0, 1.0, 0.1), "n_th"),
+        (lambda: effective_occupation_closed(1.0, math.inf, 1.0, 0.1), "n_0"),
+        (lambda: effective_occupation_closed(1.0, 0.0, math.nan, 0.1), "gamma"),
+        (lambda: effective_occupation_closed(1.0, 0.0, 1.0, math.inf), "gamma_max"),
+    ],
+)
+def test_bad_noise_names_its_field(build, field):
+    # a nan field gave N_eff = nan, a negative width 8.0e5 from a growing correlation
+    with pytest.raises(pn.ValidationError, match=rf"^{field} must be finite"):
+        build()
 
 
 def test_closed_form_limits_and_value():
@@ -521,7 +573,7 @@ def test_pulse_spectrum_matches_direct_sum(schedule, omega, n_steps, n_segments)
     ts, f, count = _kernel_on_one_grid(schedule, n_steps)
     assert count == n_segments
     assert ts[0] == schedule.t_start and ts[-1] == pytest.approx(schedule.t_end)
-    kernel_ts, kernel_f, _ = _absorption_kernel(schedule, n_steps)  # the N_eff quadrature's grid
+    kernel_ts, kernel_f, _ = _absorption_kernel(schedule, n_steps)  # the kernel's own joined grid
     np.testing.assert_array_equal(kernel_f, f)
     np.testing.assert_allclose(kernel_ts, ts, rtol=0, atol=1e-14 * np.max(np.abs(ts)))
     weighted = _trapezoid_weights(ts) * f
