@@ -46,9 +46,11 @@ it as a band and factorises it in compiled code.  This is the
 generator's only form: the model builds no dense operators, and its
 ``rhs`` and ``_band`` act on the real coordinates of a sector copy.
 
-``scipy.sparse`` and ``scipy.integrate`` are imported by the functions
-that assemble and integrate the generator, when they run, so ``import
-phononet`` and a run that solves no master equation never load them.
+Each function imports the scipy subpackage it computes with when it runs
+(``scipy.sparse`` to assemble the generator, ``scipy.integrate`` to
+integrate it, ``scipy.linalg`` for the state's band eigenvalues), as in
+every phononet module, so ``import phononet`` loads numpy and no scipy
+module, and a run that solves no master equation never loads them.
 
 A transferred amplitude arrives with a deterministic sign flip
 (the transfer amplitude tends to -1), so the ideal target for

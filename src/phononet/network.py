@@ -27,9 +27,11 @@ When every coupling is rotating-wave, B = 0 and M = A (+) A*: the a and
 a^dag sectors never couple, so only A is factorised, and the a^dag rows of
 X at w are the conjugated a rows at -w.
 
-Of scipy the module loads only ``scipy.linalg`` (every response needs
-``schur``); ``fit_lorentzian_dip`` imports ``scipy.optimize`` when it
-runs, so ``import phononet`` and a run that fits no dip never load it.
+Each function imports the scipy subpackage it computes with when it runs
+(``scipy.linalg``'s ``schur`` in ``_response_rows``, ``scipy.optimize`` in
+``fit_lorentzian_dip``), as in every phononet module, so ``import
+phononet`` loads numpy and no scipy module, and a run that solves no
+response and fits no dip never loads them.
 
 Conventions
 -----------
@@ -52,7 +54,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 from .errors import FitError, SingularFrequencyError, StabilityError, ValidationError
 
@@ -285,6 +286,8 @@ def _response_rows(drift: DriftMatrix, omegas, rows, contract=None) -> np.ndarra
     B = 0), or, after the last block, the largest residual's if above 1e-8
     (the first NaN).  Both checks cover every eigenvalue of M.  Logs at DEBUG.
     """
+    from scipy.linalg import schur
+
     omegas = np.asarray(omegas, dtype=float)
     if omegas.ndim != 1 or omegas.size == 0:
         raise ValidationError("frequency grid must be a non-empty 1-D array")
@@ -403,7 +406,9 @@ class LorentzianDipFit:
 
 @dataclass(frozen=True)
 class NoiseSpectrum:
-    """Occupation spectrum N(omega) sampled on an increasing grid."""
+    """Occupation spectrum N(omega) sampled on an increasing grid.  A
+    non-finite grid point or value, a grid that is not strictly increasing
+    or a value below -1e-12 raises ValidationError."""
 
     grid: np.ndarray
     values: np.ndarray
@@ -415,6 +420,11 @@ class NoiseSpectrum:
         object.__setattr__(self, "values", values)
         if grid.ndim != 1 or grid.size == 0 or grid.shape != values.shape:
             raise ValidationError("grid and values must be non-empty 1-D arrays of equal length")
+        for field, arr in (("grid", grid), ("values", values)):
+            bad = ~np.isfinite(arr)  # nan fails every comparison below
+            if np.any(bad):
+                i = int(np.argmax(bad))
+                raise ValidationError(f"{field} must be finite, got {float(arr[i])!r} at index {i}")
         if grid.size >= 2 and not np.all(np.diff(grid) > 0):
             raise ValidationError("frequency grid must be strictly increasing")
         if np.min(values) < -1e-12:
@@ -525,7 +535,8 @@ def fit_lorentzian_dip(spectrum: NoiseSpectrum) -> LorentzianDipFit:
 
     Initialised from (argmin, half-width at half depth, min value, edge
     mean); raises FitError when the sampled minimum is not interior to the
-    grid.  ``nfev`` is the number of model evaluations the fit made.
+    grid.  ``nfev`` is the number of model evaluations the fit made; it,
+    the rms and the fitted centre and width are logged at DEBUG.
     """
     from scipy.optimize import least_squares
 
@@ -561,8 +572,11 @@ def fit_lorentzian_dip(spectrum: NoiseSpectrum) -> LorentzianDipFit:
         raise FitError(f"dip fit did not converge: {sol.message}")
     center, width, floor, n_th = sol.x
     rms = float(np.sqrt(np.mean(sol.fun**2)))
-    return LorentzianDipFit(float(center), abs(float(width)), float(floor), float(n_th), rms,
+    fit = LorentzianDipFit(float(center), abs(float(width)), float(floor), float(n_th), rms,
                            int(sol.nfev))
+    _log.debug("dip fit: %d evaluations, rms %.2e, center %r, width %r",
+               fit.nfev, fit.rms, fit.center, fit.width)
+    return fit
 
 
 # --------------------------------------------------------------------------

@@ -47,9 +47,10 @@ parabola spans the kink.  The amplitude route's cumulative Simpson integrals
 take equal steps on a ``np.linspace`` grid and scipy's unequal-interval rule
 on any other grid.
 
-Each function imports the scipy subpackage it computes with
-(``scipy.integrate``, ``scipy.fft``) when it runs, so ``import phononet``
-and a run that never calls them do not load those subpackages.
+Each function imports the scipy subpackage it computes with when it runs
+(``scipy.integrate``, ``scipy.fft``), as in every phononet module, so
+``import phononet`` loads numpy and no scipy module, and a run that never
+calls them does not load those subpackages.
 """
 
 from __future__ import annotations
@@ -490,12 +491,15 @@ def effective_occupation_closed(
 ) -> float:
     """Closed-form spectral overlap for the analytic pulse and a centred dip
     of half-width gamma: (2 gamma n_0 + Gamma_max n_th)/(2 gamma + Gamma_max).
-    A non-finite argument or a negative rate raises ValidationError."""
+    A non-finite argument, a negative rate or two zero rates (0/0) raises
+    ValidationError."""
     for name, value in (("n_th", n_th), ("n_0", n_0), ("gamma", gamma), ("gamma_max", gamma_max)):
         if not math.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value!r}")
     if gamma < 0 or gamma_max < 0:
         raise ValidationError("rates must be >= 0")
+    if gamma == 0 and gamma_max == 0:
+        raise ValidationError("gamma and gamma_max are both 0: N_eff is 0/0")
     return (2 * gamma * n_0 + gamma_max * n_th) / (2 * gamma + gamma_max)
 
 

@@ -621,6 +621,18 @@ def test_fit_recovers_synthesized_dip():
     np.testing.assert_allclose(fit.evaluate(grid), vals, atol=1e-8)
 
 
+def test_dip_fit_logs_evaluations_rms_centre_and_width(caplog):
+    grid = np.linspace(0.0, 2.0, 401)
+    vals = 40.0 - 38.0 * 0.01 / ((grid - 1.0) ** 2 + 0.01)
+    with caplog.at_level(logging.DEBUG, logger="phononet.network"):
+        fit = fit_lorentzian_dip(pn.NoiseSpectrum(grid, vals))
+    [line] = [r.getMessage() for r in caplog.records if r.name == "phononet.network"]
+    m = re.fullmatch(r"dip fit: (\d+) evaluations, rms (\S+), center (\S+), width (\S+)", line)
+    assert m and int(m[1]) == fit.nfev > 0
+    assert m[2] == f"{fit.rms:.2e}"
+    assert (float(m[3]), float(m[4])) == (fit.center, fit.width)
+
+
 def test_fit_requires_interior_minimum():
     grid = np.linspace(0.0, 1.0, 101)
     with pytest.raises(pn.FitError, match="interior minimum"):

@@ -31,27 +31,50 @@ def test_readme_library_sketch_runs():
     exec(compile(sketch, "README.md", "exec"), {})
 
 
-# imported by the functions that compute with them: loaded with the
-# package, they would add about two thirds to every run's start-up
+# Every scipy subpackage is imported by the function that computes with it,
+# so the package loads no scipy module: scipy.linalg alone, loaded with it,
+# was half of every run's start-up.  A network response loads scipy.linalg,
+# but a run that solves one still loads none of these.
 DEFERRED = {"scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.signal"}
 
 
-def _loaded_modules(*args):
-    """Run ``python -X importtime *args`` in a fresh interpreter; the module
-    names it imported, read from the import-time log on stderr."""
+def _loaded_modules(*args, returncode=0):
+    """Run ``python -X importtime *args`` in a fresh interpreter and check
+    its exit code; the module names it imported, read from the import-time
+    log on stderr."""
     src = str(Path(pn.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run([sys.executable, "-X", "importtime", *args], cwd=ROOT, env=env,
                          capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
+    assert run.returncode == returncode, run.stderr
     return {line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines()
             if line.startswith("import time:")}
 
 
+def _scipy(loaded):
+    return {name for name in loaded if name.split(".")[0] == "scipy"}
+
+
 def test_import_loads_no_deferred_scipy_subpackage():
     loaded = _loaded_modules("-c", "import phononet")
-    assert "phononet.cascade" in loaded and "scipy.linalg" in loaded
-    assert not DEFERRED & loaded
+    assert "phononet.cascade" in loaded and "numpy" in loaded
+    assert not _scipy(loaded)
+
+
+@pytest.mark.parametrize("args, returncode", [
+    (["--help"], 0),
+    (["--version"], 0),
+    (["nv", "--config", "{tmp}/unknown.json"], 2),
+    (["waveguide", "--config", "configs/waveguide.json", "--out", "{tmp}"], 0),
+    (["design", "--config", "configs/design.json", "--out", "{tmp}"], 0),
+    (["nv", "--config", "configs/nv.json", "--out", "{tmp}"], 0),
+], ids=["help", "version", "unknown-key", "waveguide", "design", "nv"])
+def test_front_end_and_closed_form_runs_load_no_scipy(args, returncode, tmp_path):
+    (tmp_path / "unknown.json").write_text('{"experiment": "nv", "parameter": {}}')
+    loaded = _loaded_modules("-m", "phononet", *[a.format(tmp=tmp_path) for a in args],
+                             returncode=returncode)
+    assert "phononet.cli" in loaded
+    assert not _scipy(loaded)
 
 
 @pytest.mark.parametrize("experiment", ["multimode", "circulator", "waveguide", "design", "nv"])
@@ -90,9 +113,12 @@ _DRIVE = dict(delta1=-1.0, delta2=-1.0, tunnel_J=1.0, kappa=0.1, om_coupling_g=1
     ("delta", lambda: pn.RamanParams(1.0, 1.0, 1.0, 1.0, np.array([0.0, _NAN]), 1.0)),
     ("z", lambda: pn.propagate_spectrum(pn.NoiseSpectrum([1.0], [1.0]), _NAN,
                                         pn.ContinuumChannel(1.0, 1.0, 2.0, 10.0, 0.0))),
+    ("grid", lambda: pn.NoiseSpectrum([_NAN], [1.0])),
+    ("values", lambda: pn.NoiseSpectrum([1.0, 2.0], [_NAN, 1.0])),
 ], ids=["CirculatorSpec.tunneling", "CirculatorSpec.phase", "OpticalDriveDesign.kappa",
         "OpticalDriveDesign.drive2", "ChainSpec.omega0", "ChainSpec.intrinsic_gamma0",
-        "RamanParams.coupling_lambda", "RamanParams.delta", "propagate_spectrum.z"])
+        "RamanParams.coupling_lambda", "RamanParams.delta", "propagate_spectrum.z",
+        "NoiseSpectrum.grid", "NoiseSpectrum.values"])
 def test_non_finite_parameters_rejected_by_name(field, build):
     # nan < 0 is False: a sign check alone lets nan through
     with pytest.raises(pn.ValidationError, match=rf"\b{field} must be finite"):

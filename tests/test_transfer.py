@@ -528,6 +528,9 @@ def test_closed_form_limits_and_value():
     assert effective_occupation_closed(1.0, 0.05, 1.0, 0.0) == 0.05
     assert effective_occupation_closed(1.0, 0.05, 1.0, 1e12) == pytest.approx(1.0)
     assert effective_occupation_closed(1.0, 0.05, 1.0, 0.1) == pytest.approx(0.2 / 2.1)
+    # both rates 0 made (2 g N0 + Gamma_max n_th)/(2 g + Gamma_max) a bare ZeroDivisionError
+    with pytest.raises(pn.ValidationError, match=r"^gamma and gamma_max are both 0"):
+        effective_occupation_closed(1.0, 0.05, 0.0, 0.0)
 
 
 def test_closed_form_monotone_in_pulse_rate():
