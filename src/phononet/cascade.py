@@ -70,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _check_count, _check_fields
 from .transfer import PulseSchedule
 
 __all__ = [
@@ -134,7 +134,7 @@ class DensityMatrix:
         if not np.all(np.isfinite(m)):
             raise ValidationError("density matrix has non-finite entries")
         if abs(np.trace(m).real - 1.0) > 1e-8 or abs(np.trace(m).imag) > 1e-10:
-            raise ValidationError(f"trace {np.trace(m)!r} is not 1 within 1e-8")
+            raise ValidationError(f"trace {complex(np.trace(m))!r} is not 1 within 1e-8")
         if np.max(np.abs(m - m.conj().T)) > 1e-10:
             raise ValidationError("density matrix is not Hermitian within 1e-10")
 
@@ -256,8 +256,7 @@ class CascadedModel:
         ns = [float(n) for n in np.ravel(n_th)]
         if np.ndim(n_th) > 1 or not ns:
             raise ValidationError("n_th must be a number or a non-empty list of numbers")
-        if not all(math.isfinite(n) and n >= 0 for n in ns):
-            raise ValidationError(f"n_th must be finite and >= 0, got {n_th!r}")
+        _check_fields({"n_th": ns if np.ndim(n_th) else ns[0]}, nonnegative=("n_th",))
         if include_cavity and np.ndim(n_th):
             raise ValidationError("a list of n_th needs the two-qubit model (include_cavity=False)")
         self.schedule = schedule
@@ -265,12 +264,10 @@ class CascadedModel:
         self.copies = len(ns)
         self.include_cavity = include_cavity
         if include_cavity:
-            if not (math.isfinite(gamma) and gamma > 0):
-                raise ValidationError(f"cavity model needs a finite gamma > 0, got {gamma!r}")
-            self.gamma = float(gamma)
-            self.gamma_op = float(gamma if gamma_op is None else gamma_op)
-            if not (math.isfinite(self.gamma_op) and self.gamma_op >= 0):
-                raise ValidationError(f"gamma_op must be finite and >= 0, got {gamma_op!r}")
+            gamma_op = gamma if gamma_op is None else gamma_op
+            _check_fields({"gamma": gamma, "gamma_op": gamma_op},
+                          positive=("gamma",), nonnegative=("gamma_op",))
+            self.gamma, self.gamma_op = float(gamma), float(gamma_op)
             if fock_cutoff is None:
                 fock_cutoff = default_fock_cutoff(n_th)
                 uncapped = _uncapped_fock_cutoff(n_th)
@@ -281,9 +278,7 @@ class CascadedModel:
                         RuntimeWarning,
                         stacklevel=2,
                     )
-            if (isinstance(fock_cutoff, bool) or not isinstance(fock_cutoff, (int, np.integer))
-                    or fock_cutoff < 2):
-                raise ValidationError(f"fock_cutoff must be an integer >= 2, got {fock_cutoff!r}")
+            _check_count("fock_cutoff", fock_cutoff, 2)
             dims = (fock_cutoff + 1, 2, 2)
             # the waveguide, then the optical bath, which damps the cavity alone
             optical = (math.sqrt(self.gamma_op / self.gamma), 0.0, 0.0)

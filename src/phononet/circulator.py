@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DesignFailureError, ValidationError
+from .errors import DesignFailureError, ValidationError, _check_fields
 from .network import (
     CouplingSpec,
     LinearNetwork,
@@ -59,13 +59,8 @@ class CirculatorSpec:
     omega_m: float = 0.0
 
     def __post_init__(self) -> None:
-        for field in ("tunneling", "phase", "gamma", "gamma0", "omega_m"):
-            if not math.isfinite(getattr(self, field)):
-                raise ValidationError(f"circulator {field} must be finite")
-        if self.tunneling <= 0 or self.gamma <= 0:
-            raise ValidationError("tunneling and gamma must be > 0")
-        if self.gamma0 < 0:
-            raise ValidationError("gamma0 must be >= 0")
+        _check_fields(vars(self), positive=("tunneling", "gamma"), nonnegative=("gamma0",),
+                      prefix="circulator ")
 
 
 @dataclass(frozen=True)
@@ -83,14 +78,8 @@ class OpticalDriveDesign:
     phase2: float
 
     def __post_init__(self) -> None:
-        for field in ("delta1", "delta2", "tunnel_J", "kappa", "om_coupling_g",
-                      "drive1", "drive2", "phase1", "phase2"):
-            if not math.isfinite(getattr(self, field)):
-                raise ValidationError(f"optical drive {field} must be finite")
-        if self.kappa <= 0:
-            raise ValidationError("kappa must be > 0")
-        if self.tunnel_J < 0:
-            raise ValidationError("J must be >= 0")
+        _check_fields(vars(self), positive=("kappa",), nonnegative=("tunnel_J",),
+                      prefix="optical drive ")
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError, SingularFrequencyError, StabilityError, ValidationError
+from .errors import _check_count, _check_fields
 
 __all__ = [
     "ModeKind",
@@ -113,13 +114,9 @@ class ModeSpec:
     def __post_init__(self) -> None:
         if np.imag(self.frequency) != 0:
             raise ValidationError(f"mode {self.label!r}: frequency must be real")
-        for field in ("frequency", "intrinsic_rate", "bath_occupation"):
-            if not np.isfinite(getattr(self, field)):
-                raise ValidationError(f"mode {self.label!r}: {field} must be finite")
-        if self.intrinsic_rate < 0:
-            raise ValidationError(f"mode {self.label!r}: intrinsic_rate must be >= 0")
-        if self.bath_occupation < 0:
-            raise ValidationError(f"mode {self.label!r}: bath_occupation must be >= 0")
+        _check_fields({"frequency": self.frequency, "intrinsic_rate": self.intrinsic_rate,
+                       "bath_occupation": self.bath_occupation}, prefix=f"mode {self.label!r}: ",
+                      nonnegative=("intrinsic_rate", "bath_occupation"))
 
 
 @dataclass(frozen=True)
@@ -139,8 +136,7 @@ class CouplingSpec:
     def __post_init__(self) -> None:
         if self.mode_a == self.mode_b:
             raise ValidationError("coupling endpoints must differ")
-        if not (math.isfinite(self.amplitude.real) and math.isfinite(self.amplitude.imag)):
-            raise ValidationError("coupling amplitude must be finite")
+        _check_fields({"amplitude": self.amplitude}, prefix="coupling ")
 
 
 @dataclass(frozen=True)
@@ -152,13 +148,9 @@ class PortSpec:
     input_occupation: float = 0.0
 
     def __post_init__(self) -> None:
-        for field in ("rate", "input_occupation"):
-            if not np.isfinite(getattr(self, field)):
-                raise ValidationError(f"port on {self.mode!r}: {field} must be finite")
-        if self.rate <= 0:
-            raise ValidationError(f"port on {self.mode!r}: rate must be > 0")
-        if self.input_occupation < 0:
-            raise ValidationError(f"port on {self.mode!r}: input_occupation must be >= 0")
+        _check_fields({"rate": self.rate, "input_occupation": self.input_occupation},
+                      positive=("rate",), nonnegative=("input_occupation",),
+                      prefix=f"port on {self.mode!r}: ")
 
 
 @dataclass(frozen=True)
@@ -420,15 +412,11 @@ class NoiseSpectrum:
         object.__setattr__(self, "values", values)
         if grid.ndim != 1 or grid.size == 0 or grid.shape != values.shape:
             raise ValidationError("grid and values must be non-empty 1-D arrays of equal length")
-        for field, arr in (("grid", grid), ("values", values)):
-            bad = ~np.isfinite(arr)  # nan fails every comparison below
-            if np.any(bad):
-                i = int(np.argmax(bad))
-                raise ValidationError(f"{field} must be finite, got {float(arr[i])!r} at index {i}")
+        _check_fields({"grid": grid, "values": values})  # nan fails every comparison below
         if grid.size >= 2 and not np.all(np.diff(grid) > 0):
             raise ValidationError("frequency grid must be strictly increasing")
         if np.min(values) < -1e-12:
-            raise ValidationError(f"negative spectral value {np.min(values)!r}")
+            raise ValidationError(f"negative spectral value {float(np.min(values))!r}")
 
 
 def _spectrum(network: LinearNetwork, omega_grid, mode: str, output: bool) -> NoiseSpectrum:
@@ -644,8 +632,7 @@ def multimode_cooling_network(
     Nearest neighbours couple through H = -K (b_i b_j^dag + h.c.), giving
     collective modes at omega_m - 2 K cos(n pi / (N+1)).
     """
-    if n_modes < 2:
-        raise ValidationError("chain needs at least two modes")
+    _check_count("n_modes", n_modes, 2)
     modes = [ModeSpec("a", ModeKind.OPTICAL, omega_m)]
     modes += [
         ModeSpec(f"b{j}", ModeKind.MECHANICAL, omega_m, gamma0, n_th)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_fields
 
 __all__ = ["RamanParams", "RamanRates", "dispersive_marginal", "effective_spin_phonon"]
 
@@ -42,14 +42,7 @@ class RamanParams:
     gamma_e: float
 
     def __post_init__(self) -> None:
-        for field in ("coupling_lambda", "omega_m", "omega_rabi0", "omega_rabi1", "delta",
-                      "gamma_e"):
-            if not np.all(np.isfinite(getattr(self, field))):
-                raise ValidationError(f"Raman {field} must be finite")
-        if self.gamma_e <= 0:
-            raise ValidationError("excited-state decay Gamma_e must be > 0")
-        if self.omega_m <= 0:
-            raise ValidationError("omega_m must be > 0")
+        _check_fields(vars(self), positive=("omega_m", "gamma_e"))
 
     @property
     def delta0(self) -> float | np.ndarray:

@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DesignFailureError, NumericalError, ValidationError
+from .errors import DesignFailureError, NumericalError, ValidationError, _check_fields
 
 __all__ = [
     "PulseSchedule",
@@ -128,8 +128,7 @@ class PulseSchedule:
             object.__setattr__(self, name, table)
             if table.ndim != 1 or table.size < 2 or table.shape != self.table_t.shape:
                 raise ValidationError(f"{name} must be 1-D, as long as table_t, >= 2 samples")
-            if not np.all(np.isfinite(table)):
-                raise ValidationError(f"{name} must hold finite numbers")
+            _check_fields({name: table})
             if name == "table_t" and not np.all(np.diff(table) > 0):
                 raise ValidationError("table_t must be strictly increasing")
         g, t0, t1, floor = self.gamma_max, self.t_start, self.t_end, self.cutoff_floor
@@ -143,7 +142,7 @@ class PulseSchedule:
              "must be -t_end: an analytic schedule needs a symmetric window"),
         ):
             if not ok:
-                raise ValidationError(f"{name} {rule}, got {getattr(self, name)!r}")
+                raise ValidationError(f"{name} {rule}, got {float(getattr(self, name))!r}")
 
     @property
     def window(self) -> tuple[float, float]:
@@ -372,33 +371,21 @@ def design_pulses_iterative(
 # --------------------------------------------------------------------------
 
 
-def _check_noise_fields(noise) -> None:
-    """ValidationError naming the first field that is not finite, or that is
-    negative (every field but ``center_offset`` must be >= 0)."""
-    for name, value in vars(noise).items():
-        signed = name == "center_offset"
-        if not (math.isfinite(value) and (signed or value >= 0)):
-            rule = "must be finite" if signed else "must be finite and >= 0"
-            raise ValidationError(f"{name} {rule}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class WhiteNoise:
-    """Flat channel noise of occupation n_th (finite, >= 0, else
-    ValidationError naming the field)."""
+    """Flat channel noise of occupation n_th (finite, >= 0, else ValidationError)."""
 
     n_th: float
 
     def __post_init__(self) -> None:
-        _check_noise_fields(self)
+        _check_fields(vars(self), nonnegative=("n_th",))
 
 
 @dataclass(frozen=True)
 class FilteredNoise:
     """Inverted-Lorentzian noise dip: floor ``n_0``, half-width ``width``,
-    centred ``center_offset`` away from the qubit resonance.  Every field
-    must be finite and all but ``center_offset`` >= 0, else ValidationError
-    naming the field."""
+    centred ``center_offset`` away from the qubit resonance.  Every field is
+    finite and all but ``center_offset`` >= 0, else ValidationError."""
 
     n_th: float
     n_0: float
@@ -406,7 +393,7 @@ class FilteredNoise:
     center_offset: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_noise_fields(self)
+        _check_fields(vars(self), nonnegative=("n_th", "n_0", "width"))
 
 
 def _absorption_kernel(schedule: PulseSchedule, n_steps: int):
@@ -493,11 +480,8 @@ def effective_occupation_closed(
     of half-width gamma: (2 gamma n_0 + Gamma_max n_th)/(2 gamma + Gamma_max).
     A non-finite argument, a negative rate or two zero rates (0/0) raises
     ValidationError."""
-    for name, value in (("n_th", n_th), ("n_0", n_0), ("gamma", gamma), ("gamma_max", gamma_max)):
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value!r}")
-    if gamma < 0 or gamma_max < 0:
-        raise ValidationError("rates must be >= 0")
+    _check_fields({"n_th": n_th, "n_0": n_0, "gamma": gamma, "gamma_max": gamma_max},
+                  nonnegative=("gamma", "gamma_max"))
     if gamma == 0 and gamma_max == 0:
         raise ValidationError("gamma and gamma_max are both 0: N_eff is 0/0")
     return (2 * gamma * n_0 + gamma_max * n_th) / (2 * gamma + gamma_max)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_count, _check_fields
 from .network import NoiseSpectrum
 
 __all__ = [
@@ -48,15 +48,9 @@ class ChainSpec:
     bath_occupation: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.n_sites < 2:
-            raise ValidationError("chain needs n_sites >= 2")
-        for field in ("omega0", "coupling_K", "lattice_a", "intrinsic_gamma0", "bath_occupation"):
-            if not math.isfinite(getattr(self, field)):
-                raise ValidationError(f"chain {field} must be finite")
-        if self.omega0 <= 0 or self.coupling_K < 0 or self.lattice_a <= 0:
-            raise ValidationError("omega0, lattice_a must be > 0 and K >= 0")
-        if self.intrinsic_gamma0 < 0 or self.bath_occupation < 0:
-            raise ValidationError("gamma0 and bath occupation must be >= 0")
+        _check_count("n_sites", self.n_sites, 2, prefix="chain ")
+        _check_fields(vars(self), positive=("omega0", "lattice_a"), prefix="chain ",
+                      nonnegative=("coupling_K", "intrinsic_gamma0", "bath_occupation"))
 
     @property
     def band_center(self) -> float:
@@ -66,13 +60,21 @@ class ChainSpec:
 
 @dataclass(frozen=True)
 class ContinuumChannel:
-    """Linear-dispersion description of the chain mid-band."""
+    """Linear-dispersion description of the chain mid-band: finite fields,
+    mean_free_path > 0 (or inf), bath_occupation >= 0, else ValidationError."""
 
     sound_speed: float        # c = K a
     omega_offset: float       # omega0 - (pi/2 - 1) K
     bandwidth: float          # 2 K
     mean_free_path: float     # c / gamma0 (inf for a lossless chain)
     bath_occupation: float
+
+    def __post_init__(self) -> None:
+        fields = dict(vars(self))
+        if self.mean_free_path == math.inf:  # a lossless chain
+            del fields["mean_free_path"]
+        _check_fields(fields, positive=("mean_free_path",), nonnegative=("bath_occupation",),
+                      prefix="channel ")
 
 
 def dispersion_exact(chain: ChainSpec, n: int | np.ndarray) -> float | np.ndarray:
@@ -111,12 +113,12 @@ def continuum_parameters(chain: ChainSpec) -> ContinuumChannel:
 def waveguide_coupling_rate(coupling_loc: float, bandwidth: float) -> float:
     """Decay rate of a side-coupled resonator into the channel,
     gamma = 2 K_loc^2 / bandwidth."""
-    if coupling_loc < 0 or bandwidth <= 0:
-        raise ValidationError("coupling and bandwidth must be non-negative / positive")
+    _check_fields({"coupling_loc": coupling_loc, "bandwidth": bandwidth},
+                  positive=("bandwidth",), nonnegative=("coupling_loc",))
     if coupling_loc >= bandwidth:
         raise ValidationError(
-            f"K_loc = {coupling_loc!r} must be small compared to the bandwidth "
-            f"{bandwidth!r} for the Markovian rate to apply"
+            f"K_loc = {float(coupling_loc)!r} must be small compared to the bandwidth "
+            f"{float(bandwidth)!r} for the Markovian rate to apply"
         )
     return 2 * coupling_loc**2 / bandwidth
 
@@ -125,12 +127,8 @@ def propagate_spectrum(
     spectrum: NoiseSpectrum, z: float, channel: ContinuumChannel
 ) -> NoiseSpectrum:
     """Rethermalise a noise spectrum over a propagation distance z >= 0."""
-    if not (math.isfinite(z) and z >= 0):
-        raise ValidationError("propagation distance z must be finite and >= 0")
-    if math.isinf(channel.mean_free_path):
-        decay = 1.0
-    else:
-        decay = math.exp(-z / channel.mean_free_path)
+    _check_fields({"z": z}, nonnegative=("z",), prefix="propagation distance ")
+    decay = math.exp(-z / channel.mean_free_path)  # exp(-0.0) = 1.0 for a lossless chain
     vals = decay * spectrum.values + channel.bath_occupation * (1.0 - decay)
     return NoiseSpectrum(spectrum.grid, vals)
 

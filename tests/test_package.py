@@ -2,6 +2,7 @@
 library sketch, the scipy subpackages an import or a run loads, and the
 finite-input checks of the parameter specs."""
 
+import dataclasses
 import math
 import os
 import re
@@ -100,6 +101,40 @@ def test_transfer_quadratures_load_neither_scipy_signal_nor_stats():
 _NAN = math.nan
 _DRIVE = dict(delta1=-1.0, delta2=-1.0, tunnel_J=1.0, kappa=0.1, om_coupling_g=1e-3,
               drive1=1.0, drive2=1.0, phase1=0.0, phase2=0.0)
+_FLAT = pn.NoiseSpectrum([1.0, 2.0], [1.0, 1.0])
+_MULTIMODE = dict(omega_m=1.0, coupling=0.1, kappa=0.1, g_alpha=0.05, gamma0=1e-3, n_th=1.0)
+# a valid instance of every parameter type; each numeric field is set to nan in turn
+_VALID = {
+    pn.ModeSpec: dict(label="a", kind=pn.ModeKind.OPTICAL, frequency=1.0, intrinsic_rate=0.1,
+                      bath_occupation=1.0),
+    pn.CouplingSpec: dict(mode_a="a", mode_b="b", amplitude=0.5 + 0.5j, rotating_wave=True),
+    pn.PortSpec: dict(mode="a", rate=1.0, input_occupation=0.5),
+    pn.NoiseSpectrum: dict(grid=np.array([1.0, 2.0]), values=np.array([1.0, 1.0])),
+    pn.CirculatorSpec: dict(tunneling=0.5, phase=0.0, gamma=1.0, gamma0=0.1, omega_m=1.0),
+    pn.OpticalDriveDesign: _DRIVE,
+    pn.ChainSpec: dict(n_sites=10, omega0=1.0, coupling_K=0.01, lattice_a=1.0,
+                       intrinsic_gamma0=0.01, bath_occupation=1.0),
+    pn.ContinuumChannel: dict(sound_speed=1.0, omega_offset=1.0, bandwidth=2.0,
+                              mean_free_path=10.0, bath_occupation=1.0),
+    pn.RamanParams: dict(coupling_lambda=1.0, omega_m=1.0, omega_rabi0=1.0, omega_rabi1=1.0,
+                         delta=np.array([0.0, 0.1]), gamma_e=1.0),
+    pn.WhiteNoise: dict(n_th=1.0),
+    pn.FilteredNoise: dict(n_th=1.0, n_0=0.05, width=1.0, center_offset=0.1),
+}
+
+
+def _with_nan(cls, name):
+    value = _VALID[cls][name]
+    nan = np.append(value[:-1], _NAN) if np.ndim(value) else _NAN  # an array's last entry
+    return lambda: cls(**{**_VALID[cls], name: nan})
+
+
+_NAN_CASES = [
+    pytest.param(f.name, _with_nan(cls, f.name), id=f"{cls.__name__}.{f.name}.nan")
+    for cls, valid in _VALID.items() for f in dataclasses.fields(cls)
+    if isinstance(valid[f.name], (int, float, complex, np.ndarray))
+    and not isinstance(valid[f.name], bool)
+]
 
 
 @pytest.mark.parametrize("field, build", [
@@ -115,11 +150,51 @@ _DRIVE = dict(delta1=-1.0, delta2=-1.0, tunnel_J=1.0, kappa=0.1, om_coupling_g=1
                                         pn.ContinuumChannel(1.0, 1.0, 2.0, 10.0, 0.0))),
     ("grid", lambda: pn.NoiseSpectrum([_NAN], [1.0])),
     ("values", lambda: pn.NoiseSpectrum([1.0, 2.0], [_NAN, 1.0])),
+    # out of range: each message named a group of fields, or none
+    ("tunneling", lambda: pn.CirculatorSpec(0.0, 0.0, 1.0)),
+    ("tunnel_J", lambda: pn.OpticalDriveDesign(**{**_DRIVE, "tunnel_J": -1.0})),
+    ("omega0", lambda: pn.ChainSpec(10, 0.0, 0.01)),
+    ("coupling_K", lambda: pn.ChainSpec(10, 1.0, -0.01)),
+    ("bath_occupation", lambda: pn.ChainSpec(10, 1.0, 0.01, bath_occupation=-1.0)),
+    ("gamma_e", lambda: pn.RamanParams(1.0, 1.0, 1.0, 1.0, 0.0, 0.0)),
+    ("gamma", lambda: pn.effective_occupation_closed(1.0, 0.0, -1.0, 0.1)),
+    ("gamma_max", lambda: pn.effective_occupation_closed(1.0, 0.0, 1.0, -0.1)),
+    # counts: 2.5 and nan passed n_sites < 2, and range(1, nan + 1) raised TypeError
+    ("n_sites", lambda: pn.ChainSpec(2.5, 1.0, 0.01)),
+    ("n_modes", lambda: pn.multimode_cooling_network(n_modes=_NAN, **_MULTIMODE)),
+    # a negative mean free path turned the thermal channel into an e-fold gain
+    ("mean_free_path", lambda: pn.propagate_spectrum(
+        _FLAT, 10.0, pn.ContinuumChannel(1.0, 1.0, 2.0, -10.0, 0.0))),
+    ("bath_occupation", lambda: pn.propagate_spectrum(
+        _FLAT, 10.0, pn.ContinuumChannel(1.0, 1.0, 2.0, 10.0, _NAN))),
+    *_NAN_CASES,
 ], ids=["CirculatorSpec.tunneling", "CirculatorSpec.phase", "OpticalDriveDesign.kappa",
         "OpticalDriveDesign.drive2", "ChainSpec.omega0", "ChainSpec.intrinsic_gamma0",
         "RamanParams.coupling_lambda", "RamanParams.delta", "propagate_spectrum.z",
-        "NoiseSpectrum.grid", "NoiseSpectrum.values"])
+        "NoiseSpectrum.grid", "NoiseSpectrum.values", "CirculatorSpec.tunneling.zero",
+        "OpticalDriveDesign.tunnel_J.negative", "ChainSpec.omega0.zero",
+        "ChainSpec.coupling_K.negative", "ChainSpec.bath_occupation.negative",
+        "RamanParams.gamma_e.zero", "effective_occupation_closed.gamma.negative",
+        "effective_occupation_closed.gamma_max.negative", "ChainSpec.n_sites.fraction",
+        "multimode_cooling_network.n_modes.nan", "propagate_spectrum.mean_free_path.negative",
+        "propagate_spectrum.bath_occupation.nan"] + [None] * len(_NAN_CASES))
 def test_non_finite_parameters_rejected_by_name(field, build):
     # nan < 0 is False: a sign check alone lets nan through
-    with pytest.raises(pn.ValidationError, match=rf"\b{field} must be finite"):
+    with pytest.raises(pn.ValidationError, match=rf"\b{field} must be"):
         build()
+
+
+@pytest.mark.parametrize("build, text", [
+    (lambda: pn.NoiseSpectrum([1.0, 2.0], [1.0, -1.0]), "negative spectral value -1.0"),
+    (lambda: pn.CirculatorSpec(0.5, 0.0, np.float64(-1.0)), "gamma must be finite and > 0, got -1.0"),
+    (lambda: pn.RamanParams(1.0, 1.0, 1.0, 1.0, np.array([0.0, _NAN]), 1.0),
+     "delta must be finite, got nan at index 1"),
+    (lambda: pn.ChainSpec(np.int64(1), 1.0, 0.01), "n_sites must be an integer >= 2, got 1"),
+    (lambda: pn.analytic_schedule(np.float64(-1.0)), "got -1.0"),
+], ids=["NoiseSpectrum.values", "CirculatorSpec.gamma", "RamanParams.delta", "ChainSpec.n_sites",
+        "PulseSchedule.gamma_max"])
+def test_messages_print_plain_numbers(build, text):
+    # numpy 2 prints a numpy scalar as np.float64(-1.0)
+    with pytest.raises(pn.ValidationError) as err:
+        build()
+    assert text in str(err.value) and "np." not in str(err.value)
