@@ -59,7 +59,7 @@ SCHEMAS: dict[str, dict[str, tuple[object, str]]] = {
         "gamma_max_hz": (1.0, "peak qubit decay rate"),
         "tau_p_gamma_max": (28.0, "pulse window in units of 1/Gamma_max"),
         "cutoff_floor_rel": (0.0, "clamp Gamma below this fraction of Gamma_max"),
-        "n_points": (28001, "time grid points"),
+        "n_points": (28001, "solver time grid points (at most 1401 are written)"),
     },
     "fidelity": {
         "gamma_max_over_gamma": ([0.01, 0.1], "pulse rate(s) / channel rate"),
@@ -113,6 +113,10 @@ SCHEMAS: dict[str, dict[str, tuple[object, str]]] = {
 }
 
 EXPERIMENTS = tuple(SCHEMAS)
+
+# rows of the transfer table: an exact subsample of the solver grid, every
+# 20th point at the default 28001 (a pulse-shape figure needs no more)
+_TRANSFER_ROWS = 1401
 
 # largest grid size or count a config may ask for, ~360x the largest default
 # grid; far larger sizes fail to allocate inside numpy, with no key named
@@ -169,6 +173,12 @@ def resolve_parameters(experiment: str, params: dict) -> dict:
 
 def _ang(f_hz: float) -> float:
     return TWO_PI * f_hz
+
+
+def _check_positive(p: dict, key: str) -> None:
+    """ConfigError unless parameters.<key>, a finite number by its schema rule, is > 0."""
+    if not p[key] > 0:
+        raise ConfigError(f"parameters.{key} must be > 0; got {p[key]!r}")
 
 
 def _aslist(p: dict, key: str) -> list:
@@ -243,6 +253,8 @@ def run_transfer(p: dict):
     resid = transfer.dark_state_residual(amps, sch, ts) / math.sqrt(gmax)
     table = np.column_stack([ts * gmax, sch.gamma1(ts) / gmax, sch.gamma2(ts) / gmax,
                              amps.v1, amps.v2, amps.g1, amps.transfer, resid])
+    n = ts.size  # both end points kept; equal steps when _TRANSFER_ROWS - 1 divides n - 1
+    table = table[np.linspace(0, n - 1, min(n, _TRANSFER_ROWS)).round().astype(int)]
     extras = {
         "final_transfer": abs(amps.final_transfer),
         "max_norm_defect": float(np.max(np.abs(amps.v1**2 + amps.v2**2 - 1))),
@@ -298,6 +310,7 @@ def run_circulator(p: dict):
 
 
 def run_waveguide(p: dict):
+    _check_positive(p, "coupling_k_hz")  # a chain with no coupling has no band
     chain = waveguide.ChainSpec(
         n_sites=p["n_sites"],
         omega0=_ang(p["omega0_hz"]),
@@ -325,10 +338,7 @@ def run_waveguide(p: dict):
         cols = ["mode_index", "qa", "omega_exact_hz", "omega_tight_binding_hz", "omega_linear_hz"]
         return cols, table, extras
 
-    if not p["dip_width_over_k"] > 0:  # a zero width makes the dip 0/0
-        raise ConfigError(
-            f"parameters.dip_width_over_k must be > 0; got {p['dip_width_over_k']!r}"
-        )
+    _check_positive(p, "dip_width_over_k")  # a zero width makes the dip 0/0
     K = chain.coupling_K
     n_th = p["n_th"]
     width = p["dip_width_over_k"] * K

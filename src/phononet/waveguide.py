@@ -84,6 +84,9 @@ def dispersion_exact(chain: ChainSpec, n: int | np.ndarray) -> float | np.ndarra
     omega_n = sqrt(omega0^2 + 2 K omega0 [1 - cos(2 pi n / N)]) for
     n in [-(N/2 - 1), N/2].
     """
+    if np.asarray(n).dtype.kind not in "iu":  # 2.5 would pass the zone check below
+        raise ValidationError(f"mode index n must be an integer or an array of integers, "
+                              f"got {n!r}")
     N = chain.n_sites
     if np.any(np.clip(n, -(N // 2 - 1), N // 2) != n):
         raise ValidationError(f"mode index {n} outside the Brillouin zone of {N} sites")
@@ -155,7 +158,8 @@ def simulate_lossy_chain(
     sum_l |x_l|^2 = |x_{n-1}|^2 s_{n-1} and |x_0|^2 = |x_{n-1}|^2 P.  Both
     add only positive terms, and memory is O(len(grid)) at any site.
     """
-    if not (1 <= site <= chain.n_sites - 1):
+    _check_count("site", site, 1)
+    if site > chain.n_sites - 1:
         raise ValidationError("site must lie in [1, n_sites-1]")
     n = site + 1  # chain truncated at the detection port
     K, g0, omegas = chain.coupling_K, chain.intrinsic_gamma0, drive_spectrum.grid

@@ -19,7 +19,7 @@ from phononet.cli import (
 )
 from phononet.errors import ConfigError
 from phononet.experiments import RUNNERS, SCHEMAS
-from phononet.transfer import analytic_schedule
+from phononet.transfer import analytic_schedule, dark_state_residual, evolve_amplitudes
 
 
 def test_minimal_filter_config_gets_figure_defaults():
@@ -66,8 +66,9 @@ def test_fidelity_list_expands_to_sweep(tmp_path):
     assert len(rows) == 3
 
 
-def test_runs_are_deterministic_up_to_timestamp(tmp_path):
-    cfg = parse_config(json.dumps({"experiment": "circulator"}))
+@pytest.mark.parametrize("experiment", SCHEMAS)
+def test_runs_are_deterministic_up_to_timestamp(tmp_path, experiment):
+    cfg = parse_config(json.dumps({"experiment": experiment}))
     a = run_experiment(cfg, tmp_path / "a").read_text()
     b = run_experiment(cfg, tmp_path / "b").read_text()
     strip = lambda s: [l for l in s.splitlines() if not l.startswith("# generated")]
@@ -150,6 +151,37 @@ def test_transfer_metadata_reports_the_solver_counts():
     assert type(meta["rhs_calls"]) is int and type(meta["steps"]) is int
     assert 0 < meta["steps"] < meta["rhs_calls"] <= 1000  # explicit RK45 needs 2264
     assert 0 < meta["max_quadrature_gap"] < 1e-8  # 2.3e-9 against the ODE route
+
+
+@pytest.mark.parametrize("n_points", [28001, 3001, 11])
+def test_transfer_table_is_an_exact_subsample_of_the_solver_grid(tmp_path, n_points):
+    cfg = parse_config(json.dumps({"experiment": "transfer",
+                                   "parameters": {"n_points": n_points}}))
+    text = run_experiment(cfg, tmp_path).read_text()
+    written = np.array(_data_rows(tmp_path / "transfer.csv"))
+    meta = json.loads(next(l for l in text.splitlines()
+                           if l.startswith("# metadata: "))[len("# metadata: "):])
+
+    p = cfg.parameters  # the full grid, rebuilt as the runner solves it
+    gmax = 2 * math.pi * p["gamma_max_hz"]
+    tau = p["tau_p_gamma_max"] / gmax
+    sch = analytic_schedule(gmax, tau, p["cutoff_floor_rel"] * gmax)
+    ts = np.linspace(-tau / 2, tau / 2, n_points)
+    amps = evolve_amplitudes(sch, ts)
+    full = np.column_stack([ts * gmax, sch.gamma1(ts) / gmax, sch.gamma2(ts) / gmax,
+                            amps.v1, amps.v2, amps.g1, amps.transfer,
+                            dark_state_residual(amps, sch, ts) / math.sqrt(gmax)])
+
+    index = np.searchsorted(full[:, 0], written[:, 0])
+    assert len(written) == min(n_points, 1401)
+    assert index[0] == 0 and index[-1] == n_points - 1
+    assert np.all(np.diff(index) > 0)
+    assert np.array_equal(full[index], written)  # %.17g round-trips every float64
+    if (n_points - 1) % 1400 == 0:
+        assert np.unique(np.diff(index)).size == 1  # equal steps: every 20th point at 28001
+    assert meta["final_transfer"] == abs(amps.final_transfer)
+    assert meta["max_norm_defect"] == np.max(np.abs(amps.v1**2 + amps.v2**2 - 1))
+    assert meta["max_quadrature_gap"] == np.max(np.abs(amps.v2 - amps.transfer))
 
 
 def test_fidelity_sweep_is_one_integration(monkeypatch):
@@ -291,16 +323,24 @@ def test_cli_zero_rate_exits_3_naming_it(tmp_path, capsys, experiment, params, f
     assert not (tmp_path / f"{experiment}.csv").exists()
 
 
-@pytest.mark.parametrize("width", [0, -0.005])
-def test_cli_non_positive_dip_width_exits_2(tmp_path, capsys, width):
+@pytest.mark.parametrize("params, key", [
+    ({"quantity": "rethermalization", "dip_width_over_k": 0}, "dip_width_over_k"),
+    ({"quantity": "rethermalization", "dip_width_over_k": -0.005}, "dip_width_over_k"),
+    # a chain with no coupling has no band: the errors blamed the mean free path, or a nan
+    ({"quantity": "dispersion", "coupling_k_hz": 0}, "coupling_k_hz"),
+    ({"quantity": "rethermalization", "coupling_k_hz": 0}, "coupling_k_hz"),
+    ({"quantity": "rethermalization", "coupling_k_hz": 0, "gamma0_hz": 0}, "coupling_k_hz"),
+    ({"quantity": "dispersion", "coupling_k_hz": -1.0}, "coupling_k_hz"),
+], ids=["0", "-0.005", "coupling-dispersion", "coupling-rethermalization",
+        "coupling-rethermalization-lossless", "coupling-negative"])
+def test_cli_non_positive_dip_width_exits_2(tmp_path, capsys, params, key):
     cfg = tmp_path / "dip.json"
-    cfg.write_text(json.dumps({"experiment": "waveguide", "parameters": {
-        "quantity": "rethermalization", "dip_width_over_k": width}}))
+    cfg.write_text(json.dumps({"experiment": "waveguide", "parameters": params}))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["waveguide", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert "parameters.dip_width_over_k must be > 0" in err
+    assert f"parameters.{key} must be > 0" in err
     assert caught == [] and "Warning" not in err
     assert not (tmp_path / "waveguide.csv").exists()
 

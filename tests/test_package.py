@@ -102,6 +102,7 @@ _NAN = math.nan
 _DRIVE = dict(delta1=-1.0, delta2=-1.0, tunnel_J=1.0, kappa=0.1, om_coupling_g=1e-3,
               drive1=1.0, drive2=1.0, phase1=0.0, phase2=0.0)
 _FLAT = pn.NoiseSpectrum([1.0, 2.0], [1.0, 1.0])
+_CHAIN = pn.ChainSpec(10, 1.0, 0.01, intrinsic_gamma0=0.001)
 _MULTIMODE = dict(omega_m=1.0, coupling=0.1, kappa=0.1, g_alpha=0.05, gamma0=1e-3, n_th=1.0)
 # a valid instance of every parameter type; each numeric field is set to nan in turn
 _VALID = {
@@ -162,6 +163,10 @@ _NAN_CASES = [
     # counts: 2.5 and nan passed n_sites < 2, and range(1, nan + 1) raised TypeError
     ("n_sites", lambda: pn.ChainSpec(2.5, 1.0, 0.01)),
     ("n_modes", lambda: pn.multimode_cooling_network(n_modes=_NAN, **_MULTIMODE)),
+    # indices: site 2.5 ended in range()'s TypeError, and mode 2.5 passed the zone check
+    ("site", lambda: pn.simulate_lossy_chain(_CHAIN, _FLAT, 2.5)),
+    ("n", lambda: pn.dispersion_exact(_CHAIN, 2.5)),
+    ("n", lambda: pn.dispersion_exact(_CHAIN, np.array([0.0, 2.5]))),
     # a negative mean free path turned the thermal channel into an e-fold gain
     ("mean_free_path", lambda: pn.propagate_spectrum(
         _FLAT, 10.0, pn.ContinuumChannel(1.0, 1.0, 2.0, -10.0, 0.0))),
@@ -176,7 +181,9 @@ _NAN_CASES = [
         "ChainSpec.coupling_K.negative", "ChainSpec.bath_occupation.negative",
         "RamanParams.gamma_e.zero", "effective_occupation_closed.gamma.negative",
         "effective_occupation_closed.gamma_max.negative", "ChainSpec.n_sites.fraction",
-        "multimode_cooling_network.n_modes.nan", "propagate_spectrum.mean_free_path.negative",
+        "multimode_cooling_network.n_modes.nan", "simulate_lossy_chain.site.fraction",
+        "dispersion_exact.n.fraction", "dispersion_exact.n.array_fraction",
+        "propagate_spectrum.mean_free_path.negative",
         "propagate_spectrum.bath_occupation.nan"] + [None] * len(_NAN_CASES))
 def test_non_finite_parameters_rejected_by_name(field, build):
     # nan < 0 is False: a sign check alone lets nan through
