@@ -37,14 +37,14 @@ the Im coordinates are evolved only when some initial state has an
 imaginary part.  The matrix is assembled directly on the occupied sectors
 from the product-basis labels of each entry (a ladder operator moves one
 label by one with a sqrt(n) factor), not sliced from a superoperator on
-the full vec(rho), and integrated with ODEPACK's LSODA (Petzold, SIAM J.
-Sci. Stat. Comput. 4, 136 (1983)), which switches to BDF steps where the
-channel's thermal decay makes the equation stiff.  In the coordinates'
-own order the matrix is banded, with half-bandwidths that do not grow
-with the Fock cutoff (26 for the states built here), so LSODA receives
-it as a band and factorises it in compiled code.  This is the
-generator's only form: the model builds no dense operators, and its
-``rhs`` and ``_band`` act on the real coordinates of a sector copy.
+the full vec(rho), and integrated with ODEPACK's LSODA (``transfer._lsoda``),
+which switches to BDF steps where the channel's thermal decay makes the
+equation stiff.  In the coordinates' own order the matrix is banded, with
+half-bandwidths that do not grow with the Fock cutoff (26 for the states
+built here), so LSODA receives it as a band and factorises it in compiled
+code.  This is the generator's only form: the model builds no dense
+operators, and its ``rhs`` and ``_band`` act on the real coordinates of a
+sector copy.
 
 Each function imports the scipy subpackage it computes with when it runs
 (``scipy.sparse`` to assemble the generator, ``scipy.integrate`` to
@@ -71,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError, _check_count, _check_fields
-from .transfer import PulseSchedule
+from .transfer import PulseSchedule, _lsoda
 
 __all__ = [
     "CascadedModel",
@@ -467,12 +467,10 @@ def _min_eigenvalue(rho: np.ndarray, exc: np.ndarray) -> float:
 
 
 class Trajectory(list):
-    """The samples of one ``integrate`` run, with LSODA's work counts
-    (``rhs_calls``, ``steps``, and ``jacobians`` and ``lu_factorisations``,
-    which are equal because LSODA factorises its iteration matrix after
-    every Jacobian), the number of evolved ``unknowns`` and, over the last
-    sample of every copy, the largest ``trace_defect`` |Tr rho - 1| and the
-    smallest eigenvalue ``min_eigenvalue`` in ``stats``."""
+    """The samples of one ``integrate`` run, with LSODA's four work counts
+    (see ``transfer._lsoda``), the number of evolved ``unknowns`` and, over
+    the last sample of every copy, the largest ``trace_defect`` |Tr rho - 1|
+    and the smallest eigenvalue ``min_eigenvalue`` in ``stats``."""
 
     def __init__(self, samples, stats: dict[str, float]):
         super().__init__(samples)
@@ -500,16 +498,10 @@ def integrate(
     of the off-diagonal ones: as many real unknowns as the sector has
     complex entries.  A real rho0 stays real, so its Im coordinates, exactly
     0 throughout, are not evolved: (entries + diagonal) / 2 unknowns.
-    ``scipy.integrate.odeint`` runs LSODA on them (Adams steps, switching
-    to BDF where the equation is stiff) with ``rhs`` of a copy of the model
-    restricted to them as the right-hand side and its ``_band`` as the
-    Jacobian, in LSODA's band layout with the lower and upper half-bandwidths
-    read off the pair blocks once per run.  Steps are at most a sixteenth
-    of the span, so a pulse that starts late in a stationary window is not
-    stepped over.  LSODA's error test is a weighted maximum norm,
-    max_i |err_i| / (atol + rtol |x_i|) over the evolved real coordinates
-    (ODEPACK's LSODE uses the RMS); for a model with several copies it
-    spans the coordinates of every copy.
+    ``transfer._lsoda`` runs LSODA on them with ``rhs`` of a copy of the
+    model restricted to them as the right-hand side and its ``_band`` as the
+    Jacobian, with the lower and upper half-bandwidths read off the pair
+    blocks once per run; its error test spans the coordinates of every copy.
     One solver run covers t0 to the last sample time; the samples are read
     from its interpolant at exactly the requested times and rebuilt from
     the coordinates, so each is Hermitian to the last bit, with exact zeros
@@ -517,14 +509,13 @@ def integrate(
     ``rho0`` is one state, and then each sample is one ``DensityMatrix``,
     or a sequence of ``model.copies`` states, and then each sample is a
     list of them.  A non-finite or non-positive ``rtol`` or ``atol``
-    raises ``ValidationError``; solver failure raises ``NumericalError``.
+    raises ``ValidationError``; solver failure raises ``NumericalError``
+    "LSODA integration failed between t = <t0> and <last sample time>: ...".
     The solver statistics, the number of evolved ``unknowns`` and the last
     sample's trace and positivity defects are returned in the trajectory's
     ``stats`` (see ``Trajectory``) and logged at DEBUG on
     ``phononet.cascade``.
     """
-    from scipy.integrate import ODEintWarning, odeint
-
     for key, tol in (("rtol", rtol), ("atol", atol)):
         if not (math.isfinite(tol) and tol > 0):
             raise ValidationError(f"{key} must be a finite number > 0, got {tol!r}")
@@ -559,22 +550,11 @@ def integrate(
     stats = {"rhs_calls": 0, "steps": 0, "jacobians": 0, "lu_factorisations": 0,
              "unknowns": y0.size}
     if later.size:
-        with warnings.catch_warnings():  # odeint warns on failure even with full_output
-            warnings.simplefilter("ignore", ODEintWarning)
-            # mxstep bounds the steps between two output times, not in the whole run
-            y, info = odeint(
-                sector.rhs, y0, np.r_[t0, later], Dfun=lambda s, _: sector._band(s),
-                ml=sector._lower, mu=sector._upper, tfirst=True, full_output=True,
-                rtol=rtol, atol=atol, hmax=(later[-1] - t0) / 16, mxstep=10**8,
-            )
-        jacobians = int(info["nje"][-1])  # LSODA factorises after every Jacobian
-        stats.update(rhs_calls=int(info["nfe"][-1]), steps=int(info["nst"][-1]),
-                     jacobians=jacobians, lu_factorisations=jacobians)
-        ran = info["message"] == "Integration successful."
-        if not (ran and np.all(np.isfinite(y))):
-            raise NumericalError(f"LSODA integration failed between t = {float(t0)!r} and "
-                                 f"{float(later[-1])!r}: "
-                                 + ("the state is not finite" if ran else info["message"]))
+        y, counts = _lsoda(sector.rhs, y0, np.r_[t0, later], rtol, atol,
+                           f"LSODA integration failed between t = {float(t0)!r} and "
+                           f"{float(later[-1])!r}", Dfun=lambda s, _: sector._band(s),
+                           ml=sector._lower, mu=sector._upper)
+        stats.update(counts)
         out += [[DensityMatrix(r, t) for r in sample]
                 for sample, t in zip(sector._unpack(y[1:]), later.tolist())]
     last, levels = [r.matrix for r in out[-1]], model._labels.sum(axis=0)

@@ -269,6 +269,10 @@ def run_transfer(p: dict):
 
 
 def run_fidelity(p: dict):
+    for key in ("gamma_max_over_gamma", "n_th", "gamma0_over_gamma"):  # before N_eff is formed
+        negative = [x for x in _aslist(p, key) if x < 0]
+        if negative:
+            raise ConfigError(f"parameters.{key} must be >= 0; got {negative[0]!r}")
     points = [(gm_rel, n_th, filtered)
               for filtered in ((True, False) if p["include_no_filter"] else (True,))
               for gm_rel in _aslist(p, "gamma_max_over_gamma") for n_th in _aslist(p, "n_th")]

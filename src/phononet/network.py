@@ -607,7 +607,10 @@ def om_filter_network(
 ) -> LinearNetwork:
     """Noise-filter configuration: cooled mechanical mode side-coupled to a
     waveguide of rate gamma.  g_alpha defaults to the impedance-matched
-    value sqrt((gamma + gamma0) * kappa / 2)."""
+    value sqrt((gamma + gamma0) * kappa / 2).  gamma and kappa must be
+    finite and > 0, gamma0 finite and >= 0, else ValidationError."""
+    _check_fields({"gamma": gamma, "kappa": kappa, "gamma0": gamma0},
+                  positive=("gamma", "kappa"), nonnegative=("gamma0",))
     if g_alpha is None:
         g_alpha = math.sqrt((gamma + gamma0) * kappa / 2)
     net = om_cooling_network(

@@ -202,7 +202,7 @@ class TransferAmplitudes:
     v2: np.ndarray
     g1: np.ndarray          # decay envelope of node 1
     transfer: np.ndarray    # quadrature transfer amplitude T(t, t0)
-    stats: dict[str, int]   # the ODE solver's "rhs_calls" and "steps"
+    stats: dict[str, int]   # the four counts of ``_lsoda``
 
     @property
     def final_transfer(self) -> float:
@@ -213,18 +213,54 @@ class TransferAmplitudes:
         return np.abs(self.g1**2 + self.transfer**2 - 1.0)
 
 
+# LSODA's step budget between two output times (its ``mxstep``): no test or
+# shipped config takes more than about 1450, so a run that needs 70 times
+# that is hopeless, not slow, and fails in seconds instead of running for minutes
+_MAX_STEPS = 10**5
+
+
+def _lsoda(rhs, y0, times, rtol, atol, failed, **band):
+    """Solve dy/dt = rhs(t, y) from y(times[0]) = y0 in one run of ODEPACK's
+    LSODA (Petzold, SIAM J. Sci. Stat. Comput. 4, 136 (1983)) through
+    ``scipy.integrate.odeint``: Adams steps, switching to BDF where the
+    equation is stiff, with the Jacobian that ``band`` passes on (``Dfun``
+    in LSODA's band layout with half-bandwidths ``ml`` and ``mu``) or, if
+    none, a finite-difference one.  Steps are at most a sixteenth of the
+    span, so a pulse that starts late in a stationary window is not stepped
+    over, and at most ``_MAX_STEPS`` between two output times.  LSODA's
+    error test is a weighted maximum norm, max_i |err_i| / (atol + rtol
+    |y_i|) (ODEPACK's LSODE uses the RMS).  Returns the samples at
+    ``times`` (the first is y0) and LSODA's counts: ``rhs_calls``,
+    ``steps``, ``jacobians`` and ``lu_factorisations``, which are equal
+    because LSODA factorises its iteration matrix after every Jacobian (0
+    while it stays on Adams steps).  A run that fails, or whose samples are
+    not finite, raises NumericalError "<failed>: <the solver's message | the
+    state is not finite>"."""
+    from scipy.integrate import ODEintWarning, odeint
+
+    with warnings.catch_warnings():  # odeint warns on failure even with full_output
+        warnings.simplefilter("ignore", ODEintWarning)
+        y, info = odeint(rhs, y0, times, tfirst=True, full_output=True, rtol=rtol, atol=atol,
+                         hmax=(times[-1] - times[0]) / 16, mxstep=_MAX_STEPS, **band)
+    ran = info["message"] == "Integration successful."
+    if not (ran and np.all(np.isfinite(y))):
+        raise NumericalError(f"{failed}: " + ("the state is not finite" if ran else info["message"]))
+    jacobians = int(info["nje"][-1])
+    return y, {"rhs_calls": int(info["nfe"][-1]), "steps": int(info["nst"][-1]),
+               "jacobians": jacobians, "lu_factorisations": jacobians}
+
+
 def evolve_amplitudes(schedule: PulseSchedule, t_grid: np.ndarray) -> TransferAmplitudes:
     """Integrate the amplitude equations and the closed-form envelopes.
 
-    The ODE is solved from (v1, v2) = (1, 0) in one run of ODEPACK's LSODA
-    (``scipy.integrate.odeint``: Adams steps, BDF where the rates make it
-    stiff; rtol 1e-10, steps of at most a sixteenth of the window) sampled
-    on ``t_grid``; its RHS calls and steps go into ``stats``, and a failed
-    run raises NumericalError with the solver's message.  g1 and the
-    transfer amplitude come from independent cumulative Simpson quadrature on
-    ``t_grid``, so the two routes can be compared: the equal-step rule when
-    ``t_grid`` is bit for bit ``np.linspace(t_grid[0], t_grid[-1], t_grid.size)``,
-    scipy's unequal-interval rule otherwise.  The transfer's quadrature
+    The ODE is solved from (v1, v2) = (1, 0) by ``_lsoda`` (rtol 1e-10,
+    atol 1e-14) sampled on ``t_grid``; its four counts go into ``stats``,
+    and a failed run raises NumericalError "amplitude integration failed:
+    <reason>".  g1 and the transfer amplitude come from independent
+    cumulative Simpson quadrature on ``t_grid``, so the two routes can be
+    compared: the equal-step rule when ``t_grid`` is bit for bit
+    ``np.linspace(t_grid[0], t_grid[-1], t_grid.size)``, scipy's
+    unequal-interval rule otherwise.  The transfer's quadrature
     -e^{-a2(t)} int e^{a2} sqrt(Gamma1 Gamma2) G1 ds restarts wherever
     a2 = int Gamma2/2 has risen by 300, carrying its running sum over with
     e^{-rise}, so e^{a2} does not overflow as long as no single grid
@@ -236,7 +272,7 @@ def evolve_amplitudes(schedule: PulseSchedule, t_grid: np.ndarray) -> TransferAm
     ceiling), raises NumericalError naming the grid; there the route still
     under-resolves: max|v2 - transfer| is 1.25e-3 (2.3e-9 for analytic pulses).
     """
-    from scipy.integrate import ODEintWarning, cumulative_simpson, odeint
+    from scipy.integrate import cumulative_simpson
 
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 3 or not np.all(np.diff(t_grid) > 0):
@@ -247,17 +283,8 @@ def evolve_amplitudes(schedule: PulseSchedule, t_grid: np.ndarray) -> TransferAm
         g2 = schedule.gamma2(t)
         return [-0.5 * g1 * v[0], -0.5 * g2 * v[1] - math.sqrt(g1 * g2) * v[0]]
 
-    with warnings.catch_warnings():  # odeint warns on failure even with full_output
-        warnings.simplefilter("ignore", ODEintWarning)
-        # mxstep bounds the steps between two output times, not in the whole run
-        v, info = odeint(
-            rhs, [1.0, 0.0], t_grid, tfirst=True, full_output=True, rtol=1e-10, atol=1e-14,
-            hmax=(t_grid[-1] - t_grid[0]) / 16, mxstep=10**8,
-        )
-    if info["message"] != "Integration successful.":
-        raise NumericalError(f"amplitude integration failed: {info['message']}")
+    v, stats = _lsoda(rhs, [1.0, 0.0], t_grid, 1e-10, 1e-14, "amplitude integration failed")
     v1, v2 = v.T
-    stats = {"rhs_calls": int(info["nfe"][-1]), "steps": int(info["nst"][-1])}
 
     lin, dt = np.linspace(t_grid[0], t_grid[-1], t_grid.size, retstep=True)
     uniform = np.array_equal(lin, t_grid)

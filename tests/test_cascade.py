@@ -3,6 +3,7 @@
 import cmath
 import logging
 import math
+import time
 import warnings
 
 import numpy as np
@@ -585,6 +586,29 @@ def test_solver_failure_names_the_span_in_plain_floats():
     model = _NonFiniteModel(_zero_schedule(), n_th=0.0, include_cavity=False)
     with pytest.raises(pn.NumericalError, match=r"between t = -1\.0 and 1\.0: "):
         integrate(model, model.initial_state(), (-1.0, 1.0))
+
+
+def test_hopeless_solve_ends_on_the_step_budget(monkeypatch):
+    # at n_eff = 1e10 LSODA's steps shrink without end; with no finite budget
+    # (mxstep 1e8) this call ran for minutes, at 1e5 it fails in seconds
+    monkeypatch.setattr(pn.transfer, "_MAX_STEPS", 10**4)
+    start = time.perf_counter()
+    with pytest.raises(pn.NumericalError,
+                       match=r"^LSODA integration failed between t = -14\.0 and 14\.0: Excess work"):
+        qubit_channel([1e10], analytic_schedule(1.0, cutoff_floor=1e-4))
+    assert time.perf_counter() - start < 10.0
+
+
+def test_both_time_domain_solvers_report_the_same_lsoda_counts():
+    sch = analytic_schedule(1.0, cutoff_floor=1e-4)
+    amps = pn.evolve_amplitudes(sch, np.linspace(*sch.window, 2801))
+    model = CascadedModel(sch, n_th=0.5, include_cavity=False)
+    stats = integrate(model, model.initial_state(), sch.window).stats
+    keys = ["rhs_calls", "steps", "jacobians", "lu_factorisations"]
+    assert list(amps.stats) == keys and list(stats)[:4] == keys
+    for counts in (amps.stats, stats):
+        assert counts["lu_factorisations"] == counts["jacobians"]
+        assert counts["steps"] > 0 and counts["rhs_calls"] >= counts["steps"]
 
 
 # --------------------------------------------------------- excitation sectors

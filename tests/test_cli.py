@@ -311,7 +311,9 @@ def test_cli_empty_grid_exits_3(tmp_path, capsys, experiment, params):
 
 @pytest.mark.parametrize(
     "experiment, params, field",
-    [("transfer", {"gamma_max_hz": 0}, "gamma_max"), ("nv", {"omega_m_hz": 0}, "omega_m")],
+    [("transfer", {"gamma_max_hz": 0}, "gamma_max"), ("nv", {"omega_m_hz": 0}, "omega_m"),
+     # the matched coupling's square root ended in "math domain error", exit 1
+     ("filter", {"gamma_hz": -1}, "gamma")],
 )
 def test_cli_zero_rate_exits_3_naming_it(tmp_path, capsys, experiment, params, field):
     cfg = tmp_path / "zero.json"
@@ -343,6 +345,20 @@ def test_cli_non_positive_dip_width_exits_2(tmp_path, capsys, params, key):
     assert f"parameters.{key} must be > 0" in err
     assert caught == [] and "Warning" not in err
     assert not (tmp_path / "waveguide.csv").exists()
+
+
+# the errors named the derived N_eff (blamed on n_th) or gamma_max, with a value never written
+@pytest.mark.parametrize("key, value", [
+    ("n_th", -1), ("n_th", [0.5, -1.0]), ("gamma0_over_gamma", -1),
+    ("gamma_max_over_gamma", -1), ("gamma_max_over_gamma", [0.01, -0.1]),
+])
+def test_cli_negative_fidelity_sweep_key_exits_2(tmp_path, capsys, key, value):
+    cfg = tmp_path / "negative.json"
+    cfg.write_text(json.dumps({"experiment": "fidelity", "parameters": {key: value}}))
+    assert main(["fidelity", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    bad = value[-1] if isinstance(value, list) else value
+    assert f"parameters.{key} must be >= 0; got {bad!r}" in capsys.readouterr().err
+    assert not (tmp_path / "fidelity.csv").exists()
 
 
 @pytest.mark.parametrize("rtol", [-1, 0])

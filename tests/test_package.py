@@ -87,6 +87,13 @@ def test_network_only_runs_load_no_deferred_scipy_subpackage(experiment, tmp_pat
     assert not DEFERRED & loaded
 
 
+def test_one_lsoda_call_site():
+    # both time-domain solvers run through transfer._lsoda; a second call site
+    # would carry its own copy of the step budget, the verdict and the counts
+    sources = (ROOT / "src" / "phononet").glob("*.py")
+    assert sum(path.read_text().count("odeint(") for path in sources) == 1
+
+
 def test_transfer_quadratures_load_neither_scipy_signal_nor_stats():
     # both kernels run on scipy.fft and numpy; scipy.signal would pull in scipy.stats
     loaded = _loaded_modules("-c", (
@@ -103,6 +110,7 @@ _DRIVE = dict(delta1=-1.0, delta2=-1.0, tunnel_J=1.0, kappa=0.1, om_coupling_g=1
               drive1=1.0, drive2=1.0, phase1=0.0, phase2=0.0)
 _FLAT = pn.NoiseSpectrum([1.0, 2.0], [1.0, 1.0])
 _CHAIN = pn.ChainSpec(10, 1.0, 0.01, intrinsic_gamma0=0.001)
+_FILTER = dict(omega_m=1200.0, gamma=1.0, kappa=300.0, gamma0=0.0)
 _MULTIMODE = dict(omega_m=1.0, coupling=0.1, kappa=0.1, g_alpha=0.05, gamma0=1e-3, n_th=1.0)
 # a valid instance of every parameter type; each numeric field is set to nan in turn
 _VALID = {
@@ -172,6 +180,11 @@ _NAN_CASES = [
         _FLAT, 10.0, pn.ContinuumChannel(1.0, 1.0, 2.0, -10.0, 0.0))),
     ("bath_occupation", lambda: pn.propagate_spectrum(
         _FLAT, 10.0, pn.ContinuumChannel(1.0, 1.0, 2.0, 10.0, _NAN))),
+    # the matched coupling's square root: "math domain error", or nan blamed on the coupling
+    ("gamma", lambda: pn.om_filter_network(**{**_FILTER, "gamma": _NAN})),
+    ("gamma", lambda: pn.om_filter_network(**{**_FILTER, "gamma": -1.0})),
+    ("kappa", lambda: pn.om_filter_network(**{**_FILTER, "kappa": -1.0})),
+    ("gamma0", lambda: pn.om_filter_network(**{**_FILTER, "gamma0": -2.0})),
     *_NAN_CASES,
 ], ids=["CirculatorSpec.tunneling", "CirculatorSpec.phase", "OpticalDriveDesign.kappa",
         "OpticalDriveDesign.drive2", "ChainSpec.omega0", "ChainSpec.intrinsic_gamma0",
@@ -184,7 +197,9 @@ _NAN_CASES = [
         "multimode_cooling_network.n_modes.nan", "simulate_lossy_chain.site.fraction",
         "dispersion_exact.n.fraction", "dispersion_exact.n.array_fraction",
         "propagate_spectrum.mean_free_path.negative",
-        "propagate_spectrum.bath_occupation.nan"] + [None] * len(_NAN_CASES))
+        "propagate_spectrum.bath_occupation.nan", "om_filter_network.gamma.nan",
+        "om_filter_network.gamma.negative", "om_filter_network.kappa.negative",
+        "om_filter_network.gamma0.negative"] + [None] * len(_NAN_CASES))
 def test_non_finite_parameters_rejected_by_name(field, build):
     # nan < 0 is False: a sign check alone lets nan through
     with pytest.raises(pn.ValidationError, match=rf"\b{field} must be"):
