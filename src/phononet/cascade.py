@@ -37,18 +37,19 @@ the Im coordinates are evolved only when some initial state has an
 imaginary part.  The matrix is assembled directly on the occupied sectors
 from the product-basis labels of each entry (a ladder operator moves one
 label by one with a sqrt(n) factor), not sliced from a superoperator on
-the full vec(rho), and integrated with ODEPACK's LSODA (``transfer._lsoda``),
-which switches to BDF steps where the channel's thermal decay makes the
-equation stiff.  In the coordinates' own order the matrix is banded, with
-half-bandwidths that do not grow with the Fock cutoff (26 for the states
-built here), so LSODA receives it as a band and factorises it in compiled
-code.  This is the generator's only form: the model builds no dense
-operators, and its ``rhs`` and ``_band`` act on the real coordinates of a
-sector copy.
+the full vec(rho), and integrated with VODE's BDF method alone, as the
+channel's thermal decay makes the equation stiff (see ``integrate``).  The
+coordinates are put in reverse Cuthill-McKee order, in which the matrix is
+banded with half-bandwidths that do not grow with the Fock cutoff (16 for
+the states built here from cutoff 4 up), so VODE receives it as a band and
+factorises it in compiled code.  This is the generator's only form: the
+model builds no dense operators, and its ``rhs`` and ``_band`` act on the
+real coordinates of a sector copy.
 
 Each function imports the scipy subpackage it computes with when it runs
-(``scipy.sparse`` to assemble the generator, ``scipy.integrate`` to
-integrate it, ``scipy.linalg`` for the state's band eigenvalues), as in
+(``scipy.sparse`` and its ``csgraph`` to assemble and order the generator,
+``scipy.integrate`` to integrate it, ``scipy.linalg`` for the state's band
+eigenvalues), as in
 every phononet module, so ``import phononet`` loads numpy and no scipy
 module, and a run that solves no master equation never loads them.
 
@@ -70,8 +71,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import transfer
 from .errors import NumericalError, ValidationError, _check_count, _check_fields
-from .transfer import PulseSchedule, _lsoda
+from .transfer import PulseSchedule
 
 __all__ = [
     "CascadedModel",
@@ -318,68 +320,82 @@ class CascadedModel:
         excitation sectors ``ks`` (closed under k -> -k; None: every sector).
 
         Per copy, the coordinates are Re rho_mn of the owners m <= n, one per
-        transposed pair of sector entries in row-major order, then, if
-        ``imag``, Im rho_mn of the owners with m < n.  Each pair block is
-        assembled on them from the terms of ``_pair_terms``: an owner row
-        (m, n) reads entry (p, q) through <m|A|p><n|B|q>, and (p, q) is
-        folded onto its owner, with a minus sign on Im rho_pq when p > q.
-        The coefficients are real, so Re rows read only Re coordinates and Im
-        rows only Im ones: a real rho stays real, and without ``imag`` its Im
-        coordinates, which stay exactly 0, are left out.  The terms are
-        weighted from ``_channels`` alone (see ``_pair_terms``).  The pair
-        blocks are assembled one at a time and ``_stack`` holds them one
-        above the other, each block-diagonal over the model's copies.  The
-        copy also holds what ``_band`` needs: the half-bandwidths ``_lower``
-        and ``_upper`` of the blocks and each stored entry's place in the band."""
+        transposed pair of sector entries, then, if ``imag``, Im rho_mn of the
+        owners with m < n in the same order.  Each pair block is assembled on
+        them from the terms of ``_pair_terms``: an owner row (m, n) reads
+        entry (p, q) through <m|A|p><n|B|q>, and (p, q) is folded onto its
+        owner, with a minus sign on Im rho_pq when p > q.  The coefficients
+        are real, so Re rows read only Re coordinates and Im rows only Im
+        ones: a real rho stays real, and without ``imag`` its Im coordinates,
+        which stay exactly 0, are left out.  The terms are weighted from
+        ``_channels`` alone (see ``_pair_terms``).  The owners, found in
+        row-major order by ``_owners``, are put in reverse Cuthill-McKee
+        order of the generator's pattern on them (George & Liu, Computer
+        Solution of Large Sparse Positive Definite Systems (1981)), which
+        narrows the band from 26 to 16 diagonals either side of the main one
+        at every cutoff from 4 up.  ``_stack`` holds the pair blocks side by
+        side, (n, P n) for n coordinates and P blocks, each block-diagonal
+        over the model's contiguous copies.  The copy also holds what
+        ``_band`` needs: the half-bandwidths ``_lower`` and ``_upper`` of the
+        blocks, each stored entry's ``_block`` and its place in the band."""
         import scipy.sparse as sp
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
 
         labels, d = self._labels, self.dimension
         exc = labels.sum(axis=0)
         ks = np.arange(-exc.max(), exc.max() + 1) if ks is None else np.asarray(ks)
         m, n = _owners(exc, ks)
-        off = np.flatnonzero(m != n) if imag else np.zeros(0, dtype=np.intp)
-        width = m.size + off.size  # coordinates per copy
-        im = np.zeros(m.size, dtype=np.intp)
-        im[off] = m.size + np.arange(off.size)
         keys = m * d + n
         strides = np.array([math.prod(self._dims[f + 1:]) for f in range(len(self._dims))])
-        W = sum(np.outer(w, w) for w, _ in self._channels)
-        V = sum(np.multiply.outer(n, np.outer(w, w)) for w, n in self._channels)  # per copy
-        size = width * len(V)
-        blocks = []
-        for k, l in self._pairs:
-            rows, cols, vals = [], [], []
+        terms = []  # (pair, a, b, owner row, owner read, element, sign of the fold) on Re rho
+        for p, (k, l) in enumerate(self._pairs):
             for a, b, A, B in _pair_terms(k, l):
                 ket, va = _walk(labels[:, m], self._dims, A)
                 bra, vb = _walk(labels[:, n], self._dims, B)
                 v = va * vb
                 hit = np.flatnonzero(v)
-                v = v[hit]
                 pk, pb = strides @ ket[:, hit], strides @ bra[:, hit]
                 col = np.searchsorted(keys, np.minimum(pk, pb) * d + np.maximum(pk, pb))
-                sign = np.sign(pb - pk)
-                both = np.flatnonzero((m[hit] != n[hit]) & (sign != 0) & imag)
-                r = np.concatenate([hit, im[hit[both]]])
-                c = np.concatenate([col, im[col[both]]])
-                v = np.concatenate([v, sign[both] * v[both]])
-                for j, vj in enumerate(V[:, k, l]):  # block-diagonal over the copies
-                    rows.append(j * width + r)
-                    cols.append(j * width + c)
-                    vals.append((a * W[k, l] + b * vj) * v)
-            # sum repeated entries in term order: a row and its Im partner add
-            # up the same numbers in the same order, so they agree to the last bit
-            key, pos = np.unique(np.concatenate(rows) * size + np.concatenate(cols),
-                                 return_inverse=True)
-            data = np.bincount(pos, weights=np.concatenate(vals), minlength=key.size)
-            blocks.append(sp.csr_matrix((data, np.divmod(key, size)), shape=(size, size)))
+                terms.append((p, a, b, hit, col, v[hit], np.sign(pb - pk)))
+        hits, reads = (np.concatenate([term[i] for term in terms]) for i in (3, 4))
+        pattern = sp.csr_matrix((np.ones(hits.size), (hits, reads)), shape=(m.size,) * 2)
+        order = reverse_cuthill_mckee(pattern, symmetric_mode=False)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        m, n = m[order], n[order]
+        off = np.flatnonzero(m != n) if imag else np.zeros(0, dtype=np.intp)
+        width = m.size + off.size  # coordinates per copy
+        im = np.zeros(m.size, dtype=np.intp)
+        im[off] = m.size + np.arange(off.size)
+        W = sum(np.outer(w, w) for w, _ in self._channels)
+        V = sum(np.multiply.outer(n, np.outer(w, w)) for w, n in self._channels)  # per copy
+        size = width * len(V)
+        rows, cols, vals = [], [], []
+        for p, a, b, hit, col, v, sign in terms:
+            k, l = self._pairs[p]
+            hit, col = rank[hit], rank[col]
+            both = np.flatnonzero((m[hit] != n[hit]) & (sign != 0) & imag)
+            r = np.concatenate([hit, im[hit[both]]])
+            c = np.concatenate([col, im[col[both]]])
+            v = np.concatenate([v, sign[both] * v[both]])
+            for j, vj in enumerate(V[:, k, l]):  # block-diagonal over the copies
+                rows.append(j * width + r)
+                cols.append(p * size + j * width + c)
+                vals.append((a * W[k, l] + b * vj) * v)
+        # sum repeated entries in term order: a row and its Im partner add
+        # up the same numbers in the same order, so they agree to the last bit
+        span = len(self._pairs) * size
+        key, pos = np.unique(np.concatenate(rows) * span + np.concatenate(cols),
+                             return_inverse=True)
+        data = np.bincount(pos, weights=np.concatenate(vals), minlength=key.size)
         sub = copy.copy(self)
         sub._owner, sub._off = (m, n), off
-        sub._stack = stack = sp.vstack(blocks, format="csr")
+        sub._stack = stack = sp.csr_matrix((data, np.divmod(key, span)), shape=(size, span))
         # entry (r, c) of a block sits at [r - c + upper, c] of the band, flattened
-        r, c = np.repeat(np.arange(stack.shape[0]) % size, np.diff(stack.indptr)), stack.indices
+        r = np.repeat(np.arange(size), np.diff(stack.indptr))
+        sub._block, c = np.divmod(stack.indices, size)
         sub._lower, sub._upper = (int(np.max(s, initial=0)) for s in (r - c, c - r))
         sub._band_at = (r - c + sub._upper) * size + c
-        sub._block_nnz = np.diff(stack.indptr[::size])
         return sub
 
     def _pack(self, rho: np.ndarray) -> np.ndarray:
@@ -407,21 +423,20 @@ class CascadedModel:
         return np.array([math.sqrt(rates[k] * rates[l]) for k, l in self._pairs])
 
     def _band(self, t: float) -> np.ndarray:
-        """L(t) on the real coordinates of a sector copy in LSODA's band
+        """L(t) on the real coordinates of a sector copy in ODEPACK's band
         layout: entry (r, c) at [r - c + ``_upper``, c] of a
-        (``_lower`` + ``_upper`` + 1, n) array, every pair block's entries
-        weighted by its coefficient and summed into place in one pass."""
-        n = self._stack.shape[1]
-        weights = np.repeat(self._coefficients(t), self._block_nnz) * self._stack.data
+        (``_lower`` + ``_upper`` + 1, n) array, every stored entry weighted
+        by its block's coefficient and summed into place in one pass."""
+        n = self._stack.shape[0]
+        weights = self._coefficients(t)[self._block] * self._stack.data
         size = (self._lower + self._upper + 1) * n
         return np.bincount(self._band_at, weights, minlength=size).reshape(-1, n)
 
     def rhs(self, t: float, x: np.ndarray) -> np.ndarray:
         """Apply the generator at time t to the real coordinates x of a copy
-        made by ``_on_sectors``: sum_kl c_kl(t) (L_kl x)."""
-        coef = self._coefficients(t)
-        # entrywise, not BLAS: equal rows give equal sums in any position
-        return (coef[:, None] * (self._stack @ x).reshape(coef.size, -1)).sum(axis=0)
+        made by ``_on_sectors``: sum_kl c_kl(t) (L_kl x), one sparse product
+        of the blocks side by side with the coefficients times x stacked."""
+        return self._stack @ (self._coefficients(t)[:, None] * x).ravel()
 
     # -- observables ----------------------------------------------------------
 
@@ -467,14 +482,44 @@ def _min_eigenvalue(rho: np.ndarray, exc: np.ndarray) -> float:
 
 
 class Trajectory(list):
-    """The samples of one ``integrate`` run, with LSODA's four work counts
-    (see ``transfer._lsoda``), the number of evolved ``unknowns`` and, over
-    the last sample of every copy, the largest ``trace_defect`` |Tr rho - 1|
-    and the smallest eigenvalue ``min_eigenvalue`` in ``stats``."""
+    """The samples of one ``integrate`` run, with VODE's four work counts
+    (see ``integrate``), the number of evolved ``unknowns`` and, over the
+    last sample of every copy, the largest ``trace_defect`` |Tr rho - 1| and
+    the smallest eigenvalue ``min_eigenvalue`` in ``stats``."""
 
     def __init__(self, samples, stats: dict[str, float]):
         super().__init__(samples)
         self.stats = stats
+
+
+def _bdf(sector: CascadedModel, y0: np.ndarray, times: np.ndarray, rtol: float,
+         atol: float) -> tuple[np.ndarray, dict[str, int]]:
+    """The coordinates of a sector copy at ``times`` (the first is y0) from
+    one run of VODE's BDF method with its banded Jacobian, and VODE's counts
+    (see ``integrate``); failure raises NumericalError."""
+    from scipy.integrate import ode
+
+    root = math.sqrt(y0.size)  # RMS at rtol / sqrt(n) bounds the maximum at rtol
+    solver = ode(sector.rhs, lambda t, _: sector._band(t)).set_integrator(
+        "vode", method="bdf", lband=sector._lower, uband=sector._upper, rtol=rtol / root,
+        atol=atol / root, max_step=(times[-1] - times[0]) / 16, nsteps=transfer._MAX_STEPS)
+    solver.set_initial_value(y0, times[0])
+    ys = [y0]
+    with warnings.catch_warnings():  # ode warns on failure; it is raised below instead
+        warnings.simplefilter("ignore", UserWarning)
+        for t in times[1:]:
+            ys.append(solver.integrate(t))
+            if not solver.successful():
+                break
+    y, vode = np.array(ys), solver._integrator
+    finite = np.all(np.isfinite(y))
+    if not (solver.successful() and finite):
+        code = solver.get_return_code()
+        reason = "the state is not finite" if not finite else vode.messages.get(code, code)
+        raise NumericalError(f"master-equation integration failed between t = "
+                             f"{float(times[0])!r} and {float(times[-1])!r}: {reason}")
+    nst, nfe, nje, nlu = (int(vode.iwork[i]) for i in (10, 11, 12, 18))  # IWORK(11-13, 19)
+    return y, {"rhs_calls": nfe, "steps": nst, "jacobians": nje, "lu_factorisations": nlu}
 
 
 def integrate(
@@ -485,7 +530,7 @@ def integrate(
     rtol: float = 1e-8,
     atol: float = 1e-10,
 ) -> Trajectory:
-    """Integrate the cascaded master equation with ODEPACK's LSODA.
+    """Integrate the cascaded master equation with VODE's BDF method.
 
     The generator conserves the ket-minus-bra excitation number k of every
     entry of rho, so only the k-sectors that the initial state(s) occupy are
@@ -498,23 +543,39 @@ def integrate(
     of the off-diagonal ones: as many real unknowns as the sector has
     complex entries.  A real rho0 stays real, so its Im coordinates, exactly
     0 throughout, are not evolved: (entries + diagonal) / 2 unknowns.
-    ``transfer._lsoda`` runs LSODA on them with ``rhs`` of a copy of the
-    model restricted to them as the right-hand side and its ``_band`` as the
-    Jacobian, with the lower and upper half-bandwidths read off the pair
-    blocks once per run; its error test spans the coordinates of every copy.
-    One solver run covers t0 to the last sample time; the samples are read
-    from its interpolant at exactly the requested times and rebuilt from
-    the coordinates, so each is Hermitian to the last bit, with exact zeros
-    outside the sector.  A sample at t0 is a copy of the initial state.
-    ``rho0`` is one state, and then each sample is one ``DensityMatrix``,
-    or a sequence of ``model.copies`` states, and then each sample is a
-    list of them.  A non-finite or non-positive ``rtol`` or ``atol``
-    raises ``ValidationError``; solver failure raises ``NumericalError``
-    "LSODA integration failed between t = <t0> and <last sample time>: ...".
-    The solver statistics, the number of evolved ``unknowns`` and the last
-    sample's trace and positivity defects are returned in the trajectory's
-    ``stats`` (see ``Trajectory``) and logged at DEBUG on
-    ``phononet.cascade``.
+
+    VODE (Brown, Byrne & Hindmarsh, SIAM J. Sci. Stat. Comput. 10, 1038
+    (1989)), through ``scipy.integrate.ode``, takes BDF steps alone, with
+    ``rhs`` of a copy of the model restricted to these coordinates as the
+    right-hand side and its ``_band`` as the Jacobian, of the half-bandwidths
+    read off the pair blocks once per run.  The channel's thermal decay
+    makes the equation stiff, and a method that never leaves BDF avoids
+    the restarts of an Adams/BDF switch at the schedule's floor crossings
+    and kink.  Steps are at most a sixteenth of the span, so a pulse that
+    starts late in a stationary window is not stepped over, and at most
+    ``transfer._MAX_STEPS`` between two output times.  VODE's error test is
+    the RMS over the n unknowns of err_i / (atol + rtol |x_i|); it runs at
+    rtol / sqrt(n) and atol / sqrt(n), so that it bounds the maximum of
+    err_i / (atol + rtol |x_i|) over every coordinate of every copy by 1,
+    and ``rtol`` keeps the meaning of a maximum-norm tolerance.  The
+    trajectory's ``stats`` carry VODE's counts: ``rhs_calls``, ``steps``,
+    ``jacobians`` and ``lu_factorisations`` (NFE, NST, NJE and NLU; VODE
+    refactorises its iteration matrix when the step size or order changes,
+    without a new Jacobian, so there are more factorisations than Jacobians).
+
+    One solver run covers t0 to the last sample time; each sample is VODE's
+    interpolant at exactly the requested time, rebuilt from the coordinates,
+    so it is Hermitian to the last bit, with exact zeros outside the sector.
+    A sample at t0 is a copy of the initial state.  ``rho0`` is one state,
+    and then each sample is one ``DensityMatrix``, or a sequence of
+    ``model.copies`` states, and then each sample is a list of them.  A
+    non-finite or non-positive ``rtol`` or ``atol`` raises
+    ``ValidationError``; solver failure raises ``NumericalError``
+    "master-equation integration failed between t = <t0> and <last sample
+    time>: <VODE's message | the state is not finite>".  The solver
+    statistics, the number of evolved ``unknowns`` and the last sample's
+    trace and positivity defects are returned in the trajectory's ``stats``
+    (see ``Trajectory``) and logged at DEBUG on ``phononet.cascade``.
     """
     for key, tol in (("rtol", rtol), ("atol", atol)):
         if not (math.isfinite(tol) and tol > 0):
@@ -550,10 +611,7 @@ def integrate(
     stats = {"rhs_calls": 0, "steps": 0, "jacobians": 0, "lu_factorisations": 0,
              "unknowns": y0.size}
     if later.size:
-        y, counts = _lsoda(sector.rhs, y0, np.r_[t0, later], rtol, atol,
-                           f"LSODA integration failed between t = {float(t0)!r} and "
-                           f"{float(later[-1])!r}", Dfun=lambda s, _: sector._band(s),
-                           ml=sector._lower, mu=sector._upper)
+        y, counts = _bdf(sector, y0, np.r_[t0, later], rtol, atol)
         stats.update(counts)
         out += [[DensityMatrix(r, t) for r in sample]
                 for sample, t in zip(sector._unpack(y[1:]), later.tolist())]

@@ -175,10 +175,14 @@ def _ang(f_hz: float) -> float:
     return TWO_PI * f_hz
 
 
-def _check_positive(p: dict, key: str) -> None:
-    """ConfigError unless parameters.<key>, a finite number by its schema rule, is > 0."""
-    if not p[key] > 0:
-        raise ConfigError(f"parameters.{key} must be > 0; got {p[key]!r}")
+def _check_positive(p: dict, *keys: str, or_zero: bool = False) -> None:
+    """ConfigError naming the first of ``keys`` with a value, or a list entry
+    (finite numbers by the schema rule), that is not > 0 (>= 0 with ``or_zero``)."""
+    for key in keys:
+        bad = [x for x in _aslist(p, key) if not (x >= 0 if or_zero else x > 0)]
+        if bad:
+            raise ConfigError(f"parameters.{key} must be {'>=' if or_zero else '>'} 0; "
+                              f"got {bad[0]!r}")
 
 
 def _aslist(p: dict, key: str) -> list:
@@ -193,6 +197,8 @@ def _aslist(p: dict, key: str) -> list:
 
 
 def run_filter(p: dict):
+    _check_positive(p, "gamma_hz", "kappa_hz")  # named as written, before the 2 pi
+    _check_positive(p, "gamma0_hz", or_zero=True)
     gamma = _ang(p["gamma_hz"])
     omega_m = _ang(p["omega_m_hz"])
     kappa = _ang(p["kappa_hz"])
@@ -227,6 +233,7 @@ def run_filter(p: dict):
 
 
 def run_multimode(p: dict):
+    _check_positive(p, "coupling_k_hz")  # every rate of the chain scales with K
     K = _ang(p["coupling_k_hz"])
     omega_m = _ang(p["omega_m_hz"])
     n_modes = p["n_modes"]
@@ -245,6 +252,7 @@ def run_multimode(p: dict):
 
 
 def run_transfer(p: dict):
+    _check_positive(p, "tau_p_gamma_max")  # the window, not the t_end derived from it
     gmax = _ang(p["gamma_max_hz"])
     tau = p["tau_p_gamma_max"] / gmax if gmax else math.nan  # the schedule names gamma_max = 0
     sch = transfer.analytic_schedule(gmax, tau, p["cutoff_floor_rel"] * gmax)
@@ -269,10 +277,8 @@ def run_transfer(p: dict):
 
 
 def run_fidelity(p: dict):
-    for key in ("gamma_max_over_gamma", "n_th", "gamma0_over_gamma"):  # before N_eff is formed
-        negative = [x for x in _aslist(p, key) if x < 0]
-        if negative:
-            raise ConfigError(f"parameters.{key} must be >= 0; got {negative[0]!r}")
+    # before N_eff is formed
+    _check_positive(p, "gamma_max_over_gamma", "n_th", "gamma0_over_gamma", or_zero=True)
     points = [(gm_rel, n_th, filtered)
               for filtered in ((True, False) if p["include_no_filter"] else (True,))
               for gm_rel in _aslist(p, "gamma_max_over_gamma") for n_th in _aslist(p, "n_th")]
@@ -294,6 +300,7 @@ def run_fidelity(p: dict):
 
 
 def run_circulator(p: dict):
+    _check_positive(p, "gamma_hz")  # the tunneling and loss scale with gamma
     gamma = _ang(p["gamma_hz"])
     omega_m = _ang(p["omega_m_hz"])
     spec = circulator.CirculatorSpec(

@@ -213,35 +213,35 @@ class TransferAmplitudes:
         return np.abs(self.g1**2 + self.transfer**2 - 1.0)
 
 
-# LSODA's step budget between two output times (its ``mxstep``): no test or
-# shipped config takes more than about 1450, so a run that needs 70 times
-# that is hopeless, not slow, and fails in seconds instead of running for minutes
+# the time-domain solvers' step budget between two output times (LSODA's
+# ``mxstep``, VODE's ``nsteps``): no test or shipped config takes more than
+# about 1450, so a run that needs 70 times that is hopeless, not slow, and
+# fails in seconds instead of running for minutes
 _MAX_STEPS = 10**5
 
 
-def _lsoda(rhs, y0, times, rtol, atol, failed, **band):
-    """Solve dy/dt = rhs(t, y) from y(times[0]) = y0 in one run of ODEPACK's
-    LSODA (Petzold, SIAM J. Sci. Stat. Comput. 4, 136 (1983)) through
-    ``scipy.integrate.odeint``: Adams steps, switching to BDF where the
-    equation is stiff, with the Jacobian that ``band`` passes on (``Dfun``
-    in LSODA's band layout with half-bandwidths ``ml`` and ``mu``) or, if
-    none, a finite-difference one.  Steps are at most a sixteenth of the
-    span, so a pulse that starts late in a stationary window is not stepped
-    over, and at most ``_MAX_STEPS`` between two output times.  LSODA's
-    error test is a weighted maximum norm, max_i |err_i| / (atol + rtol
-    |y_i|) (ODEPACK's LSODE uses the RMS).  Returns the samples at
-    ``times`` (the first is y0) and LSODA's counts: ``rhs_calls``,
-    ``steps``, ``jacobians`` and ``lu_factorisations``, which are equal
-    because LSODA factorises its iteration matrix after every Jacobian (0
-    while it stays on Adams steps).  A run that fails, or whose samples are
-    not finite, raises NumericalError "<failed>: <the solver's message | the
-    state is not finite>"."""
+def _lsoda(rhs, y0, times, rtol, atol, failed):
+    """Solve the amplitude ODE dy/dt = rhs(t, y) from y(times[0]) = y0 in
+    one run of ODEPACK's LSODA (Petzold, SIAM J. Sci. Stat. Comput. 4, 136
+    (1983)) through ``scipy.integrate.odeint``, which loops over the many
+    output times in compiled code: Adams steps, switching to BDF with a
+    finite-difference Jacobian where the equation is stiff (the amplitude
+    ODE never is).  Steps are at most a sixteenth of the span, so a pulse
+    that starts late in a stationary window is not stepped over, and at
+    most ``_MAX_STEPS`` between two output times.  LSODA's error test is a
+    weighted maximum norm, max_i |err_i| / (atol + rtol |y_i|).  Returns
+    the samples at ``times`` (the first is y0) and LSODA's counts:
+    ``rhs_calls``, ``steps``, ``jacobians`` and ``lu_factorisations``, which
+    are equal because LSODA factorises its iteration matrix after every
+    Jacobian (0 while it stays on Adams steps).  A run that fails, or whose
+    samples are not finite, raises NumericalError "<failed>: <the solver's
+    message | the state is not finite>"."""
     from scipy.integrate import ODEintWarning, odeint
 
     with warnings.catch_warnings():  # odeint warns on failure even with full_output
         warnings.simplefilter("ignore", ODEintWarning)
         y, info = odeint(rhs, y0, times, tfirst=True, full_output=True, rtol=rtol, atol=atol,
-                         hmax=(times[-1] - times[0]) / 16, mxstep=_MAX_STEPS, **band)
+                         hmax=(times[-1] - times[0]) / 16, mxstep=_MAX_STEPS)
     ran = info["message"] == "Integration successful."
     if not (ran and np.all(np.isfinite(y))):
         raise NumericalError(f"{failed}: " + ("the state is not finite" if ran else info["message"]))

@@ -113,7 +113,7 @@ def _full_rhs(model, t, rho):
 
 
 def _dense_generator(sector, t):
-    """L(t) of a sector copy as a dense matrix, read off the band it hands LSODA."""
+    """L(t) of a sector copy as a dense matrix, read off the band it hands the solver."""
     band, mu = sector._band(t), sector._upper
     n = band.shape[1]
     out = np.zeros((n, n))
@@ -318,7 +318,7 @@ def test_populations_match_amplitude_oracle_at_zero_temperature():
 
 def test_late_pulse_is_not_stepped_over():
     # the rates are zero until t = 6, so the state is stationary there; without a
-    # step bound LSODA takes 5 RHS calls, steps past the pulse and returns 0
+    # step bound the solver takes 5 RHS calls, steps past the pulse and returns 0
     ts = np.linspace(-14.0, 14.0, 5601)
     on = ts >= 6.0
     sch = tabulated_schedule(ts, np.where(on, pn.pulse_eq_analytic(ts - 10.0, 1.0), 0.0),
@@ -589,12 +589,12 @@ def test_solver_failure_names_the_span_in_plain_floats():
 
 
 def test_hopeless_solve_ends_on_the_step_budget(monkeypatch):
-    # at n_eff = 1e10 LSODA's steps shrink without end; with no finite budget
-    # (mxstep 1e8) this call ran for minutes, at 1e5 it fails in seconds
+    # at n_eff = 1e10 the solver's steps shrink without end; with no finite
+    # budget (mxstep 1e8) this call ran for minutes, at 1e5 it fails in seconds
     monkeypatch.setattr(pn.transfer, "_MAX_STEPS", 10**4)
     start = time.perf_counter()
-    with pytest.raises(pn.NumericalError,
-                       match=r"^LSODA integration failed between t = -14\.0 and 14\.0: Excess work"):
+    with pytest.raises(pn.NumericalError, match=r"^master-equation integration failed "
+                       r"between t = -14\.0 and 14\.0: Excess work"):
         qubit_channel([1e10], analytic_schedule(1.0, cutoff_floor=1e-4))
     assert time.perf_counter() - start < 10.0
 
@@ -606,9 +606,30 @@ def test_both_time_domain_solvers_report_the_same_lsoda_counts():
     stats = integrate(model, model.initial_state(), sch.window).stats
     keys = ["rhs_calls", "steps", "jacobians", "lu_factorisations"]
     assert list(amps.stats) == keys and list(stats)[:4] == keys
+    assert amps.stats["lu_factorisations"] == amps.stats["jacobians"]  # LSODA
+    assert stats["lu_factorisations"] >= stats["jacobians"] > 0  # VODE refactorises alone
     for counts in (amps.stats, stats):
-        assert counts["lu_factorisations"] == counts["jacobians"]
         assert counts["steps"] > 0 and counts["rhs_calls"] >= counts["steps"]
+
+
+def test_solver_counts_are_the_callback_counts(monkeypatch):
+    # the counts are read from VODE's private IWORK array; a scipy release
+    # that moves them must fail here, not report wrong numbers
+    calls = {"rhs": 0, "_band": 0}
+    for name in calls:
+        method = getattr(CascadedModel, name)
+
+        def spy(self, *args, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(CascadedModel, name, spy)
+    sch = analytic_schedule(1.0, cutoff_floor=1e-4)
+    model = CascadedModel(sch, n_th=0.5, gamma=10.0, fock_cutoff=4)
+    stats = integrate(model, model.initial_state((1.0, 1.0)), sch.window,
+                      np.array([0.0, 14.0])).stats
+    assert stats["rhs_calls"] == calls["rhs"] and stats["jacobians"] == calls["_band"]
+    assert stats["lu_factorisations"] >= stats["jacobians"] > 0 and stats["steps"] > 0
 
 
 # --------------------------------------------------------- excitation sectors
@@ -782,15 +803,15 @@ def test_real_and_imaginary_coordinates_never_mix(
     picked = np.random.default_rng(seed).integers(1, k.max() + 1, size=2)
     sector = model._on_sectors(np.unique(np.r_[0, picked, -picked]))
     im = _im_coordinates(sector)
-    assert sector._stack.shape == (len(model._pairs) * im.size, im.size)
+    assert sector._stack.shape == (im.size, len(model._pairs) * im.size)
     for p in range(len(model._pairs)):  # every pair block, exactly
-        block = sector._stack[p * im.size:(p + 1) * im.size].toarray()
+        block = sector._stack[:, p * im.size:(p + 1) * im.size].toarray()
         assert np.count_nonzero(block[~im][:, im]) == 0
         assert np.count_nonzero(block[im][:, ~im]) == 0
 
     def run(psi):
         rho0 = model.initial_state(psi)
-        # tight tolerances: the two runs evolve different coordinates, so LSODA's
+        # tight tolerances: the two runs evolve different coordinates, so the solver's
         # steps differ and their gap is integrator error, not mixing (checked exactly above)
         traj = integrate(model, rho0 if copies == 1 else [rho0] * copies, (-2.0, 2.0),
                          np.array([-2.0, 0.0, 2.0]), rtol=1e-10, atol=1e-12)
@@ -816,32 +837,35 @@ def test_real_and_imaginary_coordinates_never_mix(
 
 @pytest.mark.parametrize("fock_cutoff", [4, 40])
 def test_lsoda_receives_the_generator_as_a_cutoff_independent_band(monkeypatch, fock_cutoff):
-    # in the coordinates' own order the generator is banded, and its
-    # half-bandwidths do not grow with the cutoff: LSODA factorises a band
+    # in reverse Cuthill-McKee order the generator is banded, and its
+    # half-bandwidths do not grow with the cutoff: the BDF solver factorises
+    # a band (26 either side in the owners' row-major order, 16 in this one)
     import scipy.integrate
 
-    odeint, seen = scipy.integrate.odeint, {}
+    seen = {}
 
-    def spy(func, y0, t, *args, **kwargs):
-        seen.update(kwargs, band=kwargs["Dfun"](0.5, y0))
-        return odeint(func, y0, t, *args, **kwargs)
+    class Spy(scipy.integrate.ode):
+        def set_integrator(self, name, **kwargs):
+            seen.update(kwargs, name=name, band=self.jac(0.5, None))
+            return super().set_integrator(name, **kwargs)
 
-    monkeypatch.setattr(scipy.integrate, "odeint", spy)
+    monkeypatch.setattr(scipy.integrate, "ode", Spy)
     sch = analytic_schedule(1.0, cutoff_floor=1e-4)
     model = CascadedModel(sch, n_th=0.5, gamma=10.0, fock_cutoff=fock_cutoff)
     rho0 = model.initial_state((1.0, 1.0))
     traj = integrate(model, rho0, (-2.0, 2.0))
-    assert seen["ml"] == seen["mu"] == 26
-    assert seen["hmax"] == 4.0 / 16
-    assert traj.stats["jacobians"] == traj.stats["lu_factorisations"] > 0
+    assert (seen["name"], seen["method"]) == ("vode", "bdf")
+    assert seen["lband"] == seen["uband"] == 16
+    assert seen["max_step"] == 4.0 / 16
+    assert traj.stats["lu_factorisations"] >= traj.stats["jacobians"] > 0
     assert 0 < traj.stats["steps"] < traj.stats["rhs_calls"]
     sector = model._on_sectors([-1, 0, 1], imag=False)
-    assert (sector._lower, sector._upper) == (26, 26)
-    n = sector._stack.shape[1]
-    dense = sum(c * sector._stack[p * n:(p + 1) * n].toarray()
+    assert (sector._lower, sector._upper) == (16, 16)
+    n = sector._stack.shape[0]
+    dense = sum(c * sector._stack[:, p * n:(p + 1) * n].toarray()
                 for p, c in enumerate(sector._coefficients(0.5)))
     rows, cols = np.nonzero(dense)
-    assert np.max(rows - cols) == 26 and np.max(cols - rows) == 26  # nothing outside
+    assert np.max(rows - cols) == 16 and np.max(cols - rows) == 16  # nothing outside
     np.testing.assert_array_equal(_dense_generator(sector, 0.5), dense)
     np.testing.assert_array_equal(seen["band"], sector._band(0.5))
 

@@ -88,10 +88,13 @@ def test_network_only_runs_load_no_deferred_scipy_subpackage(experiment, tmp_pat
 
 
 def test_one_lsoda_call_site():
-    # both time-domain solvers run through transfer._lsoda; a second call site
-    # would carry its own copy of the step budget, the verdict and the counts
-    sources = (ROOT / "src" / "phononet").glob("*.py")
-    assert sum(path.read_text().count("odeint(") for path in sources) == 1
+    # one call site per ODE entry point: odeint in transfer._lsoda for the
+    # amplitudes, ode(...).set_integrator in cascade for the master equation;
+    # a third solver path would carry its own step budget, verdict and counts
+    sources = {path.name: path.read_text() for path in (ROOT / "src" / "phononet").glob("*.py")}
+    for call, home in (("odeint(", "transfer.py"), (".set_integrator(", "cascade.py")):
+        assert {name: text.count(call) for name, text in sources.items() if call in text} \
+            == {home: 1}
 
 
 def test_transfer_quadratures_load_neither_scipy_signal_nor_stats():
