@@ -182,21 +182,9 @@ def _walk(labels: np.ndarray, dims: tuple[int, ...], word: tuple):
 def _owners(exc: np.ndarray, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row m and column n >= m of one entry per transposed pair with
     exc[m] - exc[n] in ks (closed under k -> -k), in row-major order."""
-    order = np.argsort(exc, kind="stable")
-    bounds = np.searchsorted(exc[order], np.arange(exc.max() + 2))
-    rows, cols = [], []
-    for k in ks:  # row m meets the run of ``order`` at level exc[m] - k
-        level = exc - k
-        m = np.flatnonzero((level >= 0) & (level <= exc.max()))
-        lo, count = bounds[level[m]], np.diff(bounds)[level[m]]
-        start = np.repeat(lo - np.cumsum(count) + count, count)
-        rows.append(np.repeat(m, count))
-        cols.append(order[start + np.arange(count.sum())])
-    m, n = np.concatenate(rows), np.concatenate(cols)
-    upper = m <= n
-    m, n = m[upper], n[upper]
-    first = np.lexsort((n, m))
-    return m[first], n[first]
+    m, n = np.triu_indices(exc.size)
+    keep = np.isin(exc[m] - exc[n], ks)
+    return m[keep], n[keep]
 
 
 def _pair_terms(k: int, l: int) -> list[tuple]:
@@ -577,9 +565,7 @@ def integrate(
     trace and positivity defects are returned in the trajectory's ``stats``
     (see ``Trajectory``) and logged at DEBUG on ``phononet.cascade``.
     """
-    for key, tol in (("rtol", rtol), ("atol", atol)):
-        if not (math.isfinite(tol) and tol > 0):
-            raise ValidationError(f"{key} must be a finite number > 0, got {tol!r}")
+    _check_fields({"rtol": rtol, "atol": atol}, positive=("rtol", "atol"))
     t0, t1 = t_span
     if t1 <= t0:
         raise ValidationError("t_span must be increasing")

@@ -10,8 +10,8 @@ The configuration is a flat JSON object
 with experiment-specific parameter keys (frequencies in ordinary Hz);
 unknown keys are rejected.  Every output file carries a metadata header
 with the fully resolved configuration, so any emitted file reproduces its
-run.  Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(out of memory included).
+run.  Exit codes: 0 success, 2 configuration error (an output location that
+cannot be written included), 3 numerical failure (out of memory included).
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def parse_config(text: str, experiment: str | None = None) -> RunConfig:
     params = resolve_parameters(exp, params)
 
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
+    if type(seed) is not int:  # true is not a seed
         raise ConfigError(f"'seed' must be an integer, got {seed!r}")
 
     out_path, out_format = None, "csv"
@@ -100,6 +100,8 @@ def parse_config(text: str, experiment: str | None = None) -> RunConfig:
             if key not in _OUTPUT_KEYS:
                 raise ConfigError(f"unknown key 'output.{key}'")
         out_path = out.get("path")
+        if out_path is not None and not isinstance(out_path, str):
+            raise ConfigError(f"'output.path' must be a string, got {out_path!r}")
         out_format = out.get("format", "csv")
         if out_format not in _FORMATS:
             raise ConfigError(f"'output.format' must be csv|json, got {out_format!r}")
@@ -147,9 +149,13 @@ def run_experiment(config: RunConfig, out_dir: Path) -> Path:
             path = out_dir / path
     else:
         path = out_dir / f"{config.experiment}.{config.output_format}"
-    path.parent.mkdir(parents=True, exist_ok=True)
     render = render_csv if config.output_format == "csv" else render_json
-    path.write_text(render(config, columns, table, extras, timestamp), newline="\n")
+    text = render(config, columns, table, extras, timestamp)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
     return path
 
 

@@ -10,7 +10,6 @@ Runners are pure and deterministic.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import sys
@@ -24,91 +23,93 @@ from .errors import ConfigError, ValidationError
 TWO_PI = 2 * math.pi
 
 # --------------------------------------------------------------------------
-# parameter schemas: name -> (default, description).  The default's type is
-# the value rule: float or None -> finite number (None also admits null),
-# int -> integer in [0, MAX_COUNT], bool -> true/false, list -> number or non-empty list
-# of numbers, tuple of strings -> one of them (the first is the default).
+# parameter schemas: name -> (default, range, description).  The default's
+# type is the value rule: float or None -> finite number (None also admits
+# null), int -> integer in [range, MAX_COUNT], bool -> true/false, list ->
+# number or non-empty list of numbers, tuple of strings -> one of them (the
+# first is the default).  A number's range is "> 0" or ">= 0", which every
+# list entry meets too, or None where every finite value runs.
 # --------------------------------------------------------------------------
 
-SCHEMAS: dict[str, dict[str, tuple[object, str]]] = {
+SCHEMAS: dict[str, dict[str, tuple[object, object, str]]] = {
     "filter": {
-        "gamma_hz": (1.0, "waveguide coupling rate of the cooled mode"),
-        "omega_m_hz": (1200.0, "mechanical frequency"),
-        "kappa_hz": (300.0, "optical field decay rate"),
-        "gamma0_hz": (0.0, "intrinsic mechanical damping"),
-        "g_alpha_hz": (None, "drive-enhanced coupling; null = impedance matched"),
-        "n_th": (40.0, "channel thermal occupation"),
-        "model": (("beam_splitter", "full"), "full adds counter-rotating terms"),
-        "n_points": (4001, "frequency grid points"),
-        "span_gammas": (10.0, "half-span of the grid in units of gamma"),
-        "fit_dip": (True, "fit the inverted-Lorentzian dip model"),
+        "gamma_hz": (1.0, "> 0", "waveguide coupling rate of the cooled mode"),
+        "omega_m_hz": (1200.0, None, "mechanical frequency"),
+        "kappa_hz": (300.0, "> 0", "optical field decay rate"),
+        "gamma0_hz": (0.0, ">= 0", "intrinsic mechanical damping"),
+        "g_alpha_hz": (None, None, "drive-enhanced coupling; null = impedance matched"),
+        "n_th": (40.0, ">= 0", "channel thermal occupation"),
+        "model": (("beam_splitter", "full"), None, "full adds counter-rotating terms"),
+        "n_points": (4001, 1, "frequency grid points"),
+        "span_gammas": (10.0, "> 0", "half-span of the grid in units of gamma"),
+        "fit_dip": (True, None, "fit the inverted-Lorentzian dip model"),
     },
     "multimode": {
-        "n_modes": (10, "number of chain resonators"),
-        "coupling_k_hz": (1.0, "nearest-neighbour coupling K"),
-        "omega_m_hz": (100.0, "resonator frequency"),
-        "gamma0_over_k": (0.05, "intrinsic damping / K"),
-        "kappa_over_k": (0.5, "optical decay / K"),
-        "g_alpha_over_k": (0.5, "drive-enhanced coupling / K"),
-        "n_th": (10.0, "thermal occupation of the intrinsic baths"),
-        "site": (None, "measured resonator (null = far end)"),
-        "n_points": (4001, "frequency grid points"),
-        "span_k": (3.0, "half-span of the grid in units of K"),
+        "n_modes": (10, 2, "number of chain resonators"),
+        "coupling_k_hz": (1.0, "> 0", "nearest-neighbour coupling K"),
+        "omega_m_hz": (100.0, None, "resonator frequency"),
+        "gamma0_over_k": (0.05, ">= 0", "intrinsic damping / K"),
+        "kappa_over_k": (0.5, "> 0", "optical decay / K"),
+        "g_alpha_over_k": (0.5, None, "drive-enhanced coupling / K"),
+        "n_th": (10.0, ">= 0", "thermal occupation of the intrinsic baths"),
+        "site": (None, None, "measured resonator (null = far end)"),
+        "n_points": (4001, 1, "frequency grid points"),
+        "span_k": (3.0, "> 0", "half-span of the grid in units of K"),
     },
     "transfer": {
-        "gamma_max_hz": (1.0, "peak qubit decay rate"),
-        "tau_p_gamma_max": (28.0, "pulse window in units of 1/Gamma_max"),
-        "cutoff_floor_rel": (0.0, "clamp Gamma below this fraction of Gamma_max"),
-        "n_points": (28001, "solver time grid points (at most 1401 are written)"),
+        "gamma_max_hz": (1.0, "> 0", "peak qubit decay rate"),
+        "tau_p_gamma_max": (28.0, "> 0", "pulse window in units of 1/Gamma_max"),
+        "cutoff_floor_rel": (0.0, ">= 0", "clamp Gamma below this fraction of Gamma_max"),
+        "n_points": (28001, 3, "solver time grid points (at most 1401 are written)"),
     },
     "fidelity": {
-        "gamma_max_over_gamma": ([0.01, 0.1], "pulse rate(s) / channel rate"),
-        "n_th": ([0.5, 5.0, 20.0], "channel occupation(s)"),
-        "gamma0_over_gamma": (1.6e-4, "intrinsic loss setting the dip floor"),
-        "include_no_filter": (True, "add unfiltered reference rows"),
-        "cutoff_floor_rel": (1e-4, "pulse floor clamp (fraction of Gamma_max)"),
-        "rtol": (1e-8, "master-equation tolerance"),
+        "gamma_max_over_gamma": ([0.01, 0.1], ">= 0", "pulse rate(s) / channel rate"),
+        "n_th": ([0.5, 5.0, 20.0], ">= 0", "channel occupation(s)"),
+        "gamma0_over_gamma": (1.6e-4, ">= 0", "intrinsic loss setting the dip floor"),
+        "include_no_filter": (True, None, "add unfiltered reference rows"),
+        "cutoff_floor_rel": (1e-4, ">= 0", "pulse floor clamp (fraction of Gamma_max)"),
+        "rtol": (1e-8, "> 0", "master-equation tolerance"),
     },
     "circulator": {
-        "gamma_hz": (1.0, "port coupling rate"),
-        "t_over_gamma": (0.5, "tunneling amplitude / gamma"),
-        "phi": (math.pi / 2, "complex tunneling phase (rad)"),
-        "gamma0_over_gamma": (0.0, "intrinsic loss / gamma"),
-        "omega_m_hz": (1000.0, "resonator frequency"),
-        "n_points": (1001, "frequency grid points"),
-        "span_gammas": (5.0, "half-span of the grid in units of gamma"),
+        "gamma_hz": (1.0, "> 0", "port coupling rate"),
+        "t_over_gamma": (0.5, "> 0", "tunneling amplitude / gamma"),
+        "phi": (math.pi / 2, None, "complex tunneling phase (rad)"),
+        "gamma0_over_gamma": (0.0, ">= 0", "intrinsic loss / gamma"),
+        "omega_m_hz": (1000.0, None, "resonator frequency"),
+        "n_points": (1001, 1, "frequency grid points"),
+        "span_gammas": (5.0, None, "half-span of the grid in units of gamma"),
     },
     "waveguide": {
-        "quantity": (("dispersion", "rethermalization"), "tabulated quantity"),
-        "n_sites": (200, "chain length"),
-        "omega0_hz": (4.0e9, "bare resonator frequency"),
-        "coupling_k_hz": (5.0e7, "nearest-neighbour coupling K"),
-        "lattice_a_m": (1.0e-6, "lattice spacing"),
-        "gamma0_hz": (4.0e3, "intrinsic damping per resonator"),
-        "n_th": (20.0, "bath occupation"),
-        "z_over_mfp": ([0.05, 0.2], "propagation distances / mean free path"),
-        "dip_floor_rel": (0.05, "injected dip floor / n_th"),
-        "dip_width_over_k": (0.005, "injected dip half-width / K"),
-        "n_points": (801, "frequency grid points (rethermalization)"),
+        "quantity": (("dispersion", "rethermalization"), None, "tabulated quantity"),
+        "n_sites": (200, 2, "chain length"),
+        "omega0_hz": (4.0e9, "> 0", "bare resonator frequency"),
+        "coupling_k_hz": (5.0e7, "> 0", "nearest-neighbour coupling K"),
+        "lattice_a_m": (1.0e-6, "> 0", "lattice spacing"),
+        "gamma0_hz": (4.0e3, ">= 0", "intrinsic damping per resonator"),
+        "n_th": (20.0, ">= 0", "bath occupation"),
+        "z_over_mfp": ([0.05, 0.2], ">= 0", "propagation distances / mean free path"),
+        "dip_floor_rel": (0.05, ">= 0", "injected dip floor / n_th"),
+        "dip_width_over_k": (0.005, "> 0", "injected dip half-width / K"),
+        "n_points": (801, 1, "frequency grid points (rethermalization)"),
     },
     "design": {
-        "gamma_hz": (2.5e7, "mechanical port rate the tunneling must match"),
-        "t_target_over_gamma": (0.5, "target tunneling / gamma"),
-        "phi_target": (math.pi / 2, "target phase (rad)"),
-        "omega_m_hz": (4.0e9, "mechanical frequency"),
-        "delta_hz": (None, "cavity detuning; null = -omega_m"),
-        "tunnel_j_hz": (1.0e9, "optical tunneling J"),
-        "kappa_hz": (5.0e7, "optical decay rate"),
-        "g_hz": (1.0e5, "single-photon optomechanical coupling"),
+        "gamma_hz": (2.5e7, None, "mechanical port rate the tunneling must match"),
+        "t_target_over_gamma": (0.5, None, "target tunneling / gamma"),
+        "phi_target": (math.pi / 2, None, "target phase (rad)"),
+        "omega_m_hz": (4.0e9, None, "mechanical frequency"),
+        "delta_hz": (None, None, "cavity detuning; null = -omega_m"),
+        "tunnel_j_hz": (1.0e9, None, "optical tunneling J"),
+        "kappa_hz": (5.0e7, "> 0", "optical decay rate"),
+        "g_hz": (1.0e5, None, "single-photon optomechanical coupling"),
     },
     "nv": {
-        "lambda_hz": (1.0e7, "bare deformation coupling"),
-        "omega_m_hz": (1.0e9, "mechanical frequency"),
-        "omega_rabi0_hz": (2.0e7, "Rabi frequency of leg 0"),
-        "omega_rabi1_hz": (2.0e7, "Rabi frequency of leg 1"),
-        "gamma_e_hz": (1.0e8, "excited-state decay"),
-        "delta_span_omega_m": (2.0, "detuning grid half-span / omega_m"),
-        "n_points": (801, "detuning grid points"),
+        "lambda_hz": (1.0e7, None, "bare deformation coupling"),
+        "omega_m_hz": (1.0e9, "> 0", "mechanical frequency"),
+        "omega_rabi0_hz": (2.0e7, None, "Rabi frequency of leg 0"),
+        "omega_rabi1_hz": (2.0e7, None, "Rabi frequency of leg 1"),
+        "gamma_e_hz": (1.0e8, "> 0", "excited-state decay"),
+        "delta_span_omega_m": (2.0, None, "detuning grid half-span / omega_m"),
+        "n_points": (801, 1, "detuning grid points"),
     },
 }
 
@@ -129,19 +130,25 @@ def _is_number(x) -> bool:
     return number and abs(x) <= sys.float_info.max
 
 
-def _check_value(key: str, default, value) -> None:
-    """Raise ConfigError unless ``value`` obeys the rule set by ``default``'s type."""
+def _aslist(x) -> list:
+    """A sweepable value as a list; a scalar sweeps one point."""
+    return x if isinstance(x, list) else [x]
+
+
+def _check_value(key: str, default, bound, value) -> None:
+    """Raise ConfigError unless ``value`` obeys the rule set by ``default``'s type
+    and the range ``bound`` of its schema row."""
     if isinstance(default, tuple):
         ok, rule = value in default, "one of " + ", ".join(default)
     elif isinstance(default, bool):
         ok, rule = isinstance(value, bool), "true or false"
     elif isinstance(default, int):
-        ok = isinstance(value, int) and _is_number(value) and 0 <= value <= MAX_COUNT
-        rule = f"an integer in [0, {MAX_COUNT}]"
+        ok = isinstance(value, int) and _is_number(value) and bound <= value <= MAX_COUNT
+        rule = f"an integer in [{bound}, {MAX_COUNT}]"
     elif isinstance(default, list):
         if value == []:
             raise ConfigError(f"parameters.{key} must not be an empty list")
-        ok = all(map(_is_number, value if isinstance(value, list) else [value]))
+        ok = all(map(_is_number, _aslist(value)))
         rule = "a finite number or a non-empty list of finite numbers"
     else:
         ok = _is_number(value) or (value is None and default is None)
@@ -151,6 +158,10 @@ def _check_value(key: str, default, value) -> None:
         if isinstance(value, str) and not isinstance(default, tuple):
             got = f"the non-numeric value {got}"
         raise ConfigError(f"parameters.{key} must be {rule}; got {got}")
+    if isinstance(bound, str):
+        bad = [x for x in _aslist(value) if not (x > 0 if bound == "> 0" else x >= 0)]
+        if bad:
+            raise ConfigError(f"parameters.{key} must be {bound}; got {bad[0]!r}")
 
 
 def resolve_parameters(experiment: str, params: dict) -> dict:
@@ -164,9 +175,10 @@ def resolve_parameters(experiment: str, params: dict) -> dict:
     for key, value in params.items():
         if key not in schema:
             raise ConfigError(f"unknown key 'parameters.{key}' for experiment {experiment!r}")
-        _check_value(key, schema[key][0], value)
+        default, bound, _doc = schema[key]
+        _check_value(key, default, bound, value)
         out[key] = value
-    for key, (default, _doc) in schema.items():
+    for key, (default, _bound, _doc) in schema.items():
         out.setdefault(key, default[0] if isinstance(default, tuple) else default)
     return out
 
@@ -175,30 +187,12 @@ def _ang(f_hz: float) -> float:
     return TWO_PI * f_hz
 
 
-def _check_positive(p: dict, *keys: str, or_zero: bool = False) -> None:
-    """ConfigError naming the first of ``keys`` with a value, or a list entry
-    (finite numbers by the schema rule), that is not > 0 (>= 0 with ``or_zero``)."""
-    for key in keys:
-        bad = [x for x in _aslist(p, key) if not (x >= 0 if or_zero else x > 0)]
-        if bad:
-            raise ConfigError(f"parameters.{key} must be {'>=' if or_zero else '>'} 0; "
-                              f"got {bad[0]!r}")
-
-
-def _aslist(p: dict, key: str) -> list:
-    """The value of a sweepable key as a list; a scalar sweeps one point."""
-    x = p[key]
-    return x if isinstance(x, list) else [x]
-
-
 # --------------------------------------------------------------------------
 # runners
 # --------------------------------------------------------------------------
 
 
 def run_filter(p: dict):
-    _check_positive(p, "gamma_hz", "kappa_hz")  # named as written, before the 2 pi
-    _check_positive(p, "gamma0_hz", or_zero=True)
     gamma = _ang(p["gamma_hz"])
     omega_m = _ang(p["omega_m_hz"])
     kappa = _ang(p["kappa_hz"])
@@ -233,7 +227,6 @@ def run_filter(p: dict):
 
 
 def run_multimode(p: dict):
-    _check_positive(p, "coupling_k_hz")  # every rate of the chain scales with K
     K = _ang(p["coupling_k_hz"])
     omega_m = _ang(p["omega_m_hz"])
     n_modes = p["n_modes"]
@@ -252,9 +245,8 @@ def run_multimode(p: dict):
 
 
 def run_transfer(p: dict):
-    _check_positive(p, "tau_p_gamma_max")  # the window, not the t_end derived from it
     gmax = _ang(p["gamma_max_hz"])
-    tau = p["tau_p_gamma_max"] / gmax if gmax else math.nan  # the schedule names gamma_max = 0
+    tau = p["tau_p_gamma_max"] / gmax
     sch = transfer.analytic_schedule(gmax, tau, p["cutoff_floor_rel"] * gmax)
     ts = np.linspace(-tau / 2, tau / 2, p["n_points"])
     amps = transfer.evolve_amplitudes(sch, ts)
@@ -277,11 +269,9 @@ def run_transfer(p: dict):
 
 
 def run_fidelity(p: dict):
-    # before N_eff is formed
-    _check_positive(p, "gamma_max_over_gamma", "n_th", "gamma0_over_gamma", or_zero=True)
     points = [(gm_rel, n_th, filtered)
               for filtered in ((True, False) if p["include_no_filter"] else (True,))
-              for gm_rel in _aslist(p, "gamma_max_over_gamma") for n_th in _aslist(p, "n_th")]
+              for gm_rel in _aslist(p["gamma_max_over_gamma"]) for n_th in _aslist(p["n_th"])]
     n_effs = [transfer.effective_occupation_closed(n_th, p["gamma0_over_gamma"] * n_th, 1.0, gm)
               if filtered else n_th for gm, n_th, filtered in points]
     distinct = list(dict.fromkeys(n_effs))  # two copies per distinct n_eff, in one solver run
@@ -300,7 +290,6 @@ def run_fidelity(p: dict):
 
 
 def run_circulator(p: dict):
-    _check_positive(p, "gamma_hz")  # the tunneling and loss scale with gamma
     gamma = _ang(p["gamma_hz"])
     omega_m = _ang(p["omega_m_hz"])
     spec = circulator.CirculatorSpec(
@@ -321,7 +310,6 @@ def run_circulator(p: dict):
 
 
 def run_waveguide(p: dict):
-    _check_positive(p, "coupling_k_hz")  # a chain with no coupling has no band
     chain = waveguide.ChainSpec(
         n_sites=p["n_sites"],
         omega0=_ang(p["omega0_hz"]),
@@ -349,7 +337,6 @@ def run_waveguide(p: dict):
         cols = ["mode_index", "qa", "omega_exact_hz", "omega_tight_binding_hz", "omega_linear_hz"]
         return cols, table, extras
 
-    _check_positive(p, "dip_width_over_k")  # a zero width makes the dip 0/0
     K = chain.coupling_K
     n_th = p["n_th"]
     width = p["dip_width_over_k"] * K
@@ -359,7 +346,7 @@ def run_waveguide(p: dict):
     drive = network.NoiseSpectrum(grid, dip.evaluate(grid))
     site = chain.n_sites - 1
     blocks = []
-    for z_rel in _aslist(p, "z_over_mfp"):
+    for z_rel in _aslist(p["z_over_mfp"]):
         gamma0 = z_rel * K / site  # site * a / mean_free_path = z_rel
         cz = waveguide.ChainSpec(
             chain.n_sites, chain.omega0, K, chain.lattice_a, gamma0, n_th
@@ -411,21 +398,20 @@ def run_design(p: dict):
 
 def run_nv(p: dict):
     omega_m = _ang(p["omega_m_hz"])
-    params = nv.RamanParams(  # checks omega_m before the grid is built from it
-        coupling_lambda=_ang(p["lambda_hz"]),
-        omega_m=omega_m,
-        omega_rabi0=_ang(p["omega_rabi0_hz"]),
-        omega_rabi1=_ang(p["omega_rabi1_hz"]),
-        delta=0.0,
-        gamma_e=_ang(p["gamma_e_hz"]),
-    )
     span = p["delta_span_omega_m"] * omega_m
     grid = np.linspace(-span, span, p["n_points"])
     # keep the Raman resonances +-omega_m/2 off the grid
     grid = grid[np.abs(np.abs(grid) - omega_m / 2) > 1e-9 * omega_m]
     if not grid.size:
         raise ValidationError("detuning grid is empty once the Raman resonances are removed")
-    params = dataclasses.replace(params, delta=grid)
+    params = nv.RamanParams(
+        coupling_lambda=_ang(p["lambda_hz"]),
+        omega_m=omega_m,
+        omega_rabi0=_ang(p["omega_rabi0_hz"]),
+        omega_rabi1=_ang(p["omega_rabi1_hz"]),
+        delta=grid,
+        gamma_e=_ang(p["gamma_e_hz"]),
+    )
     with warnings.catch_warnings():  # the marginal rows are counted in the metadata instead
         warnings.simplefilter("ignore")
         r = nv.effective_spin_phonon(params)

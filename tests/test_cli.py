@@ -18,7 +18,7 @@ from phononet.cli import (
     run_experiment,
 )
 from phononet.errors import ConfigError
-from phononet.experiments import RUNNERS, SCHEMAS
+from phononet.experiments import RUNNERS, SCHEMAS, resolve_parameters
 from phononet.transfer import analytic_schedule, dark_state_residual, evolve_amplitudes
 
 
@@ -244,11 +244,30 @@ def test_cli_exit_codes(tmp_path, capsys):
     )
     assert main(["design", "--config", str(unreachable), "--out", str(tmp_path)]) == 3
 
+    # a value of the wrong kind outside the parameters, named by its key
+    for raw, key in [({"output": {"path": 5}}, "'output.path'"),
+                     ({"output": {"path": ["a"]}}, "'output.path'"), ({"seed": True}, "'seed'")]:
+        cfg = tmp_path / "top.json"
+        cfg.write_text(json.dumps({"experiment": "design", **raw}))
+        assert main(["design", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: {key} must be" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
     ok = tmp_path / "ok.json"
     ok.write_text(json.dumps({"experiment": "design"}))
     assert main(["design", "--config", str(ok), "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out.strip().splitlines()[-1]
     assert out.endswith("design.csv")
+
+
+def test_cli_unwritable_output_exits_2(tmp_path, capsys):
+    # the output directory would sit below a regular file
+    (tmp_path / "afile").write_text("")
+    assert main(["design", "--out", str(tmp_path / "afile" / "sub")]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: cannot write {tmp_path / 'afile' / 'sub' / 'design.csv'}: " in err
+    assert "Traceback" not in err
 
 
 def test_parser_built_once_and_reused_unchanged(capsys):
@@ -291,6 +310,68 @@ def test_cli_unstable_network_exits_3_naming_eigenvalue(tmp_path, capsys):
     assert "np." not in err
 
 
+def _refused(tmp_path, capsys, experiment, params):
+    """stderr of a CLI run of ``params`` that must exit 2 with no traceback, no
+    warning and no output file."""
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"experiment": experiment, "parameters": params}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert caught == [] and "Warning" not in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    return err
+
+
+def _out_of_range_cases():
+    # every ranged SCHEMAS key just outside its range: 0 for "> 0", -1 for
+    # ">= 0", the minimum - 1 for a count, and a list key's bad last entry
+    for experiment, schema in SCHEMAS.items():
+        for key, (default, bound, _) in schema.items():
+            if bound is None:
+                continue
+            bad = bound - 1 if isinstance(bound, int) else {"> 0": 0, ">= 0": -1}[bound]
+            yield pytest.param(experiment, {key: bad}, key, bad, id=f"{experiment}-{key}")
+            if isinstance(default, list):
+                yield pytest.param(experiment, {key: [default[0], bad]}, key, bad,
+                                   id=f"{experiment}-{key}-list")
+
+
+@pytest.mark.parametrize("experiment, params, key, bad", [
+    *_out_of_range_cases(),
+    # the values of the older exit-2 tests below that the cases above do not repeat
+    *[pytest.param(e, {k: -1}, k, -1, id=f"{e}-{k}-negative") for e, k in [
+        ("multimode", "coupling_k_hz"), ("circulator", "gamma_hz"),
+        ("transfer", "tau_p_gamma_max"), ("filter", "gamma_hz"), ("filter", "kappa_hz")]],
+    pytest.param("fidelity", {"n_th": [0.5, -1.0]}, "n_th", -1.0, id="fidelity-n_th-float"),
+    pytest.param("fidelity", {"gamma_max_over_gamma": [0.01, -0.1]}, "gamma_max_over_gamma",
+                 -0.1, id="fidelity-gamma_max_over_gamma-float"),
+    *[pytest.param("waveguide", {"quantity": "rethermalization", **params}, key, params[key],
+                   id=f"waveguide-rethermalization-{name}") for name, params, key in [
+        ("dip_width_over_k", {"dip_width_over_k": 0}, "dip_width_over_k"),
+        ("dip_width_over_k-negative", {"dip_width_over_k": -0.005}, "dip_width_over_k"),
+        ("coupling_k_hz", {"coupling_k_hz": 0}, "coupling_k_hz"),
+        ("coupling_k_hz-lossless", {"coupling_k_hz": 0, "gamma0_hz": 0}, "coupling_k_hz")]],
+    pytest.param("waveguide", {"coupling_k_hz": -1.0}, "coupling_k_hz", -1.0,
+                 id="waveguide-coupling_k_hz-negative"),
+    # a dispersion run reads none of the rethermalization keys, but they are checked too
+    pytest.param("waveguide", {"quantity": "dispersion", "z_over_mfp": [0.1, -1]}, "z_over_mfp",
+                 -1, id="waveguide-dispersion-z_over_mfp"),
+])
+def test_cli_value_out_of_range_exits_2(tmp_path, capsys, experiment, params, key, bad):
+    bound = SCHEMAS[experiment][key][1]
+    rule = f"an integer in [{bound}, 10000000]" if isinstance(bound, int) else bound
+    err = _refused(tmp_path, capsys, experiment, params)
+    assert f"configuration error: parameters.{key} must be {rule}; got {bad!r}\n" in err
+
+
+def test_every_schema_default_obeys_its_rule():
+    for experiment in SCHEMAS:
+        defaults = resolve_parameters(experiment, {})
+        assert resolve_parameters(experiment, defaults) == defaults
+
+
 @pytest.mark.parametrize(
     "experiment, params",
     [
@@ -302,11 +383,21 @@ def test_cli_unstable_network_exits_3_naming_eigenvalue(tmp_path, capsys):
     ],
 )
 def test_cli_empty_grid_exits_3(tmp_path, capsys, experiment, params):
-    cfg = tmp_path / "empty.json"
-    cfg.write_text(json.dumps({"experiment": experiment, "parameters": {**params, "n_points": 0}}))
-    assert main([experiment, "--config", str(cfg), "--out", str(tmp_path)]) == 3
-    assert "ValidationError" in capsys.readouterr().err
-    assert not (tmp_path / f"{experiment}.csv").exists()
+    # n_points 0 never reaches a runner: the schema refuses it, exit 2; the
+    # library's own empty-grid refusals are tested in test_network.py
+    err = _refused(tmp_path, capsys, experiment, {**params, "n_points": 0})
+    assert "parameters.n_points must be an integer in [1, 10000000]; got 0" in err
+
+
+def test_cli_nv_grid_emptied_by_the_resonances_exits_3(tmp_path, capsys):
+    # one grid point, at -omega_m/2: on a Raman resonance, so removed
+    cfg = tmp_path / "nv.json"
+    cfg.write_text(json.dumps({"experiment": "nv",
+                               "parameters": {"n_points": 1, "delta_span_omega_m": 0.5}}))
+    assert main(["nv", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "ValidationError: detuning grid is empty once the Raman resonances are removed" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -314,13 +405,9 @@ def test_cli_empty_grid_exits_3(tmp_path, capsys, experiment, params):
     [("transfer", {"gamma_max_hz": 0}, "gamma_max"), ("nv", {"omega_m_hz": 0}, "omega_m")],
 )
 def test_cli_zero_rate_exits_3_naming_it(tmp_path, capsys, experiment, params, field):
-    cfg = tmp_path / "zero.json"
-    cfg.write_text(json.dumps({"experiment": experiment, "parameters": params}))
-    assert main([experiment, "--config", str(cfg), "--out", str(tmp_path)]) == 3
-    err = capsys.readouterr().err
-    assert f"ValidationError: {field} must be" in err
-    assert "Traceback" not in err
-    assert not (tmp_path / f"{experiment}.csv").exists()
+    # refused by the schema, exit 2, under the key as written
+    err = _refused(tmp_path, capsys, experiment, params)
+    assert f"configuration error: parameters.{field}_hz must be > 0; got 0" in err
 
 
 @pytest.mark.parametrize("params, key", [
@@ -378,11 +465,9 @@ def test_cli_negative_fidelity_sweep_key_exits_2(tmp_path, capsys, key, value):
 
 @pytest.mark.parametrize("rtol", [-1, 0])
 def test_cli_non_positive_tolerance_exits_3(tmp_path, capsys, rtol):
-    cfg = tmp_path / "tol.json"
-    cfg.write_text(json.dumps({"experiment": "fidelity", "parameters": {"rtol": rtol}}))
-    assert main(["fidelity", "--config", str(cfg), "--out", str(tmp_path)]) == 3
-    assert "ValidationError: rtol must be a finite number > 0" in capsys.readouterr().err
-    assert not (tmp_path / "fidelity.csv").exists()
+    # refused by the schema, exit 2; integrate's own check is tested in test_package.py
+    err = _refused(tmp_path, capsys, "fidelity", {"rtol": rtol})
+    assert f"configuration error: parameters.rtol must be > 0; got {rtol}" in err
 
 
 @pytest.mark.parametrize(
@@ -508,11 +593,14 @@ def test_cli_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_config_doc_tables_match_schemas():
+    # every row's key and range cell: `> 0`, `>= 0`, `>= <minimum>` for a count, or empty
     doc = (Path(__file__).parents[1] / "docs" / "CONFIG.md").read_text()
     sections = dict(re.findall(r"^## (\w+)\n(.*?)(?=^## |\Z)", doc, re.M | re.S))
     for experiment, schema in SCHEMAS.items():
-        keys = re.findall(r"^\| `(\w+)` \|", sections[experiment], re.M)
-        assert sorted(keys) == sorted(schema), experiment
+        rows = dict(re.findall(r"^\| `(\w+)` \| [^|]+ \| ([^|]*?) *\|", sections[experiment], re.M))
+        ranges = {key: "" if bound is None else f"`>= {bound}`" if isinstance(bound, int)
+                  else f"`{bound}`" for key, (_, bound, _) in schema.items()}
+        assert rows == ranges, experiment
 
 
 @pytest.mark.parametrize("path, quantity", [(p, None) for p in SHIPPED_CONFIGS]
@@ -539,7 +627,7 @@ def test_cli_design_meets_operating_point(tmp_path):
     vals = dict(zip(header, map(float, row)))
     assert abs(vals["t_eff_over_target"] - 1) < 1e-6
     # at delta = -omega_m, Delta_± = ±J, so gamma_op / gamma is kappa / J exactly
-    defaults = {key: value for key, (value, _) in SCHEMAS["design"].items()}
+    defaults = {key: value for key, (value, _, _) in SCHEMAS["design"].items()}
     kappa_over_j = defaults["kappa_hz"] / defaults["tunnel_j_hz"]
     assert vals["gamma_op_over_gamma"] == pytest.approx(kappa_over_j, rel=1e-12)
     assert abs(vals["g_alpha_hz"] - 110e6) / 110e6 < 0.02

@@ -550,6 +550,23 @@ def test_spectra_name_singular_grid_point(spectrum, mode, omega):
         spectrum(_undamped_chain(), grid, mode)
 
 
+_NO_GRID = "frequency grid must be a non-empty 1-D array"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: filtered_noise_spectrum(
+        om_filter_network(omega_m=100.0, gamma=1.0, kappa=4.0, n_th=1.0), np.array([])), _NO_GRID),
+    (lambda: internal_spectrum(_undamped_chain(), np.array([]), "b3"), _NO_GRID),
+    (lambda: pn.scattering_probabilities(pn.CirculatorSpec(0.5, math.pi / 2, 1.0), []), _NO_GRID),
+    (lambda: pn.NoiseSpectrum([], []), "grid and values must be non-empty 1-D arrays"),
+], ids=["filtered_noise_spectrum", "internal_spectrum", "scattering_probabilities",
+        "NoiseSpectrum"])
+def test_empty_grid_rejected(build, message):
+    # the config schema keeps every CLI grid non-empty; a library call can pass one
+    with pytest.raises(pn.ValidationError, match=re.escape(message)):
+        build()
+
+
 def test_filter_off_is_flat_thermal():
     n_th = 7.0
     net = om_filter_network(omega_m=100.0, gamma=1.0, kappa=4.0, g_alpha=0.0, n_th=n_th)

@@ -141,6 +141,12 @@ def _with_nan(cls, name):
     return lambda: cls(**{**_VALID[cls], name: nan})
 
 
+def _integrate_two_qubits(**tolerances):
+    model = pn.CascadedModel(pn.analytic_schedule(1.0), n_th=0.0, gamma=1.0,
+                             include_cavity=False)
+    return pn.integrate(model, model.initial_state(), (-1.0, 1.0), **tolerances)
+
+
 _NAN_CASES = [
     pytest.param(f.name, _with_nan(cls, f.name), id=f"{cls.__name__}.{f.name}.nan")
     for cls, valid in _VALID.items() for f in dataclasses.fields(cls)
@@ -188,6 +194,9 @@ _NAN_CASES = [
     ("gamma", lambda: pn.om_filter_network(**{**_FILTER, "gamma": -1.0})),
     ("kappa", lambda: pn.om_filter_network(**{**_FILTER, "kappa": -1.0})),
     ("gamma0", lambda: pn.om_filter_network(**{**_FILTER, "gamma0": -2.0})),
+    # the config schema refuses a fidelity rtol <= 0 before the solver sees it
+    ("rtol", lambda: _integrate_two_qubits(rtol=0.0)),
+    ("atol", lambda: _integrate_two_qubits(atol=_NAN)),
     *_NAN_CASES,
 ], ids=["CirculatorSpec.tunneling", "CirculatorSpec.phase", "OpticalDriveDesign.kappa",
         "OpticalDriveDesign.drive2", "ChainSpec.omega0", "ChainSpec.intrinsic_gamma0",
@@ -202,7 +211,8 @@ _NAN_CASES = [
         "propagate_spectrum.mean_free_path.negative",
         "propagate_spectrum.bath_occupation.nan", "om_filter_network.gamma.nan",
         "om_filter_network.gamma.negative", "om_filter_network.kappa.negative",
-        "om_filter_network.gamma0.negative"] + [None] * len(_NAN_CASES))
+        "om_filter_network.gamma0.negative", "integrate.rtol", "integrate.atol"]
+    + [None] * len(_NAN_CASES))
 def test_non_finite_parameters_rejected_by_name(field, build):
     # nan < 0 is False: a sign check alone lets nan through
     with pytest.raises(pn.ValidationError, match=rf"\b{field} must be"):
