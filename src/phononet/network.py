@@ -83,7 +83,7 @@ __all__ = [
 ]
 
 _STABILITY_TOL = 1e-12
-_BLOCK_ENTRIES = 2**16  # complex entries of a frequency block: its Y, X and E stay in cache
+_BLOCK_ENTRIES = 2**16  # complex entries of each 1 MiB block array; fewer lose to the column loop
 _log = logging.getLogger(__name__)
 
 
@@ -267,9 +267,13 @@ def _response_rows(drift: DriftMatrix, omegas, rows, contract=None) -> np.ndarra
     error scales with |K - i w0|, not |K|), then x Q (T - i (v - w0)) = Q[r]
     by forward substitution over T's columns (v = -w for an a^dag row of A,
     else w) on blocks of _BLOCK_ENTRIES // (len(rows) dim K) frequencies.
-    ``contract`` may overwrite X, a block's rows on their sector, shape
-    (block, len(rows), dim K), at full-width columns ``cols`` (a^dag rows
-    conjugated).  The residual max|x (K - i v) - e_r| is the full row's; it
+    The blocks share one workspace, three complex arrays allocated once per
+    call: Y, then E; X; and scratch, which holds eigs - i (v - w0), then
+    D - i v and X (D - i v), then |E|.  A shorter last block takes views of
+    them.  ``contract`` may overwrite X, a block's rows on their sector,
+    shape (block, len(rows), dim K), at full-width columns ``cols`` (a^dag
+    rows conjugated); it must not return a view of X, which the next block
+    overwrites.  The residual max|x (K - i v) - e_r| is the full row's; it
     shifts K's diagonal before the product, as X @ K - i v X would cancel
     eps |v X| (1e-8 at Q ~ 1e8).  Raises ValidationError for an empty grid;
     StabilityError naming the eigenvalue (diag T + i w0) of most negative
@@ -307,18 +311,25 @@ def _response_rows(drift: DriftMatrix, omegas, rows, contract=None) -> np.ndarra
         w = omegas[np.argmax(singular)]
         raise SingularFrequencyError(f"response singular at omega={float(w)!r}")
     D, block, resid, parts = K.diagonal(), max(1, _BLOCK_ENTRIES // (k * dk)), np.empty(n), []
-    for start in range(0, n, block):  # Y and E are dropped once read: few arrays live at once
+    Koff, Qr, QH = K - np.diag(D), Q[krows], Q.conj().T
+    work = np.empty((3, min(n, block) * k * dk), dtype=complex)  # Y then E, X, scratch
+    for start in range(0, n, block):
         freqs = np.where(odd, -1.0, 1.0) * omegas[start : start + block, None]  # K solves at v
         m, shift = len(freqs), 1j * (freqs - w0)
-        Y = np.empty((dk, m * k), dtype=complex)  # Y[j] = (x Q)_j; column w k + row
+        wy, wx, ws = work[:, : m * k * dk]  # a shorter last block takes views of them
+        Y, den = wy.reshape(dk, m * k), ws.reshape(dk, m * k)  # Y[j] = (x Q)_j; column w k + row
+        np.subtract(eigs[:, None], shift.reshape(1, -1), out=den)
         for j in range(dk):
-            Y[j] = ((Q[krows, j] - (T[:j, j] @ Y[:j]).reshape(m, k)) / (eigs[j] - shift)).ravel()
-        X, Y = Y.T @ Q.conj().T, None  # (m * k, dk)
-        E = X @ (K - np.diag(D))
-        E += X * (D - 1j * freqs.reshape(-1, 1))
+            y = Y[j].reshape(m, k)
+            np.subtract(Qr[:, j], (T[:j, j] @ Y[:j]).reshape(m, k), out=y)
+            np.divide(y, den[j].reshape(m, k), out=y)
+        X = np.matmul(Y.T, QH, out=wx.reshape(m * k, dk))
+        E, S = np.matmul(X, Koff, out=wy.reshape(m * k, dk)), ws.reshape(m * k, dk)
+        E += np.multiply(X, np.subtract(D, 1j * freqs.reshape(-1, 1), out=S), out=S)
         E[np.arange(m * k), np.tile(krows, m)] -= 1.0
-        resid[start : start + m] = np.max(np.abs(E).reshape(m, k * dk), axis=1)
-        X, E = X.reshape(m, k, dk), None
+        absE = np.abs(E.reshape(m, k * dk), out=ws.view(float)[: m * k * dk].reshape(m, k * dk))
+        np.max(absE, axis=1, out=resid[start : start + m])
+        X = X.reshape(m, k, dk)
         X[:, odd] = X[:, odd].conj()
         if contract is None:  # full-width rows
             parts.append(np.zeros((m, k, d), dtype=complex))
@@ -430,12 +441,15 @@ def _spectrum(network: LinearNetwork, omega_grid, mode: str, output: bool) -> No
     def contract(X, cols):
         x, c = X[:, 0], cols[0]
         if not output:
-            return np.abs(x) ** 2 @ (drift.input_rates * N_in + drift.intrinsic_rates * N0)[c]
+            a = np.abs(x)
+            return np.square(a, out=a) @ (drift.input_rates * N_in + drift.intrinsic_rates * N0)[c]
         x *= sR[r]
         S = x * sR[c]
-        S -= c == r  # -S_r, as only |S_r| is read
+        S[:, c == r] -= 1.0  # -S_r, as only |S_r| is read
         x *= sG[c]
-        return np.abs(S) ** 2 @ N_in[c] + np.abs(x) ** 2 @ N0[c]
+        a = np.abs(S)
+        out = np.square(a, out=a) @ N_in[c]
+        return out + np.square(np.abs(x, out=a), out=a) @ N0[c]
 
     vals = _response_rows(drift, omega_grid, [r], contract)
     return NoiseSpectrum(omega_grid, np.maximum(vals, 0.0))

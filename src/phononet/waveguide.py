@@ -156,7 +156,10 @@ def simulate_lossy_chain(
     |x_l|^2 = q_l |x_{l+1}|^2 with q_l = |K/2|^2/|p_l|^2, so the forward
     sweep carries s_l = 1 + q_{l-1} s_{l-1} (s_0 = 1) and P = prod q_l:
     sum_l |x_l|^2 = |x_{n-1}|^2 s_{n-1} and |x_0|^2 = |x_{n-1}|^2 P.  Both
-    add only positive terms, and memory is O(len(grid)) at any site.
+    add only positive terms, and memory is O(len(grid)) at any site.  The
+    sweep runs in real arithmetic on float arrays allocated once: each site
+    updates the pivot's real and imaginary parts, q, s and P with in-place
+    ufuncs, the operations of the complex p_l = b_l + q_{l-1} conj(p_{l-1}).
     """
     _check_count("site", site, 1)
     if site > chain.n_sites - 1:
@@ -167,13 +170,18 @@ def simulate_lossy_chain(
 
     # rotating-wave site equations: d b_l/dt = -(i wc + g0/2) b_l
     #   + i (K/2)(b_{l-1} + b_{l+1}) - noise;  M is symmetric tridiagonal.
-    diag = 1j * (chain.band_center - omegas) + g0 / 2
-    p, s, P = diag + gp / 2, 1.0, 1.0
-    for _ in range(1, n):
-        q = (K * K / 4) / (p.real**2 + p.imag**2)
-        s, P = 1.0 + q * s, P * q
-        p = diag + q * p.conj()  # (K^2/4) / p
-    p += gp / 2
-    x2 = 1.0 / (p.real**2 + p.imag**2)  # |x_{n-1}|^2
+    dr, di = g0 / 2, chain.band_center - omegas  # diagonal entry dr + i di
+    pr, pi = np.full_like(di, dr + gp / 2), di.copy()  # pivot p = pr + i pi
+    q, t, s, P = np.empty_like(di), np.empty_like(di), np.ones_like(di), np.ones_like(di)
+    for _ in range(1, n):  # p <- diag + q conj(p) = diag + (K^2/4) / p, in place
+        np.divide(K * K / 4, np.add(np.square(pr, out=q), np.square(pi, out=t), out=q), out=q)
+        s *= q
+        s += 1.0
+        P *= q
+        pr *= q
+        pr += dr
+        np.subtract(di, np.multiply(q, pi, out=pi), out=pi)
+    pr += gp / 2
+    x2 = 1.0 / (pr**2 + pi**2)  # |x_{n-1}|^2
     out = drive_spectrum.values * gp**2 * P * x2 + chain.bath_occupation * gp * g0 * s * x2
     return NoiseSpectrum(omegas, np.maximum(out, 0.0))

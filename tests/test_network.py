@@ -430,11 +430,12 @@ _FULL_FILTER = om_filter_network(
 
 
 @pytest.mark.parametrize(
-    "net, mode, port, dk",
-    [(_cooled_chain(5), "b5", "a", 6), (_FULL_FILTER, "b", "b", 4)],
+    "net, mode, port, dk, full_blocks",
+    [(_cooled_chain(5), "b5", "a", 6, (51, 101)), (_FULL_FILTER, "b", "b", 4, (15, 21))],
     ids=["rwa_chain", "non_rwa_filter"],
 )
-def test_blocked_solve_matches_one_block(net, mode, port, dk, monkeypatch, caplog):
+def test_blocked_solve_matches_one_block(net, mode, port, dk, full_blocks, monkeypatch, caplog):
+    # the blocks reuse one workspace: stale entries in a shorter last block's views would show
     grid = np.linspace(97.0, 103.0, 101)
     d = build_drift_matrix(net)
 
@@ -444,12 +445,18 @@ def test_blocked_solve_matches_one_block(net, mode, port, dk, monkeypatch, caplo
                 _response_rows(d, grid, range(d.dimension)))
 
     one = solve(10**9)
-    with caplog.at_level(logging.DEBUG, logger="phononet.network"):
-        blocked = solve(30 * dk)  # a spectrum's one row: blocks of 30, 30, 30 and 11 points
-    assert "101 grid points, 1 rows, 4 blocks" in caplog.text
-    for got, ref in zip(blocked[:2], one[:2]):
-        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(blocked[2], one[2], rtol=0, atol=1e-12 * np.max(np.abs(one[2])))
+    # a spectrum's one row in blocks of 30, 30, 30 and 11 points, or of 20 points and a last
+    # one of a single point; the all-rows call in blocks whose last one is, or is not, single
+    for points, blocks, full in zip((30, 20), (4, 6), full_blocks):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="phononet.network"):
+            blocked = solve(points * dk)
+        assert f"101 grid points, 1 rows, {blocks} blocks" in caplog.text
+        assert f"101 grid points, {d.dimension} rows, {full} blocks" in caplog.text
+        for got, ref in zip(blocked[:2], one[:2]):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(blocked[2], one[2], rtol=0,
+                                   atol=1e-12 * np.max(np.abs(one[2])))
 
 
 def test_residual_refusal_in_a_later_block_names_the_one_block_omega(monkeypatch):

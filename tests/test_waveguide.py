@@ -270,6 +270,42 @@ def test_lossy_chain_matches_banded_reference(n_sites, site_frac, K, g0_rel, n_t
     np.testing.assert_allclose(got, _banded_oracle(ch, drive, site), rtol=1e-10, atol=0)
 
 
+def _complex_thomas(chain, drive, site):
+    """The forward sweep with a complex pivot: p <- diag + q conj(p)."""
+    K, g0, gp = chain.coupling_K, chain.intrinsic_gamma0, chain.coupling_K
+    diag = 1j * (chain.band_center - drive.grid) + g0 / 2
+    p, s, P = diag + gp / 2, 1.0, 1.0
+    for _ in range(site):
+        q = (K * K / 4) / (p.real**2 + p.imag**2)
+        s, P = 1.0 + q * s, P * q
+        p = diag + q * p.conj()
+    p += gp / 2
+    x2 = 1.0 / (p.real**2 + p.imag**2)
+    out = drive.values * gp**2 * P * x2 + chain.bath_occupation * gp * g0 * s * x2
+    return np.maximum(out, 0.0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    n_sites=st.integers(2, 80),
+    site_frac=st.floats(0.0, 1.0),
+    K=st.floats(0.1, 3.0),
+    g0_rel=st.floats(0.0, 0.1),
+    n_th=st.floats(0.0, 50.0),
+    seed=st.integers(0, 2**16),
+)
+def test_lossy_chain_sweep_is_the_complex_thomas_recursion_bit_for_bit(
+    n_sites, site_frac, K, g0_rel, n_th, seed
+):
+    # the real in-place sweep does the complex recursion's arithmetic, op for op
+    ch = ChainSpec(n_sites, 100.0, K, 1.0, g0_rel * K, n_th)
+    site = 1 + round(site_frac * (n_sites - 2))
+    grid = ch.band_center + np.linspace(-3 * K, 3 * K, 61)
+    drive = pn.NoiseSpectrum(grid, np.random.default_rng(seed).uniform(0.0, 20.0, grid.size))
+    got = simulate_lossy_chain(ch, drive, site).values
+    assert np.array_equal(got, _complex_thomas(ch, drive, site))
+
+
 def test_lossy_chain_memory_does_not_grow_with_sites():
     K, site = 2 * math.pi * 5.0e7, 399
     ch = ChainSpec(400, 2 * math.pi * 4.0e9, K, 1.0e-6, 0.2 * K / site, 20.0)
